@@ -25,6 +25,8 @@ from .fields import (
 )
 from .verify import (
     STATUS_FAILED,
+    STATUS_OK,
+    STATUS_SKIPPED,
     EulerConsistencyReport,
     FunctionalEquationReport,
     GridSpec,
@@ -268,10 +270,10 @@ def _dispatch(args) -> tuple[int, str]:
         summary = SweepSummary(
             field=spec,
             grid=f"point[{_fmt(report.s.real)}:{_fmt(report.s.imag)}]",
-            count_ok=int(report.status == "ok"),
-            count_skipped=int(report.status == "near_pole_skipped"),
+            count_ok=int(report.status == STATUS_OK),
+            count_skipped=int(report.status == STATUS_SKIPPED),
             count_failed=int(report.status == STATUS_FAILED),
-            max_residual=report.relative_residual if report.status == "ok" else 0.0,
+            max_residual=report.relative_residual if report.status == STATUS_OK else 0.0,
         )
         code = 1 if report.status == STATUS_FAILED else 0
         return code, render_report([report], summary, args.format)

@@ -1,9 +1,21 @@
 """Tiny finite fields GF(p^k) and monic irreducible enumeration.
 
 Only desk-scale sizes are needed (q up to a few dozen), so elements are
-integers 0..q-1 encoding base-p digit vectors, and multiplication goes
-through a precomputed q x q table.  Polynomials over GF(q) are tuples of
-element codes in ascending degree order with a nonzero leading entry.
+integers 0..q-1 and arithmetic goes through precomputed q x q add and
+mul tables.  Polynomials over GF(q) are tuples of element codes in
+ascending degree order.  A monic polynomial of degree n is numbered by
+the base-q code sum c_i q^i of its non-leading coefficients
+c_0..c_{n-1}; ascending code is the canonical order everywhere.
+
+``monic_irreducibles(q, n)`` is a product sieve: it marks the code of
+f*g for every monic irreducible f of degree d <= n/2 and every monic g
+of degree n-d, and returns the unmarked codes in ascending order.
+
+GF(p^k) with k > 1 is GF(p)[x]/(m), element a standing for the
+polynomial whose coefficients are the base-p digits of a.  The modulus
+m must be ``monic_irreducibles(p, k)[0]``, the first irreducible in
+canonical order: the mul table, the irreducibles over GF(p^k) and the
+place labels printed by the CLI all depend on that choice.
 """
 
 from __future__ import annotations
@@ -31,82 +43,37 @@ def factor_prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-def _poly_mul_mod_p(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+def _coefficients(code: int, q: int, n: int) -> tuple[int, ...]:
+    # the n base-q digits of code, least significant first
+    out = []
+    for _ in range(n):
+        code, c = divmod(code, q)
+        out.append(c)
     return tuple(out)
 
 
-def _poly_mod_p(u: list[int], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m monic; reduce u modulo m
-    u = list(u)
-    dm = len(m) - 1
-    while len(u) - 1 >= dm:
-        shift = len(u) - 1 - dm
-        c = u[-1]
-        if c:
-            for i, mi in enumerate(m):
-                u[shift + i] = (u[shift + i] - c * mi) % p
-        u.pop()
-    while len(u) > 1 and u[-1] == 0:
-        u.pop()
-    return tuple(u)
+def _code(coeffs, q: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
 
 
-def _find_modulus(p: int, k: int) -> tuple[int, ...]:
-    # First monic irreducible of degree k over GF(p), in counting order
-    # of the non-leading coefficient vector.
-    for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
-        if _is_irreducible_prime_field(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
-
-
-def _is_irreducible_prime_field(poly: tuple[int, ...], p: int) -> bool:
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    # root test kills all reducibles of degree 2 and 3
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    for d in range(2, deg // 2 + 1):
-        for code in range(p ** d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            div = tuple(coeffs) + (1,)
-            if not _is_irreducible_prime_field(div, p):
-                continue
-            if _poly_mod_p(list(poly), div, p) == (0,):
-                return False
-    return True
+def _poly_mul(field: SmallGaloisField, u, v) -> list[int]:
+    """u*v over the field, with len(u) + len(v) - 1 coefficients."""
+    add, mul = field.add, field.mul
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            row = mul[ui]
+            for j, vj in enumerate(v):
+                out[i + j] = add[out[i + j]][row[vj]]
+    return out
 
 
 class SmallGaloisField:
-    """GF(q) arithmetic with integer-coded elements.
+    """GF(q) as add and mul tables indexed by integer-coded elements.
 
-    Element i encodes the polynomial whose base-p digits are i's digits;
     0 and 1 are the additive and multiplicative identities.
     """
 
@@ -114,90 +81,37 @@ class SmallGaloisField:
         pk = factor_prime_power(q)
         if pk is None:
             raise DomainError(f"{q!r} is not a prime power")
-        self.q = q
-        self.p, self.k = pk
-        if self.k == 1:
-            self._add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            modulus = _find_modulus(self.p, self.k)
-            self.modulus = modulus
-            dig = [self._digits(a) for a in range(q)]
-            self._add = [
-                [self._undigits([(x + y) % self.p for x, y in zip(dig[a], dig[b])])
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            self._mul = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = _poly_mul_mod_p(tuple(dig[a]), tuple(dig[b]), self.p)
-                    red = _poly_mod_p(list(prod), modulus, self.p)
-                    row.append(self._undigits(list(red)))
-                self._mul.append(row)
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, digs: list[int]) -> int:
-        out = 0
-        for d in reversed(digs):
-            out = out * self.p + d
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return next(b for b in range(self.q) if self._add[a][b] == 0)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        p, k = pk
+        self.q, self.p, self.k = q, p, k
+        if k == 1:
+            self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
+            self.mul = [[(a * b) % q for b in range(q)] for a in range(q)]
+            return
+        prime = galois_field(p)
+        self.modulus = m = monic_irreducibles(p, k)[0]
+        elements = [_coefficients(a, p, k) for a in range(q)]
+        self.add = [
+            [_code([prime.add[x][y] for x, y in zip(u, v)], p) for v in elements]
+            for u in elements
+        ]
+        self.mul = []
+        for u in elements:
+            row = []
+            for v in elements:
+                w = _poly_mul(prime, u, v)
+                while len(w) > k:
+                    # c x^t = -c x^(t-k) (m - x^k) modulo m
+                    c = w.pop()
+                    t = len(w)
+                    for j in range(k):
+                        w[t - k + j] = (w[t - k + j] - c * m[j]) % p
+                row.append(_code(w, p))
+            self.mul.append(row)
 
 
 @lru_cache(maxsize=None)
 def galois_field(q: int) -> SmallGaloisField:
     return SmallGaloisField(q)
-
-
-def poly_eval(field: SmallGaloisField, poly: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_mod(field: SmallGaloisField, u: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    # m monic over GF(q); returns u mod m (tuple, trailing zeros stripped)
-    work = list(u)
-    dm = len(m) - 1
-    while len(work) - 1 >= dm:
-        c = work[-1]
-        if c:
-            shift = len(work) - 1 - dm
-            for i, mi in enumerate(m):
-                work[shift + i] = field.add(work[shift + i], field.neg(field.mul(c, mi)))
-        work.pop()
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
-    return tuple(work)
-
-
-def _monic_of_degree(q: int, degree: int):
-    # ascending integer-code order of the non-leading coefficients;
-    # this is the canonical enumeration/tiebreak order everywhere.
-    for code in range(q ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % q)
-            c //= q
-        yield tuple(coeffs) + (1,)
 
 
 @lru_cache(maxsize=None)
@@ -206,16 +120,14 @@ def monic_irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
     field = galois_field(q)
     if degree < 1:
         raise DomainError("degree must be >= 1")
-    if degree == 1:
-        return tuple(_monic_of_degree(q, 1))
-    lower: list[tuple[int, ...]] = []
-    for d in range(2, degree // 2 + 1):
-        lower.extend(monic_irreducibles(q, d))
-    out = []
-    for cand in _monic_of_degree(q, degree):
-        if any(poly_eval(field, cand, x) == 0 for x in range(q)):
-            continue
-        if any(poly_mod(field, cand, div) == (0,) for div in lower if (len(div) - 1) <= degree // 2):
-            continue
-        out.append(cand)
-    return tuple(out)
+    reducible = bytearray(q ** degree)
+    for d in range(1, degree // 2 + 1):
+        cofactors = [_coefficients(c, q, degree - d) + (1,) for c in range(q ** (degree - d))]
+        for f in monic_irreducibles(q, d):
+            for g in cofactors:
+                reducible[_code(_poly_mul(field, f, g)[:-1], q)] = 1
+    return tuple(
+        _coefficients(code, q, degree) + (1,)
+        for code, marked in enumerate(reducible)
+        if not marked
+    )

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import ffield
 from .errors import DomainError, SymmetryError, WeilBoundWarning
-from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, kronecker_chi
+from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +162,6 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 1 if d == 2 else 2
-    return True
-
-
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
     return True
 
 

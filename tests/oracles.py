@@ -184,6 +184,69 @@ def necklace_count(q: int, n: int) -> int:
     return total // n
 
 
+def _poly_rem(u: list[int], m: list[int], p: int) -> list[int]:
+    """u mod m over GF(p); lists in ascending degree, zero is []."""
+    u = list(u)
+    inv = pow(m[-1], -1, p)
+    while True:
+        while u and u[-1] == 0:
+            u.pop()
+        if len(u) < len(m):
+            return u
+        c = u[-1] * inv % p
+        shift = len(u) - len(m)
+        for i, mi in enumerate(m):
+            u[shift + i] = (u[shift + i] - c * mi) % p
+
+
+def _poly_mulmod(u: list[int], v: list[int], m: list[int], p: int) -> list[int]:
+    out = [0] * (len(u) + len(v))
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return _poly_rem([c % p for c in out], m, p)
+
+
+def _x_to_p_power(j: int, f: list[int], p: int) -> list[int]:
+    """x^(p^j) mod f, by j rounds of raising to the p-th power."""
+    h = _poly_rem([0, 1], f, p)
+    for _ in range(j):
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _poly_mulmod(power, base, f, p)
+            base = _poly_mulmod(base, base, f, p)
+            e >>= 1
+        h = power
+    return h
+
+
+def rabin_irreducible(f, p: int) -> bool:
+    """Rabin's test for a monic f of degree n >= 1 over GF(p), p prime.
+
+    f is irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f)
+    = 1 for every prime r dividing n (M. O. Rabin, SIAM J. Comput. 1980).
+    Coefficients are plain integers, ascending degree.
+    """
+    f = list(f)
+    n = len(f) - 1
+    x = _poly_rem([0, 1], f, p)
+    if _x_to_p_power(n, f, p) != x:
+        return False
+    for r in range(2, n + 1):
+        if n % r or any(r % d == 0 for d in range(2, r)):
+            continue
+        a = _x_to_p_power(n // r, f, p) + [0, 0]
+        a[1] -= 1  # minus x
+        a = _poly_rem([c % p for c in a], f, p)
+        b = f
+        while a:
+            a, b = _poly_rem(b, a, p), a
+        if len(b) > 1:  # gcd of positive degree
+            return False
+    return True
+
+
 def elliptic_point_count_f5() -> int:
     """Brute-force point count of y^2 = x^3 + x + 1 over GF(5), plus infinity."""
     affine = sum(

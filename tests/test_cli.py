@@ -1,9 +1,13 @@
 """CLI tests: command surface, exit codes, serialization, determinism."""
 
+import hashlib
 import json
 import math
 
+import pytest
+
 from globalzeta.cli import main, parse_and_dispatch, render_report
+from globalzeta.ffield import galois_field
 from globalzeta.verify import FunctionalEquationReport, SweepSummary
 
 SWEEP_ARGS = [
@@ -157,6 +161,44 @@ class TestCommands:
         assert lines[0] == "s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,residual,pole_distance,status"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("# ok=4,skipped=0,failed=0,max_residual=")
+
+
+# sha256 of `places --field "Fq(T)?q=<q>" --bound 7200` for each q and
+# format.  7200 = min(q^(d+1) - 1, 7200) for the largest degree d the
+# exact-cold benchmark workload asks about (12, 8, 6, 5, 4, 4, 4), so
+# every place of degree <= d is listed.  Any change to the irreducibles,
+# their order, the GF(p^k) modulus or the field tables changes a digest.
+GOLDEN_PLACES = {
+    (2, "json"): "7daf86f4f5172526d62b93d6a2f50b0d23c46eba5933d1be806c0f500aa44c1a",
+    (2, "csv"): "d2868ddd0031bdcfc36447a37b1c9ca29713cb436e44d02cc50edd910de14a49",
+    (3, "json"): "203ff8f700ba9c037512daff39b3ffd6a0f94c7821e1104e1e49c427bdf88acb",
+    (3, "csv"): "fda3d6eba692916b8c2a48ae5b360f9028c704cc68a572f4fee3ba78f55b43a7",
+    (4, "json"): "fe1e21ff9b46212eaff7e692c0855417cfe88cfc69b55ebb00b93f55d11158fe",
+    (4, "csv"): "f0e097ba9d4648eb7c619472535179eaa1777cd137a49b42adffe4b448e228f8",
+    (5, "json"): "2ecb801a8aad1adb1d5efd22c83a38e6fcca1294e9710064df9bf305bfcb1117",
+    (5, "csv"): "7d8b1e4273d37b5d0c919ac69bdf831b67d4518c311a3fff837f3791f109d66d",
+    (7, "json"): "c7dfc18506b68a5db3f47514bb6d2d0a3c21b89d2e7dec0c7dc43d1861a28aad",
+    (7, "csv"): "7cba82710853289d2de2028d37a76f830adf343997f93f941b399ecbb90516f4",
+    (8, "json"): "09214be538e2ade0101811812bd3946f6c4d775301e7b3c752ff51c1c1353d96",
+    (8, "csv"): "cf9c024bd102ef445342cf0013a249f629ad0929e32476c2a038bd9a16e8ff20",
+    (9, "json"): "6663f47bfa82d1f073dc044ada11bf0ed13c07e8789cc2ae64760efa446f9ae6",
+    (9, "csv"): "5fc4e70c1cc896b095cd064fff1380201aa16af77adc7db3a36cd40d64062e95",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("q, fmt", sorted(GOLDEN_PLACES))
+    def test_places_digest(self, q, fmt):
+        code, out = parse_and_dispatch(
+            ["places", "--field", f"Fq(T)?q={q}", "--bound", "7200", "--format", fmt]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PLACES[q, fmt]
+
+    def test_extension_field_moduli(self):
+        assert galois_field(4).modulus == (1, 1, 1)
+        assert galois_field(8).modulus == (1, 1, 0, 1)
+        assert galois_field(9).modulus == (1, 0, 1)
 
 
 class TestSerialization:

@@ -222,6 +222,19 @@ class TestEnumeratePlaces:
             for n in range(1, 7):
                 assert len(ffield.monic_irreducibles(q, n)) == oracles.necklace_count(q, n)
 
+    def test_irreducibles_pass_rabin_oracle(self):
+        # with the necklace count above, this pins each tuple exactly
+        for p, top in ((2, 12), (3, 8), (5, 5), (7, 4)):
+            for n in range(1, top + 1):
+                polys = ffield.monic_irreducibles(p, n)
+                assert len(polys) == oracles.necklace_count(p, n)
+                codes = []
+                for f in polys:
+                    assert len(f) == n + 1 and f[-1] == 1
+                    assert oracles.rabin_irreducible(f, p), (p, f)
+                    codes.append(sum(c * p ** i for i, c in enumerate(f[:-1])))
+                assert all(a < b for a, b in zip(codes, codes[1:]))
+
     def test_deterministic(self):
         a = enumerate_places(make_quadratic(-1), 60)
         b = enumerate_places(make_quadratic(-1), 60)
