@@ -11,10 +11,11 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError, PoleError, SymmetryError
 from .fields import (
@@ -24,155 +25,108 @@ from .fields import (
     parse_field_spec,
 )
 from .verify import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    EulerConsistencyReport,
     FunctionalEquationReport,
     GridSpec,
     SweepSummary,
     check_point,
     euler_consistency_check,
+    summarize_reports,
     sweep,
 )
 from .zeta import completed_zeta
 
 ENV_FORMAT = "GLOBALZETA_FORMAT"
 
-REPORT_CSV_HEADER = "s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,residual,pole_distance,status"
+EVAL_COLUMNS = ("s_re", "s_im", "zeta_re", "zeta_im", "gamma_re", "gamma_im",
+                "completed_re", "completed_im", "pole_distance", "precision_cliff")
+EULER_COLUMNS = ("s_re", "s_im", "norm_bound", "closed_re", "closed_im",
+                 "truncated_re", "truncated_im", "gap", "tail_bound", "pass")
+PLACE_COLUMNS = ("qv", "kind", "label")
+REPORT_COLUMNS = ("s_re", "s_im", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+                  "residual", "pole_distance", "status")
+
+# argparse reads a value such as "-1,2" as an option unless it is attached with "="
+_S_HELP = 'point, RE or RE,IM (write --s=-1,2 when the value starts with "-")'
+_GRID_HELP = 're_min:re_max:steps,im_min:im_max:steps (write --grid=-5:-3:5,0:0:1 when it starts with "-")'
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
-def _opt(x: float | None) -> str:
-    return "null" if x is None else _fmt(x)
+def _bool(x: bool) -> str:
+    return "true" if x else "false"
 
 
-def _opt_csv(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
+#: The cell formatter: text of a value by output format and by the
+#: value's exact type (so a bool never prints as an int).  One dict
+#: lookup per cell keeps large place lists cheap to render;
+#: encode_basestring_ascii is what json.dumps applies to a str.
+_CELL = {
+    "json": {type(None): lambda x: "null", bool: _bool, int: str, float: _fmt, str: encode_basestring_ascii},
+    "csv": {type(None): lambda x: "", bool: _bool, int: str, float: _fmt, str: str},
+}
 
 
-def _report_json_obj(r: FunctionalEquationReport) -> str:
-    return (
-        "{"
-        f'"s_re":{_fmt(r.s.real)},"s_im":{_fmt(r.s.imag)},'
-        f'"lhs_re":{_opt(None if r.lhs is None else r.lhs.real)},'
-        f'"lhs_im":{_opt(None if r.lhs is None else r.lhs.imag)},'
-        f'"rhs_re":{_opt(None if r.rhs is None else r.rhs.real)},'
-        f'"rhs_im":{_opt(None if r.rhs is None else r.rhs.imag)},'
-        f'"residual":{_opt(r.relative_residual)},'
-        f'"pole_distance":{_fmt(r.pole_distance_min)},'
-        f'"status":{json.dumps(r.status)}'
-        "}"
-    )
+def _fill(template: str, sep: str, cell: dict, rows):
+    # A chunk of rows is formatted in one flat pass over its cells and one
+    # % on the template repeated per row: no Python call per row, and only
+    # one chunk's cell texts alive at a time.  Column names hold no "%".
+    rows = iter(rows)
+    while chunk := list(islice(rows, 256)):
+        cells = tuple([cell[type(x)](x) for row in chunk for x in row])
+        yield sep.join([template] * len(chunk)) % cells
 
 
-def _summary_json_obj(summary: SweepSummary) -> str:
-    return (
-        "{"
-        f'"field":{json.dumps(summary.field)},'
-        f'"grid":{json.dumps(summary.grid)},'
-        f'"ok":{summary.count_ok},'
-        f'"skipped":{summary.count_skipped},'
-        f'"failed":{summary.count_failed},'
-        f'"max_residual":{_fmt(summary.max_residual)}'
-        "}"
-    )
+def _render(fmt: str, columns, rows, head=(), key=None, tail=(), summary_key=None) -> str:
+    """Serialize rows of plain values as one JSON document or CSV table.
+
+    head pairs name what the rows describe and appear only in JSON.
+    With key=None there is exactly one row, whose cells sit next to the
+    head; otherwise the rows are a JSON list under key.  tail pairs
+    follow the rows in JSON (nested with the head under summary_key
+    when given) and form the CSV trailer line "# k=v,...".
+    """
+    cell = _CELL.get(fmt)
+    if cell is None:
+        raise DomainError(f"unknown output format {fmt!r}")
+    if fmt == "csv":
+        lines = [",".join(columns), *_fill(",".join(["%s"] * len(columns)), "\n", cell, rows)]
+        if tail:
+            lines.append("# " + ",".join([f"{k}={cell[type(x)](x)}" for k, x in tail]))
+        return "\n".join(lines)
+
+    def members(items) -> list[str]:
+        return [f'"{k}":{cell[type(x)](x)}' for k, x in items]
+
+    record = ",".join([f'"{c}":%s' for c in columns])
+    if key is None:
+        body = next(_fill(record, ",", cell, rows))
+    else:
+        body = f'"{key}":[' + ",".join(_fill("{" + record + "}", ",", cell, rows)) + "]"
+    if summary_key is None:
+        return "{" + ",".join(members(head) + [body] + members(tail)) + "}"
+    return "{" + body + f',"{summary_key}":{{' + ",".join(members(head + tail)) + "}}"
 
 
-def render_report(
-    reports: list[FunctionalEquationReport], summary: SweepSummary, fmt: str
-) -> str:
+def _parts(z: complex | None) -> tuple:
+    return (None, None) if z is None else (z.real, z.imag)
+
+
+def render_report(reports: list[FunctionalEquationReport], summary: SweepSummary, fmt: str) -> str:
     """Serialize functional-equation reports plus their summary."""
-    if fmt == "json":
-        body = ",".join(_report_json_obj(r) for r in reports)
-        return f'{{"reports":[{body}],"summary":{_summary_json_obj(summary)}}}'
-    if fmt == "csv":
-        lines = [REPORT_CSV_HEADER]
-        for r in reports:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.s.real),
-                        _fmt(r.s.imag),
-                        _opt_csv(None if r.lhs is None else r.lhs.real),
-                        _opt_csv(None if r.lhs is None else r.lhs.imag),
-                        _opt_csv(None if r.rhs is None else r.rhs.real),
-                        _opt_csv(None if r.rhs is None else r.rhs.imag),
-                        _opt_csv(r.relative_residual),
-                        _fmt(r.pole_distance_min),
-                        r.status,
-                    ]
-                )
-            )
-        lines.append(
-            f"# ok={summary.count_ok},skipped={summary.count_skipped},"
-            f"failed={summary.count_failed},max_residual={_fmt(summary.max_residual)}"
-        )
-        return "\n".join(lines)
-    raise DomainError(f"unknown output format {fmt!r}")
-
-
-def _render_eval(field_spec: str, record, fmt: str) -> str:
-    fields = [
-        ("s_re", _fmt(record.s.real)),
-        ("s_im", _fmt(record.s.imag)),
-        ("zeta_re", _fmt(record.zeta_value.real)),
-        ("zeta_im", _fmt(record.zeta_value.imag)),
-        ("gamma_re", _fmt(record.gamma_factor_value.real)),
-        ("gamma_im", _fmt(record.gamma_factor_value.imag)),
-        ("completed_re", _fmt(record.completed_value.real)),
-        ("completed_im", _fmt(record.completed_value.imag)),
-        ("pole_distance", _fmt(record.pole_distance)),
-        ("precision_cliff", "true" if record.precision_cliff else "false"),
+    rows = [
+        (*_parts(r.s), *_parts(r.lhs), *_parts(r.rhs), r.relative_residual, r.pole_distance_min, r.status)
+        for r in reports
     ]
-    if fmt == "json":
-        body = ",".join(f'"{k}":{v}' for k, v in fields)
-        return f'{{"field":{json.dumps(field_spec)},{body}}}'
-    if fmt == "csv":
-        return ",".join(k for k, _ in fields) + "\n" + ",".join(v for _, v in fields)
-    raise DomainError(f"unknown output format {fmt!r}")
-
-
-def _render_places(field_spec: str, norm_bound: int, places, fmt: str) -> str:
-    if fmt == "json":
-        body = ",".join(
-            f'{{"qv":{p.qv},"kind":{json.dumps(p.kind)},"label":{json.dumps(p.label)}}}'
-            for p in places
-        )
-        return (
-            f'{{"field":{json.dumps(field_spec)},"norm_bound":{norm_bound},'
-            f'"places":[{body}],"count":{len(places)}}}'
-        )
-    if fmt == "csv":
-        lines = ["qv,kind,label"]
-        lines.extend(f"{p.qv},{p.kind},{p.label}" for p in places)
-        lines.append(f"# count={len(places)}")
-        return "\n".join(lines)
-    raise DomainError(f"unknown output format {fmt!r}")
-
-
-def _render_euler(field_spec: str, s: complex, bound: int, rec: EulerConsistencyReport, fmt: str) -> str:
-    fields = [
-        ("s_re", _fmt(s.real)),
-        ("s_im", _fmt(s.imag)),
-        ("norm_bound", str(bound)),
-        ("closed_re", _fmt(rec.closed_form.real)),
-        ("closed_im", _fmt(rec.closed_form.imag)),
-        ("truncated_re", _fmt(rec.truncated.real)),
-        ("truncated_im", _fmt(rec.truncated.imag)),
-        ("gap", _fmt(rec.gap)),
-        ("tail_bound", _fmt(rec.tail_bound)),
-        ("pass", "true" if rec.passed else "false"),
-    ]
-    if fmt == "json":
-        body = ",".join(f'"{k}":{v}' for k, v in fields)
-        return f'{{"field":{json.dumps(field_spec)},{body}}}'
-    if fmt == "csv":
-        return ",".join(k for k, _ in fields) + "\n" + ",".join(v for _, v in fields)
-    raise DomainError(f"unknown output format {fmt!r}")
+    return _render(
+        fmt, REPORT_COLUMNS, rows,
+        head=(("field", summary.field), ("grid", summary.grid)),
+        key="reports",
+        tail=(("ok", summary.count_ok), ("skipped", summary.count_skipped),
+              ("failed", summary.count_failed), ("max_residual", summary.max_residual)),
+        summary_key="summary",
+    )
 
 
 def _parse_s(text: str) -> complex:
@@ -220,16 +174,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate zeta, Gamma factor and completed value at s")
     common(p)
-    p.add_argument("--s", required=True, help="point, RE or RE,IM")
+    p.add_argument("--s", required=True, help=_S_HELP)
 
     p = sub.add_parser("check", help="check Z(1-s) = beta^(2s-1) Z(s) at one point")
     common(p)
-    p.add_argument("--s", required=True, help="point, RE or RE,IM")
+    p.add_argument("--s", required=True, help=_S_HELP)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("sweep", help="check the functional equation on a grid")
     common(p)
-    p.add_argument("--grid", required=True, help="re_min:re_max:steps,im_min:im_max:steps")
+    p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("covolume", help="print the adelic covolume of the field")
@@ -241,53 +195,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-check", help="closed form vs truncated Euler product (Re s > 1)")
     common(p)
-    p.add_argument("--s", required=True, help="point, RE or RE,IM")
+    p.add_argument("--s", required=True, help=_S_HELP)
     p.add_argument("--bound", type=int, required=True)
 
     return parser
 
 
 def _covolume_text(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
+    # str(Fraction(2)) is "2", so exact values need no special case
+    return str(value) if isinstance(value, (Fraction, int)) else _fmt(value)
 
 
 def _dispatch(args) -> tuple[int, str]:
-    if args.command == "covolume":
-        field = parse_field_spec(args.field)
-        return 0, _covolume_text(covolume(field))
-
     field = parse_field_spec(args.field)
+    if args.command == "covolume":
+        return 0, _covolume_text(covolume(field))
     spec = field_spec_string(field)
+    head = (("field", spec),)
     if args.command == "eval":
-        record = completed_zeta(field, _parse_s(args.s))
-        return 0, _render_eval(spec, record, args.format)
-    if args.command == "check":
-        report = check_point(field, _parse_s(args.s), args.tol)
-        summary = SweepSummary(
-            field=spec,
-            grid=f"point[{_fmt(report.s.real)}:{_fmt(report.s.imag)}]",
-            count_ok=int(report.status == STATUS_OK),
-            count_skipped=int(report.status == STATUS_SKIPPED),
-            count_failed=int(report.status == STATUS_FAILED),
-            max_residual=report.relative_residual if report.status == STATUS_OK else 0.0,
+        rec = completed_zeta(field, _parse_s(args.s))
+        row = (
+            *_parts(rec.s), *_parts(rec.zeta_value), *_parts(rec.gamma_factor_value),
+            *_parts(rec.completed_value), rec.pole_distance, rec.precision_cliff,
         )
-        code = 1 if report.status == STATUS_FAILED else 0
-        return code, render_report([report], summary, args.format)
+        return 0, _render(args.format, EVAL_COLUMNS, [row], head)
+    if args.command == "check":
+        s = _parse_s(args.s)
+        reports = [check_point(field, s, args.tol)]
+        summary = summarize_reports(spec, f"point[{_fmt(s.real)}:{_fmt(s.imag)}]", reports)
+        return int(summary.count_failed > 0), render_report(reports, summary, args.format)
     if args.command == "sweep":
         reports, summary = sweep(field, _parse_grid(args.grid), args.tol)
-        code = 1 if summary.count_failed else 0
-        return code, render_report(reports, summary, args.format)
+        return int(summary.count_failed > 0), render_report(reports, summary, args.format)
     if args.command == "places":
         places = enumerate_places(field, args.bound)
-        return 0, _render_places(spec, args.bound, places, args.format)
+        rows = ((p.qv, p.kind, p.label) for p in places)
+        head += (("norm_bound", args.bound),)
+        return 0, _render(args.format, PLACE_COLUMNS, rows, head, "places", (("count", len(places)),))
     if args.command == "euler-check":
         s = _parse_s(args.s)
         rec = euler_consistency_check(field, s, args.bound)
-        return (0 if rec.passed else 1), _render_euler(spec, s, args.bound, rec, args.format)
+        row = (
+            *_parts(s), args.bound, *_parts(rec.closed_form), *_parts(rec.truncated),
+            rec.gap, rec.tail_bound, rec.passed,
+        )
+        return int(not rec.passed), _render(args.format, EULER_COLUMNS, [row], head)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -81,12 +81,6 @@ class LPolynomial:
             acc = acc * t + c
         return acc
 
-    def evaluate_exact(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
     def symmetry_violation(self, q: int) -> int | None:
         """First index i with a[2g-i] != q^(g-i) a[i], or None."""
         g = self.genus
@@ -153,17 +147,6 @@ def _poly_label(poly: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 # Small integer helpers
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
 
 def _primes_up_to(n: int) -> list[int]:
     if n < 2:
@@ -316,24 +299,22 @@ def log_covolume(field: FieldDescriptor) -> float:
 # Places and Euler factors
 # ---------------------------------------------------------------------------
 
-def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
-    """'split', 'inert' or 'ramified' for a rational prime p in a quadratic field."""
-    if not isinstance(field, NumberFieldDescriptor) or field.kind != "quadratic":
-        raise DomainError("splitting_type: field must be quadratic")
-    if not _is_prime(p):
-        raise DomainError(f"splitting_type: {p!r} is not prime")
+def _require_prime(p: int, caller: str) -> None:
+    if ffield.factor_prime_power(p) != (p, 1):
+        raise DomainError(f"{caller}: {p!r} is not prime")
+
+
+def _splitting_type(field: NumberFieldDescriptor, p: int) -> str:
     if field.discriminant % p == 0:
         return "ramified"
     return "split" if kronecker_chi(field.discriminant, p) == 1 else "inert"
 
 
-def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
-    """The places of a number field lying above the rational prime p."""
+def _places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
+    # p must be prime; the public entry points check it
     if field.kind == "rationals":
-        if not _is_prime(p):
-            raise DomainError(f"places_above: {p!r} is not prime")
         return [Place(qv=p, kind="rational_prime", prime=p)]
-    typ = splitting_type(field, p)
+    typ = _splitting_type(field, p)
     if typ == "split":
         return [
             Place(qv=p, kind="rational_prime", prime=p, slot=1),
@@ -342,6 +323,20 @@ def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
     if typ == "inert":
         return [Place(qv=p * p, kind="rational_prime", prime=p)]
     return [Place(qv=p, kind="rational_prime", prime=p)]
+
+
+def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
+    """'split', 'inert' or 'ramified' for a rational prime p in a quadratic field."""
+    if not isinstance(field, NumberFieldDescriptor) or field.kind != "quadratic":
+        raise DomainError("splitting_type: field must be quadratic")
+    _require_prime(p, "splitting_type")
+    return _splitting_type(field, p)
+
+
+def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
+    """The places of a number field lying above the rational prime p."""
+    _require_prime(p, "places_above")
+    return _places_above(field, p)
 
 
 def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
@@ -362,7 +357,8 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
                 "enumerate_places: positive-genus fields carry no explicit place list"
             )
         q = field.q
-        out.append(Place(qv=q, kind="infinite"))
+        if q <= norm_bound:
+            out.append(Place(qv=q, kind="infinite"))
         degree = 1
         while q ** degree <= norm_bound:
             for poly in ffield.monic_irreducibles(q, degree):
@@ -370,7 +366,7 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
             degree += 1
     else:
         for p in _primes_up_to(norm_bound):
-            for place in places_above(field, p):
+            for place in _places_above(field, p):
                 if place.qv <= norm_bound:
                     out.append(place)
     out.sort(key=Place.sort_key)

@@ -191,16 +191,12 @@ def hurwitz_zeta(s, a: float) -> complex:
         raise DomainError(f"hurwitz_zeta: a must lie in (0, 1], got {a!r}")
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError(f"hurwitz_zeta: {s!r} is within {POLE_EXCLUSION_RADIUS} of the pole s=1")
-    shift = _em_shift_count(s)
-    regular = _hurwitz_regular(s, a, shift)
-    x = a + shift
-    pole = cmath.exp((1.0 - s) * math.log(x)) / (s - 1.0)
-    return regular + pole
+    return _hurwitz_unrestricted(s, a)
 
 
 def _hurwitz_unrestricted(s: complex, a: float) -> complex:
-    # Same evaluator without the (0, 1] restriction on a; the public
-    # contract keeps a in (0, 1], but the shift-identity test needs a+1.
+    # hurwitz_zeta without its checks; the public contract keeps a in
+    # (0, 1], but the shift-identity probe needs a+1.
     shift = _em_shift_count(s)
     regular = _hurwitz_regular(s, a, shift)
     x = a + shift

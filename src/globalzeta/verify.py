@@ -147,21 +147,24 @@ def sweep(
     reports = [
         check_point(field, complex(x, y), tolerance) for x in res for y in ims
     ]
-    n_ok = sum(1 for r in reports if r.status == STATUS_OK)
-    n_skip = sum(1 for r in reports if r.status == STATUS_SKIPPED)
-    n_fail = sum(1 for r in reports if r.status == STATUS_FAILED)
-    max_residual = max(
-        (r.relative_residual for r in reports if r.status == STATUS_OK), default=0.0
+    return reports, summarize_reports(field_spec_string(field), grid.describe(), reports)
+
+
+def summarize_reports(
+    field: str, grid: str, reports: list[FunctionalEquationReport]
+) -> SweepSummary:
+    """Count the reports by status; max_residual is the largest ok residual (0.0 if none)."""
+    statuses = [r.status for r in reports]
+    return SweepSummary(
+        field=field,
+        grid=grid,
+        count_ok=statuses.count(STATUS_OK),
+        count_skipped=statuses.count(STATUS_SKIPPED),
+        count_failed=statuses.count(STATUS_FAILED),
+        max_residual=max(
+            (r.relative_residual for r in reports if r.status == STATUS_OK), default=0.0
+        ),
     )
-    summary = SweepSummary(
-        field=field_spec_string(field),
-        grid=grid.describe(),
-        count_ok=n_ok,
-        count_skipped=n_skip,
-        count_failed=n_fail,
-        max_residual=max_residual,
-    )
-    return reports, summary
 
 
 def exact_check_function_field(field: FunctionFieldDescriptor) -> ExactCheckResult:

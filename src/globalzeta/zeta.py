@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from .errors import PoleError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
 from .kernel import (
+    _LOG_2PI,
+    _LOG_PI,
     POLE_EXCLUSION_RADIUS,
     KroneckerCharacter,
     _as_complex,
@@ -35,9 +37,6 @@ from .kernel import (
     dirichlet_l,
     riemann_zeta,
 )
-
-_LOG_PI = math.log(math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 #: Inside this radius of a cancelled Gamma pole the completed value is
 #: computed by deflation and the record is flagged.

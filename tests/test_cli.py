@@ -143,6 +143,17 @@ class TestCommands:
         assert [p["qv"] for p in payload["places"]] == [2, 5, 5, 9]
         assert payload["count"] == 4
 
+    def test_places_below_infinite_place_is_empty(self):
+        args = ["places", "--field", "Fq(T)?q=5", "--bound", "4", "--format"]
+        assert parse_and_dispatch(args + ["csv"]) == (0, "qv,kind,label\n# count=0")
+        payload = json.loads(parse_and_dispatch(args + ["json"])[1])
+        assert payload["places"] == [] and payload["count"] == 0
+        code, out = parse_and_dispatch(
+            ["euler-check", "--field", "Fq(T)?q=5", "--s", "2", "--bound", "4"]
+        )
+        payload = json.loads(out)
+        assert (payload["truncated_re"], payload["truncated_im"]) == (1, 0)
+
     def test_euler_check_json(self):
         code, out = parse_and_dispatch(
             ["euler-check", "--field", "Q", "--s", "3", "--bound", "100"]
@@ -186,7 +197,80 @@ GOLDEN_PLACES = {
 }
 
 
+# sha256 of one command per kind of report, in both formats, recorded
+# before the CLI's serializers were merged into one.  The cases cover
+# ok, skipped (null/empty cells) and failed check rows, failed sweep
+# rows, a precision_cliff eval record with a negative zero, a curve
+# field, and the places and euler-check layouts.
+GOLDEN_COMMANDS = {
+    ("eval", "Q", "--s", "2"): (
+        "681480487f417ebe56f3bd43566a69f9dc52c5ed039cbaeb7043a6dd5af8bf09",
+        "135755af7fbdd8d31dc2b0e0845c8c945385b271ef291c227acf4f45629a2479",
+    ),
+    ("eval", "Q(sqrt=-1)", "--s", "0.5,3.25"): (
+        "e8f70dca147af45b479639339554a70c0bb68bcba0d29a9e703027372329203d",
+        "6c1b9c7831e01d343c7c6d2a6777eda81785c47293eee5a33ce016819b53e843",
+    ),
+    ("eval", "Q(sqrt=5)", "--s", "-3.005"): (
+        "fbe37897ab9e1fa7e138d016543e618cc07a06723322649e3e9bc2f7d9055354",
+        "59ed9b014f32ed560eb3b98f719aa2c30b283ad0a29ada7ff1f6b80c63421073",
+    ),
+    ("eval", "Q(sqrt=5)", "--s", "-4.005"): (
+        "7fb08a47612dfe18418fc30f1d9a797f9d45b622d2f693262dff91aff5c0ebc6",
+        "b6fa9df1addbf1ba34cfcd2850c39207e6317c9010422434041a2eeea030c98f",
+    ),
+    ("eval", "curve?q=5&L=1,3,5", "--s", "0.5,3"): (
+        "3dbdffb83068621465dfc59e7b3a1a9fd1220b0ec4ed207dd7226226be64dfe1",
+        "1f6b4fdfa9dd579b62a079d95cb0dba88f15528649efe6be5934699faeccad49",
+    ),
+    ("check", "Q", "--s", "2"): (
+        "3e15fa0cfd5a93e6ddfd39d187c414f9e45078a8e924cbc508c6431e595deae8",
+        "d52d2c3425c449fe8b03f72ce58b66b7fe1820fa3d0276121fd00085af9c6eeb",
+    ),
+    ("check", "Q", "--s", "1"): (
+        "4e09e5d2b8750ce3396f8b0e6ee8f1f38e8c7573d546794a316f4e6ac8f0183b",
+        "4732961bde5ad44daa41e7e947cb03e8c2841085595acdc266069970db6fe686",
+    ),
+    ("check", "Q", "--s", "0.3", "--tol", "1e-18"): (
+        "b5e989f32ac3c84541d71617098c31f43b7c6fb4226bb1906c3803535e11539a",
+        "b128e21bc8feaa1f7599c4f89648d6470be8e866e41b1fd3c2862d946def2820",
+    ),
+    ("sweep", "Q(sqrt=-163)", "--grid", "0.1:0.9:5,0:10:5"): (
+        "1e69029ec3fd3eb9ef3a727ae653f8bc24601d777aeda7ab7d3ec41e045bb91f",
+        "0500d1d40531032cc16ea9583b9549604ebb2238b2d8c9cf37ba558d998d6fdb",
+    ),
+    ("sweep", "Fq(T)?q=5", "--grid", "0:1:3,0:4:3"): (
+        "e03f01ce98b9b1bd31956f64d87b82b39784eaf1d1bc65d2142d957e2fdc082a",
+        "3cae6e358fa2f31c957a61f0aff263dbb2fc5210acaaaafe88cee615a2cef74d",
+    ),
+    ("sweep", "Q", "--grid=-5:-3:5,0:0:1"): (
+        "bd5cccb5d966c0bc51c511b94e3baf640f401ced427ee8275eae9361c3fc7e43",
+        "1eace92f18ffc994f5da3481b562ec280c9e986c9feb30d442a4c0980ed9f509",
+    ),
+    ("places", "Q(sqrt=-1)", "--bound", "1000"): (
+        "73db2393b5df482c72e906161c447da7187f954f3ac02f84633408626a8dd681",
+        "a1bbde2f38e9d00590f9573e1ad40ae2eb7abe8a02bd0967883acdd771bf11da",
+    ),
+    ("euler-check", "Q", "--s", "3", "--bound", "100"): (
+        "51c96b7548fb3e3f89f963027a4a69e2a0d9ee23f4c5bbe48efaacd9c08b1d3a",
+        "c0d737936b35fddf127667d90abb80bddf85591661401d01f78c3fefd7342826",
+    ),
+    ("euler-check", "Fq(T)?q=3", "--s", "2,1", "--bound", "500"): (
+        "c20bebcf4e65953ce4eef2f2f2722a245e6621d02848f75adc3fee0d29583778",
+        "c9fb20238bc7961b023ee64dafb300c833c9125b3e3f42954bca5b7f14dfdabd",
+    ),
+}
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", list(GOLDEN_COMMANDS), ids=" ".join)
+    def test_command_digest(self, command, fmt):
+        name, field, *rest = command
+        _, out = parse_and_dispatch([name, "--field", field, *rest, "--format", fmt])
+        digest = GOLDEN_COMMANDS[command][fmt == "csv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("q, fmt", sorted(GOLDEN_PLACES))
     def test_places_digest(self, q, fmt):
         code, out = parse_and_dispatch(
@@ -258,6 +342,12 @@ class TestSerialization:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["reports"][0]["status"] == "ok"
+
+    def test_env_var_unknown_format_is_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("GLOBALZETA_FORMAT", "xml")
+        assert parse_and_dispatch(["check", "--field", "Q", "--s", "2"]) == (2, "")
+        assert "'xml'" in capsys.readouterr().err
+        assert parse_and_dispatch(["covolume", "--field", "Q(sqrt=-1)"]) == (0, "2")
 
     def test_env_var_default_format(self, monkeypatch):
         monkeypatch.setenv("GLOBALZETA_FORMAT", "csv")

@@ -208,6 +208,18 @@ class TestEnumeratePlaces:
             (4, "T^2+T+1"),
         ]
 
+    def test_infinite_place_respects_bound(self):
+        f = make_rational_function_field(5)
+        assert enumerate_places(f, 4) == []
+        assert truncated_euler_product(f, 2, 4) == 1
+        assert [p.label for p in enumerate_places(f, 5)][:2] == ["inf", "T"]
+
+    def test_places_above_requires_prime(self):
+        for field in (make_rationals(), make_quadratic(-1)):
+            for n in (1, 4, 9, 91):
+                with pytest.raises(DomainError, match="not prime"):
+                    places_above(field, n)
+
     def test_gaussian_example(self):
         places = enumerate_places(make_quadratic(-1), 10)
         assert sorted(p.qv for p in places) == [2, 5, 5, 9]
