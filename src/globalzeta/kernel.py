@@ -11,19 +11,42 @@ with fsum and exact-rational Bernoulli coefficients so that budget is
 actually met (the continuation to Re s < 0 pays a documented
 cancellation cost, see hurwitz_zeta).  Out-of-domain inputs raise
 DomainError / PoleError rather than letting NaNs or infinities escape.
+
+Cost is bounded up front.  An Euler-Maclaurin sum takes max(20, ceil|s|)
+terms, so |s| > MAX_ABS_S raises DomainError before any work.
+dirichlet_l sums one Hurwitz zeta per class r coprime to D and keeps
+what does not depend on s in a single slot for the last modulus seen:
+chi(r), r/|D| and log(r/|D| + n) for n up to the largest shift count
+that modulus has needed.  A new modulus replaces the slot, so at most
+one field's table, phi(|D|) * (N + 1) doubles, is alive; a call that
+would push it past MAX_TABLE_ENTRIES (2 MiB) raises DomainError before
+the table is built or grown.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 
 from .errors import DomainError, PoleError
 
 #: Radius around a pole inside which evaluation raises PoleError.
 POLE_EXCLUSION_RADIUS = 1e-3
+
+#: Largest |s| the Hurwitz, Riemann and Dirichlet evaluators accept.  One
+#: Euler-Maclaurin sum costs max(20, ceil|s|) complex exponentials, so
+#: this caps a single Hurwitz sum at about 5 ms.
+MAX_ABS_S = 1e4
+
+#: Largest phi(|D|) * (N + 1) that dirichlet_l tabulates, N being the
+#: shift count: the number of doubles in its log table (2 MiB here).
+MAX_TABLE_ENTRIES = 2**18
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -66,11 +89,13 @@ _BERNOULLI_EVEN = (
     Fraction(854513, 138),
     Fraction(-236364091, 2730),
 )
-_EM_ORDER = 12
 _EM_COEF = tuple(
     float(b / Fraction(math.factorial(2 * k)))
     for k, b in enumerate(_BERNOULLI_EVEN, start=1)
 )
+
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
 
 # Kronecker symbol (a/2) as a function of a mod 8 (a odd).
 _CHI_TWO = (0, 1, 0, -1, 0, -1, 0, 1)
@@ -141,37 +166,44 @@ def log_gamma(s) -> complex:
 # ---------------------------------------------------------------------------
 
 def _em_shift_count(s: complex) -> int:
+    if abs(s) > MAX_ABS_S:
+        raise DomainError(
+            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
+            "the Euler-Maclaurin shift count grows with |s|"
+        )
     return max(20, math.ceil(abs(s)))
 
 
-def _hurwitz_regular(s: complex, a: float, shift: int) -> complex:
+def _em_weights(s: complex) -> list[complex]:
+    # B_2k/(2k)! * s(s+1)...(s+2k-2) for k = 1..K: the factors of the
+    # Euler-Maclaurin correction terms that depend on s only.
+    weights = []
+    poch = s
+    for k, coef in enumerate(_EM_COEF, start=1):
+        weights.append(coef * poch)
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+    return weights
+
+
+def _hurwitz_regular(neg_s: complex, weights: list[complex], logs, x: float, log_x: float) -> complex:
     # Euler-Maclaurin evaluation of zeta_H(s, a) with the single pole
     # term x^(1-s)/(s-1), x = a + shift, split off:
     #
     #   zeta_H(s, a) = regular(s, a) + x^(1-s)/(s-1)
     #
-    # regular = sum_{n<shift} (a+n)^-s + x^-s/2
-    #           + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * x^(-s-2k+1)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for n in range(shift):
-        t = cmath.exp(-s * math.log(a + n))
-        re_parts.append(t.real)
-        im_parts.append(t.imag)
-    x = a + shift
-    xs = cmath.exp(-s * math.log(x))
-    re_parts.append(0.5 * xs.real)
-    im_parts.append(0.5 * xs.imag)
+    # regular = sum_{n<shift} (a+n)^-s + x^-s/2 + sum_{k=1..K} weights[k-1] * x^(-s-2k+1)
+    #
+    # neg_s = -s, logs yields log(a+n) for n < shift, and log_x = log(x).
+    # fsum is correctly rounded, so the order of the parts is immaterial.
+    terms = list(map(cmath.exp, map(neg_s.__mul__, logs)))
+    xs = cmath.exp(neg_s * log_x)
+    terms.append(complex(0.5 * xs.real, 0.5 * xs.imag))
     inv_x2 = 1.0 / (x * x)
     xp = xs / x
-    poch = s
-    for k in range(1, _EM_ORDER + 1):
-        term = _EM_COEF[k - 1] * poch * xp
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+    for w in weights:
+        terms.append(w * xp)
         xp *= inv_x2
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
 
 
 def hurwitz_zeta(s, a: float) -> complex:
@@ -183,7 +215,8 @@ def hurwitz_zeta(s, a: float) -> complex:
     structure, but in binary64 the summation cancels against partial
     terms of size (a+N)^|Re s|, so absolute accuracy there is roughly
     1e-16 * (a+N)^|Re s|: ample around the negative-integer anchor
-    points (Re s >= -4) the engine uses, degrading beyond.
+    points (Re s >= -4) the engine uses, degrading beyond.  Raises
+    DomainError for |s| > MAX_ABS_S, before any work.
     """
     s = _as_complex(s)
     a = float(a)
@@ -198,9 +231,11 @@ def _hurwitz_unrestricted(s: complex, a: float) -> complex:
     # hurwitz_zeta without its checks; the public contract keeps a in
     # (0, 1], but the shift-identity probe needs a+1.
     shift = _em_shift_count(s)
-    regular = _hurwitz_regular(s, a, shift)
     x = a + shift
-    pole = cmath.exp((1.0 - s) * math.log(x)) / (s - 1.0)
+    log_x = math.log(x)
+    logs = [math.log(a + n) for n in range(shift)]
+    regular = _hurwitz_regular(-s, _em_weights(s), logs, x, log_x)
+    pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
 
 
@@ -326,6 +361,74 @@ def _phi_expm1_ratio(u: complex) -> complex:
     return cmath.exp(half) * cmath.sinh(half) / half
 
 
+def _totient(n: int) -> int:
+    result = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+class _ClassTable:
+    """The s-independent data of L(s, chi_D) for one modulus q = |D|.
+
+    classes holds (chi(r), r/q, logs) for each r in 1..q coprime to D,
+    with logs[n] = log(r/q + n) for n = 0..depth in array('d') storage.
+    """
+
+    __slots__ = ("modulus", "classes", "depth")
+
+    def __init__(self, D: int) -> None:
+        q = abs(D)
+        self.modulus = D
+        self.classes = [
+            (kronecker_chi(D, r), r / q, array("d"))
+            for r in range(1, q + 1)
+            if math.gcd(r, q) == 1
+        ]
+        self.depth = -1
+
+    def extend(self, depth: int) -> None:
+        for _, a, logs in self.classes:
+            logs.extend([math.log(a + n) for n in range(self.depth + 1, depth + 1)])
+        self.depth = depth
+
+
+# The one slot: the table of the modulus dirichlet_l saw last.  A new
+# modulus replaces it, so at most one field's table is alive.
+_table: _ClassTable | None = None
+_table_lock = threading.Lock()
+
+
+def _tabulated_classes(D: int, shift: int) -> list[tuple[int, float, array]]:
+    # The classes of D with logs tabulated to at least n = shift.
+    global _table
+    with _table_lock:
+        table = _table
+        if table is None or table.modulus != D:
+            table, count = None, _totient(abs(D))
+        elif table.depth >= shift:
+            return table.classes
+        else:
+            count = len(table.classes)
+        if count * (shift + 1) > MAX_TABLE_ENTRIES:
+            raise DomainError(
+                f"dirichlet_l: phi(|D|) * (N + 1) = {count} * {shift + 1} exceeds "
+                f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift})"
+            )
+        if table is None:
+            _table = None  # let the old modulus's table go before building
+            table = _table = _ClassTable(D)
+        table.extend(shift)
+        return table.classes
+
+
 def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     """L(s, chi_D) = |D|^-s * sum_r chi(r) zeta_H(s, r/|D|), continued.
 
@@ -335,6 +438,17 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     (x^(1-s) - 1)/(s-1), which is regular at s = 1 because the chi
     values sum to zero over a period; this keeps the evaluation stable
     arbitrarily close to (and at) s = 1.
+
+    Only work that depends on s is done per call.  The classes r coprime
+    to D, as chi(r) and r/|D|, and log(r/|D| + n) for n = 0..N are kept
+    in one slot for the last modulus seen: a new modulus replaces the
+    slot, and a larger shift count N extends it, N being the largest
+    max(20, ceil|s|) that modulus has needed.  It therefore holds
+    phi(|D|) * (N + 1) doubles, at most MAX_TABLE_ENTRIES (2 MiB), plus
+    about 200 bytes per class (1.4 MB in all for |D| = 2351, N = 50).
+    The Euler-Maclaurin weights are computed once per call and shared
+    by every class.  Raises DomainError, before any work, when |s|
+    exceeds MAX_ABS_S or the table would exceed MAX_TABLE_ENTRIES.
     """
     s = _as_complex(s)
     D = chi.modulus
@@ -342,16 +456,16 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         return riemann_zeta(s)
     q = abs(D)
     shift = _em_shift_count(s)
+    classes = _tabulated_classes(D, shift)
+    neg_s = -s
+    one_minus_s = 1.0 - s
+    weights = _em_weights(s)
     re_parts: list[float] = []
     im_parts: list[float] = []
-    for r in range(1, q + 1):
-        c = kronecker_chi(D, r)
-        if c == 0:
-            continue
-        a = r / q
-        reg = _hurwitz_regular(s, a, shift)
-        lx = math.log(a + shift)
-        pole = -lx * _phi_expm1_ratio((1.0 - s) * lx)
+    for c, a, logs in classes:
+        lx = logs[shift]
+        reg = _hurwitz_regular(neg_s, weights, islice(logs, shift), a + shift, lx)
+        pole = -lx * _phi_expm1_ratio(one_minus_s * lx)
         t = reg + pole
         re_parts.append(c * t.real)
         im_parts.append(c * t.imag)

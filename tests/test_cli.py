@@ -82,6 +82,16 @@ class TestExitCodes:
         assert code == 2
         assert "0.1:0.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, s, limit",
+        [("Q", "0.5,10000", "MAX_ABS_S"), ("Q(sqrt=-12487)", "2", "MAX_TABLE_ENTRIES")],
+    )
+    def test_cost_limit_is_two(self, capsys, field, s, limit):
+        # just over each kernel cost limit; see tests/test_kernel.py::TestCostLimits
+        code, out = parse_and_dispatch(["eval", "--field", field, "--s", s])
+        assert (code, out) == (2, "")
+        assert limit in capsys.readouterr().err
+
     def test_pole_point_is_two(self, capsys):
         code, _ = parse_and_dispatch(["eval", "--field", "Q", "--s", "1"])
         assert code == 2
@@ -238,6 +248,15 @@ GOLDEN_COMMANDS = {
     ("sweep", "Q(sqrt=-163)", "--grid", "0.1:0.9:5,0:10:5"): (
         "1e69029ec3fd3eb9ef3a727ae653f8bc24601d777aeda7ab7d3ec41e045bb91f",
         "0500d1d40531032cc16ea9583b9549604ebb2238b2d8c9cf37ba558d998d6fdb",
+    ),
+    ("sweep", "Q(sqrt=-1299)", "--grid", "0.1:0.9:4,0:33:3"): (
+        "7b4c7e6e0d4f76cf6dcf6744e76785c8b4881fcb7cdad3bb8bcee1fff870856e",
+        "fd965b075ca55b824dcef0eeaaecba84079f4b79610cdb2b6be91f93f0642ee1",
+    ),
+    # Im 0..48: the Euler-Maclaurin shift count is 20, 20, 33 and 49 across the nodes
+    ("sweep", "Q(sqrt=1001)", "--grid", "0.1:0.9:3,0:48:4"): (
+        "274ae9662ba1b06091784ae54d422c237b9d66eb8a270b1feeda341daae517b7",
+        "09060b22d856b24c7f313870e3cad2a54c256fc8ffbdd7f76862e6001bc9b09c",
     ),
     ("sweep", "Fq(T)?q=5", "--grid", "0:1:3,0:4:3"): (
         "e03f01ce98b9b1bd31956f64d87b82b39784eaf1d1bc65d2142d957e2fdc082a",

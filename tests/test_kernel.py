@@ -8,6 +8,7 @@ quadrature, brute-force residue symbols).
 import cmath
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from globalzeta import (
     log_gamma,
     riemann_zeta,
 )
+from globalzeta import kernel
 from globalzeta.kernel import hurwitz_shift_gap
 
 import oracles
@@ -289,3 +291,52 @@ class TestDirichletL:
         )
         assert exact == 0  # trivial zero
         assert abs(dirichlet_l(-1, chi)) < 1e-12
+
+    def test_table_reuse_matches_fresh_tables(self, monkeypatch):
+        # One slot holds the last modulus's classes and log table: grow it
+        # for A, replace it by B, rebuild A at a smaller shift.  Every value
+        # must equal one computed from a freshly built table.
+        a, b = KroneckerCharacter(-1299), KroneckerCharacter(1001)
+        steps = ((a, 0.5 + 3j), (a, 0.5 + 45j), (b, 0.3 + 7j), (a, 0.5 + 3j))
+        depths = (20, 46, 20, 20)
+        monkeypatch.setattr(kernel, "_table", None)
+        reused = []
+        for (chi, s), depth in zip(steps, depths):
+            reused.append(dirichlet_l(s, chi))
+            assert (kernel._table.modulus, kernel._table.depth) == (chi.modulus, depth)
+            if chi is a:
+                a_logs = weakref.ref(kernel._table.classes[0][2])
+            else:
+                # B's table replaced A's: A's arrays are freed
+                assert a_logs() is None
+        fresh = []
+        for chi, s in steps:
+            monkeypatch.setattr(kernel, "_table", None)
+            fresh.append(dirichlet_l(s, chi))
+        assert reused == fresh
+
+
+class TestCostLimits:
+    # Inputs just over each limit; the checks run before any loop or table.
+    OVER_S = complex(0.5, kernel.MAX_ABS_S)
+
+    def test_abs_s_limit(self):
+        assert abs(self.OVER_S) > kernel.MAX_ABS_S
+        for evaluate in (
+            lambda: riemann_zeta(self.OVER_S),
+            lambda: hurwitz_zeta(self.OVER_S, 0.5),
+            lambda: hurwitz_shift_gap(self.OVER_S, 0.5),
+            lambda: dirichlet_l(self.OVER_S, KroneckerCharacter(-4)),
+        ):
+            with pytest.raises(DomainError, match="MAX_ABS_S"):
+                evaluate()
+
+    def test_table_size_limit(self):
+        before = kernel._table
+        # phi(12487) * (20 + 1) = 262206 and phi(164) * (3276 + 1) = 262160,
+        # both just over MAX_TABLE_ENTRIES = 2**18 = 262144
+        assert kernel.MAX_TABLE_ENTRIES == 2**18
+        for D, s in ((-12487, 2.0), (-164, 3275.5)):
+            with pytest.raises(DomainError, match="MAX_TABLE_ENTRIES"):
+                dirichlet_l(s, KroneckerCharacter(D))
+        assert kernel._table is before
