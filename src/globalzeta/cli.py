@@ -229,9 +229,8 @@ def _dispatch(args) -> tuple[int, str]:
         return int(summary.count_failed > 0), render_report(reports, summary, args.format)
     if args.command == "places":
         places = enumerate_places(field, args.bound)
-        rows = ((p.qv, p.kind, p.label) for p in places)
         head += (("norm_bound", args.bound),)
-        return 0, _render(args.format, PLACE_COLUMNS, rows, head, "places", (("count", len(places)),))
+        return 0, _render(args.format, PLACE_COLUMNS, places, head, "places", (("count", len(places)),))
     if args.command == "euler-check":
         s = _parse_s(args.s)
         rec = euler_consistency_check(field, s, args.bound)

@@ -5,7 +5,9 @@ integers 0..q-1 and arithmetic goes through precomputed q x q add and
 mul tables.  Polynomials over GF(q) are tuples of element codes in
 ascending degree order.  A monic polynomial of degree n is numbered by
 the base-q code sum c_i q^i of its non-leading coefficients
-c_0..c_{n-1}; ascending code is the canonical order everywhere.
+c_0..c_{n-1}, and ascending code is the canonical order of this module.
+It is not the order of place lists: ``fields.enumerate_places`` sorts
+each degree lexicographically on (c_0, c_1, ...).
 
 ``monic_irreducibles(q, n)`` is a product sieve: it marks the code of
 f*g for every monic irreducible f of degree d <= n/2 and every monic g
@@ -23,24 +25,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
+from .kernel import _factorization
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p**k, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p:
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return None
+    factors = _factorization(q) if q > 1 else []
+    return factors[0] if len(factors) == 1 else None
 
 
 def _coefficients(code: int, q: int, n: int) -> tuple[int, ...]:

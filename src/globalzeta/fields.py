@@ -17,11 +17,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import ffield
 from .errors import DomainError, SymmetryError, WeilBoundWarning
 from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
 
+#: Largest norm bound enumerate_places accepts.  A number field sieves
+#: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
+#: with q^d <= bound: about 0.1 s and 2 s (q = 2) on one x86 core.
+MAX_NORM_BOUND = 2**17
 
 # ---------------------------------------------------------------------------
 # Descriptors
@@ -103,45 +109,25 @@ class FunctionFieldDescriptor:
 FieldDescriptor = NumberFieldDescriptor | FunctionFieldDescriptor
 
 
-@dataclass(frozen=True)
-class Place:
-    """One place of a global field, carrying its residual cardinality q_v."""
+class Place(NamedTuple):
+    """One place of a global field as its output row: the residual
+    cardinality q_v, the kind and the printed label ("inf", a monic
+    irreducible such as "T^2+T+1", or a rational prime "p", with "p#1"
+    and "p#2" for the two places above a split prime)."""
 
     qv: int
     kind: str  # 'rational_prime' | 'monic_irreducible' | 'infinite'
-    prime: int | None = None
-    poly: tuple[int, ...] | None = None
-    slot: int = 0
-
-    @property
-    def label(self) -> str:
-        if self.kind == "infinite":
-            return "inf"
-        if self.kind == "rational_prime":
-            return f"{self.prime}#{self.slot}" if self.slot else f"{self.prime}"
-        return _poly_label(self.poly)
-
-    def sort_key(self):
-        if self.kind == "infinite":
-            return (self.qv, 0, (), 0, 0)
-        if self.kind == "monic_irreducible":
-            return (self.qv, 1, self.poly, 0, 0)
-        return (self.qv, 1, (), self.prime, self.slot)
+    label: str
 
 
 def _poly_label(poly: tuple[int, ...]) -> str:
-    terms = []
-    for i in range(len(poly) - 1, -1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(f"{c}")
-        elif i == 1:
-            terms.append("T" if c == 1 else f"{c}T")
-        else:
-            terms.append(f"T^{i}" if c == 1 else f"{c}T^{i}")
-    return "+".join(terms) if terms else "0"
+    # e.g. "T^3+2T+1": nonzero terms from the top, coefficient 1 unprinted
+    terms = [
+        ("" if c == 1 and i else f"{c}") + ("" if i == 0 else "T" if i == 1 else f"T^{i}")
+        for i, c in reversed(list(enumerate(poly)))
+        if c
+    ]
+    return "+".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +165,7 @@ def make_quadratic(d: int) -> NumberFieldDescriptor:
     if not _is_squarefree(d):
         raise DomainError(f"make_quadratic: d = {d} is not squarefree")
     disc = d if d % 4 == 1 else 4 * d
-    if d > 0:
-        r1, r2 = 2, 0
-    else:
-        r1, r2 = 0, 1
+    r1, r2 = (2, 0) if d > 0 else (0, 1)
     return NumberFieldDescriptor(kind="quadratic", d=d, discriminant=disc, r1=r1, r2=r2)
 
 
@@ -238,8 +221,6 @@ def lpoly_from_point_counts(q: int, genus: int, counts) -> LPolynomial:
         )
     if any(int(n) != n or n <= 0 for n in counts):
         raise DomainError("lpoly_from_point_counts: counts must be positive integers")
-    if genus == 0:
-        return LPolynomial((1,))
     power_sums = [q ** m + 1 - int(counts[m - 1]) for m in range(1, genus + 1)]
     a: list[Fraction] = [Fraction(1)]
     for m in range(1, genus + 1):
@@ -279,8 +260,7 @@ def covolume(field: FieldDescriptor):
     a Fraction in positive characteristic, a float otherwise.
     """
     if isinstance(field, FunctionFieldDescriptor):
-        e = field.genus - 1
-        return Fraction(field.q) ** e
+        return Fraction(field.q) ** (field.genus - 1)
     n = abs(field.discriminant)
     r = math.isqrt(n)
     if r * r == n:
@@ -312,17 +292,13 @@ def _splitting_type(field: NumberFieldDescriptor, p: int) -> str:
 
 def _places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
     # p must be prime; the public entry points check it
-    if field.kind == "rationals":
-        return [Place(qv=p, kind="rational_prime", prime=p)]
-    typ = _splitting_type(field, p)
-    if typ == "split":
-        return [
-            Place(qv=p, kind="rational_prime", prime=p, slot=1),
-            Place(qv=p, kind="rational_prime", prime=p, slot=2),
-        ]
-    if typ == "inert":
-        return [Place(qv=p * p, kind="rational_prime", prime=p)]
-    return [Place(qv=p, kind="rational_prime", prime=p)]
+    if field.kind == "quadratic":
+        typ = _splitting_type(field, p)
+        if typ == "split":
+            return [Place(p, "rational_prime", f"{p}#1"), Place(p, "rational_prime", f"{p}#2")]
+        if typ == "inert":
+            return [Place(p * p, "rational_prime", f"{p}")]
+    return [Place(p, "rational_prime", f"{p}")]
 
 
 def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
@@ -342,44 +318,43 @@ def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
 def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
     """All places with q_v <= norm_bound in deterministic order.
 
-    Order is ascending q_v; ties put the infinite place first, then
-    monic irreducibles in canonical coefficient order, then rational
-    primes (conjugate places of a split prime in slot order).  Curve
-    fields of positive genus carry no place list (their zeta comes from
-    the closed rational form) and are rejected.
+    Order is ascending q_v.  In GF(q)(T) the infinite place comes first,
+    then the monic irreducibles of each degree in lexicographic order of
+    their coefficients (c_0, c_1, ...), constant term first.  In a number
+    field, places of equal q_v lie above one split prime and come in
+    slot order.  Curve fields of positive genus carry no place list
+    (their zeta comes from the closed rational form) and are rejected,
+    as is a norm_bound above MAX_NORM_BOUND.
     """
     if norm_bound < 2:
         raise DomainError("enumerate_places: norm_bound must be >= 2")
-    out: list[Place] = []
+    if norm_bound > MAX_NORM_BOUND:
+        raise DomainError(f"enumerate_places: norm_bound = {norm_bound} exceeds MAX_NORM_BOUND = {MAX_NORM_BOUND}")
     if isinstance(field, FunctionFieldDescriptor):
         if field.genus != 0:
             raise DomainError(
                 "enumerate_places: positive-genus fields carry no explicit place list"
             )
         q = field.q
-        if q <= norm_bound:
-            out.append(Place(qv=q, kind="infinite"))
+        out = [Place(q, "infinite", "inf")] if q <= norm_bound else []
         degree = 1
         while q ** degree <= norm_bound:
-            for poly in ffield.monic_irreducibles(q, degree):
-                out.append(Place(qv=q ** degree, kind="monic_irreducible", poly=poly))
+            out += [
+                Place(q ** degree, "monic_irreducible", _poly_label(poly))
+                for poly in sorted(ffield.monic_irreducibles(q, degree))
+            ]
             degree += 1
-    else:
-        for p in _primes_up_to(norm_bound):
-            for place in _places_above(field, p):
-                if place.qv <= norm_bound:
-                    out.append(place)
-    out.sort(key=Place.sort_key)
+        return out
+    out = [v for p in _primes_up_to(norm_bound) for v in _places_above(field, p) if v.qv <= norm_bound]
+    # stable: only inert places (q_v = p^2) move, split pairs keep their slots
+    out.sort(key=attrgetter("qv"))
     return out
 
 
 def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     """The local factor (1 - q_v^-s)^-1 of the Euler product at one place."""
     s = _as_complex(s)
-    if isinstance(field, FunctionFieldDescriptor):
-        if place.kind == "rational_prime":
-            raise DomainError("local_euler_factor: place does not belong to the field")
-    elif place.kind != "rational_prime":
+    if isinstance(field, FunctionFieldDescriptor) == (place.kind == "rational_prime"):
         raise DomainError("local_euler_factor: place does not belong to the field")
     denom = 1.0 - cmath.exp(-s * math.log(place.qv))
     if abs(denom) < POLE_EXCLUSION_RADIUS:
@@ -460,14 +435,12 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
         if "q" not in params:
             raise DomainError(f"field spec {spec!r}: missing parameter q")
         q = _parse_int(params["q"], "q", spec)
-        has_l = "L" in params
-        has_n = "N" in params
-        if has_l == has_n:
+        if ("L" in params) == ("N" in params):
             raise DomainError(f"field spec {spec!r}: need exactly one of L= or N=")
         if set(params) - {"q", "L", "N"}:
             extra = sorted(set(params) - {"q", "L", "N"})[0]
             raise DomainError(f"field spec {spec!r}: unknown parameter {extra!r}")
-        if has_l:
+        if "L" in params:
             coeffs = [_parse_int(t, "coefficient", spec) for t in params["L"].split(",")]
             return make_curve_function_field(q, coeffs)
         counts = [_parse_int(t, "count", spec) for t in params["N"].split(",")]

@@ -20,13 +20,17 @@ chi(r), r/|D| and log(r/|D| + n) for n up to the largest shift count
 that modulus has needed.  A new modulus replaces the slot, so at most
 one field's table, phi(|D|) * (N + 1) doubles, is alive; a call that
 would push it past MAX_TABLE_ENTRIES (2 MiB) raises DomainError before
-the table is built or grown.
+the table is built or grown.  Each evaluator also bounds the size of
+its terms before any work: past exp(MAX_LOG_TERM) they would overflow
+binary64, so it raises DomainError instead (for the Riemann zeta, at
+Re s below about -141.6).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -44,9 +48,17 @@ POLE_EXCLUSION_RADIUS = 1e-3
 #: this caps a single Hurwitz sum at about 5 ms.
 MAX_ABS_S = 1e4
 
+#: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
+#: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
+MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
+
 #: Largest phi(|D|) * (N + 1) that dirichlet_l tabulates, N being the
 #: shift count: the number of doubles in its log table (2 MiB here).
 MAX_TABLE_ENTRIES = 2**18
+
+#: Largest |n| factored by trial division (squarefree tests, prime
+#: powers, totients): at most 10^6 divisions, about 0.1 s on one x86 core.
+MAX_FACTOR_INPUT = 10**12
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -174,6 +186,15 @@ def _em_shift_count(s: complex) -> int:
     return max(20, math.ceil(abs(s)))
 
 
+def _require_log_term(s: complex, log_term: float) -> None:
+    # log_term bounds the natural log of every part of an evaluation at s
+    if log_term > MAX_LOG_TERM:
+        raise DomainError(
+            f"at s = {s!r} the Euler-Maclaurin terms reach exp({log_term:.1f}), "
+            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
+        )
+
+
 def _em_weights(s: complex) -> list[complex]:
     # B_2k/(2k)! * s(s+1)...(s+2k-2) for k = 1..K: the factors of the
     # Euler-Maclaurin correction terms that depend on s only.
@@ -216,7 +237,8 @@ def hurwitz_zeta(s, a: float) -> complex:
     terms of size (a+N)^|Re s|, so absolute accuracy there is roughly
     1e-16 * (a+N)^|Re s|: ample around the negative-integer anchor
     points (Re s >= -4) the engine uses, degrading beyond.  Raises
-    DomainError for |s| > MAX_ABS_S, before any work.
+    DomainError, before any work, for |s| > MAX_ABS_S or when a^-s or
+    the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     a = float(a)
@@ -233,6 +255,8 @@ def _hurwitz_unrestricted(s: complex, a: float) -> complex:
     shift = _em_shift_count(s)
     x = a + shift
     log_x = math.log(x)
+    # the largest parts are a^-s and the pole term x^(1-s)
+    _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * log_x))
     logs = [math.log(a + n) for n in range(shift)]
     regular = _hurwitz_regular(-s, _em_weights(s), logs, x, log_x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
@@ -250,6 +274,9 @@ def hurwitz_shift_gap(s, a: float) -> float:
     a = float(a)
     if not (0.0 < a <= 1.0):
         raise DomainError(f"hurwitz_shift_gap: a must lie in (0, 1], got {a!r}")
+    # both sums' largest parts, before either runs: a^-s and (a + 1 + N)^(1-s)
+    x = a + 1.0 + _em_shift_count(s)
+    _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * math.log(x)))
     lhs = hurwitz_zeta(s, a)
     head = cmath.exp(-s * math.log(a))
     shifted = _hurwitz_unrestricted(s, a + 1.0)
@@ -268,26 +295,38 @@ def riemann_zeta(s) -> complex:
 # Kronecker characters
 # ---------------------------------------------------------------------------
 
-def _is_squarefree(n: int) -> bool:
+def _factorization(n: int) -> list[tuple[int, int]]:
+    # (p, k) pairs with |n| = prod p^k, p ascending; [] for |n| <= 1.
+    # Trial division costs up to sqrt|n| steps, hence MAX_FACTOR_INPUT.
     n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
+    if n > MAX_FACTOR_INPUT:
+        raise DomainError(
+            f"|n| = {n} exceeds MAX_FACTOR_INPUT = {MAX_FACTOR_INPUT}; "
+            "trial division takes up to sqrt|n| steps"
+        )
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _is_squarefree(n: int) -> bool:
+    return n != 0 and all(k == 1 for _, k in _factorization(n))
 
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True for D = 1 and for discriminants of quadratic fields."""
     if D == 1:
         return True
-    if D == 0:
-        return False
     if D % 4 == 1:
         return _is_squarefree(D)
     if D % 4 == 0:
@@ -362,17 +401,9 @@ def _phi_expm1_ratio(u: complex) -> complex:
 
 
 def _totient(n: int) -> int:
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    for p, _ in _factorization(n):
+        n -= n // p
+    return n
 
 
 class _ClassTable:
@@ -412,20 +443,10 @@ def _tabulated_classes(D: int, shift: int) -> list[tuple[int, float, array]]:
     with _table_lock:
         table = _table
         if table is None or table.modulus != D:
-            table, count = None, _totient(abs(D))
-        elif table.depth >= shift:
-            return table.classes
-        else:
-            count = len(table.classes)
-        if count * (shift + 1) > MAX_TABLE_ENTRIES:
-            raise DomainError(
-                f"dirichlet_l: phi(|D|) * (N + 1) = {count} * {shift + 1} exceeds "
-                f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift})"
-            )
-        if table is None:
             _table = None  # let the old modulus's table go before building
             table = _table = _ClassTable(D)
-        table.extend(shift)
+        if table.depth < shift:
+            table.extend(shift)
         return table.classes
 
 
@@ -448,7 +469,9 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     about 200 bytes per class (1.4 MB in all for |D| = 2351, N = 50).
     The Euler-Maclaurin weights are computed once per call and shared
     by every class.  Raises DomainError, before any work, when |s|
-    exceeds MAX_ABS_S or the table would exceed MAX_TABLE_ENTRIES.
+    exceeds MAX_ABS_S, the table would exceed MAX_TABLE_ENTRIES, or a
+    term, |D|^-s times the class sum included, could pass
+    exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     D = chi.modulus
@@ -456,6 +479,18 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         return riemann_zeta(s)
     q = abs(D)
     shift = _em_shift_count(s)
+    count = _totient(q)
+    if count * (shift + 1) > MAX_TABLE_ENTRIES:
+        raise DomainError(
+            f"dirichlet_l: phi(|D|) * (N + 1) = {count} * {shift + 1} exceeds "
+            f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift})"
+        )
+    # A class's largest part is (1/q)^-s, the pole term x^(1-s) (x < 1 + N)
+    # or, inside _phi_expm1_ratio, x^((s-1)/2); the phi(q) classes are
+    # summed and the sum is scaled by q^-s.
+    sigma, log_q, log_x = s.real, math.log(q), math.log(1.0 + shift)
+    largest = max(sigma * log_q, (1.0 - sigma) * log_x, 0.5 * (sigma - 1.0) * log_x)
+    _require_log_term(s, largest + math.log(count) + max(0.0, -sigma) * log_q)
     classes = _tabulated_classes(D, shift)
     neg_s = -s
     one_minus_s = 1.0 - s

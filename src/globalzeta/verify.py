@@ -31,6 +31,10 @@ STATUS_FAILED = "failed"
 RESIDUAL_FLOOR = 1e-300
 #: Both sides below this magnitude count as an exact match (residual 0).
 _BOTH_TINY = 1e-100
+#: Largest node count of a sweep grid.  Each node costs two completed
+#: zeta values (0.1 ms for Q, tens of ms for |D| in the thousands) and
+#: keeps one report.
+MAX_GRID_NODES = 10**5
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,12 @@ def _axis(lo: float, hi: float, steps: int, what: str) -> list[float]:
 def sweep(
     field: FieldDescriptor, grid: GridSpec, tolerance: float
 ) -> tuple[list[FunctionalEquationReport], SweepSummary]:
-    """check_point at every grid node, row-major (ascending re, then im)."""
+    """check_point at every grid node, row-major (ascending re, then im).
+
+    More than MAX_GRID_NODES nodes raise DomainError before any is laid out.
+    """
+    if grid.re_steps * grid.im_steps > MAX_GRID_NODES:
+        raise DomainError(f"sweep: {grid.re_steps} * {grid.im_steps} nodes exceed MAX_GRID_NODES = {MAX_GRID_NODES}")
     res = _axis(grid.re_min, grid.re_max, grid.re_steps, "re")
     ims = _axis(grid.im_min, grid.im_max, grid.im_steps, "im")
     reports = [

@@ -188,10 +188,11 @@ def _vanishing_ratio(f, s: complex, m: int) -> complex:
     return d1 + 0.5 * h * d2
 
 
-def _cancelled_pole_near(field: NumberFieldDescriptor, s: complex) -> int | None:
-    m = _nearest_gamma_pole(field, s)
-    if m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS:
-        return m
+def _cancelled_pole_near(field: FieldDescriptor, s: complex) -> int | None:
+    if isinstance(field, NumberFieldDescriptor):
+        m = _nearest_gamma_pole(field, s)
+        if m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS:
+            return m
     return None
 
 
@@ -238,15 +239,6 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     """
     s = _as_complex(s)
     dist = _require_off_poles(field, s)
-    if isinstance(field, FunctionFieldDescriptor):
-        z = _function_field_zeta(field, s)
-        return EvaluationRecord(
-            s=s,
-            zeta_value=z,
-            gamma_factor_value=complex(1.0),
-            completed_value=complex(1.0) * z,
-            pole_distance=dist,
-        )
     m = _cancelled_pole_near(field, s)
     if m is not None:
         return _deflated_record(field, s, m, dist)

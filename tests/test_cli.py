@@ -84,11 +84,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "field, s, limit",
-        [("Q", "0.5,10000", "MAX_ABS_S"), ("Q(sqrt=-12487)", "2", "MAX_TABLE_ENTRIES")],
+        [
+            ("Q", "0.5,10000", "MAX_ABS_S"),
+            ("Q(sqrt=-12487)", "2", "MAX_TABLE_ENTRIES"),
+            ("Q", "-150", "MAX_LOG_TERM"),
+            ("Q(sqrt=1000000000001)", "2", "MAX_FACTOR_INPUT"),
+        ],
     )
     def test_cost_limit_is_two(self, capsys, field, s, limit):
         # just over each kernel cost limit; see tests/test_kernel.py::TestCostLimits
         code, out = parse_and_dispatch(["eval", "--field", field, "--s", s])
+        assert (code, out) == (2, "")
+        assert limit in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["places", "--field", "Q", "--bound", "131073"], "MAX_NORM_BOUND"),
+            (["euler-check", "--field", "Fq(T)?q=2", "--s", "2", "--bound", "131073"], "MAX_NORM_BOUND"),
+            (["sweep", "--field", "Q", "--grid", "0.1:0.9:317,0:10:316"], "MAX_GRID_NODES"),
+        ],
+        ids=["places", "euler-check", "sweep"],
+    )
+    def test_request_size_limit_is_two(self, capsys, argv, limit):
+        # one over MAX_NORM_BOUND = 2**17, and 317 * 316 nodes, just over 10^5
+        code, out = parse_and_dispatch(argv)
         assert (code, out) == (2, "")
         assert limit in capsys.readouterr().err
 
@@ -277,6 +297,26 @@ GOLDEN_COMMANDS = {
     ("euler-check", "Fq(T)?q=3", "--s", "2,1", "--bound", "500"): (
         "c20bebcf4e65953ce4eef2f2f2722a245e6621d02848f75adc3fee0d29583778",
         "c9fb20238bc7961b023ee64dafb300c833c9125b3e3f42954bca5b7f14dfdabd",
+    ),
+    # Recorded before places were built as their output rows: the order
+    # and labels of rational primes (split pairs, inert p^2 among the
+    # primes, ramified primes) and Euler products over the places of Q,
+    # Q(sqrt -7) and GF(3)(T) (degrees 1 to 6).
+    ("places", "Q", "--bound", "100"): (
+        "c85b36e8f3734ed36d5fda8328eaaa0a92227c903c0706876f6c378c5ec69a4b",
+        "98223c6d8e5f39703810a9386976cd794215f07b0c429667e0f32c80826fbdf8",
+    ),
+    ("places", "Q(sqrt=5)", "--bound", "1000"): (
+        "3a933719c1244f2012e7c1987c693297ed1c122aeb3ba84b9bacaf3848b9e444",
+        "8563dfbd7a3132ee7a83b62a1a45906b5614e50da35949dc913c2633e96b5143",
+    ),
+    ("euler-check", "Fq(T)?q=3", "--s", "2,1", "--bound", "729"): (
+        "e20ea6411cec27972dfcf5246ae4a0540f1aebdf6c26526e58f05499891598a0",
+        "7ff716c45bc3beae882e7837d8ccdd0ab70afdc045ddc6dc894d6c25eea0b1b4",
+    ),
+    ("euler-check", "Q(sqrt=-7)", "--s", "2.5", "--bound", "2000"): (
+        "12cb2e7994f59ca518f5c5b9d5b4451f2544c11dcf19104b9acfc7510b99a655",
+        "ad78541709f69cf7fff4f43421c5a70292cf071db1bba6635f77e79974220c72",
     ),
 }
 

@@ -200,12 +200,16 @@ class TestEnumeratePlaces:
         assert [p.qv for p in places] == [2, 3, 5, 7]
 
     def test_f2_example(self):
-        places = enumerate_places(make_rational_function_field(2), 4)
+        # each degree in lexicographic order of (c_0, c_1, ...): T^3+T^2+1
+        # is (1, 0, 1, 1) and comes before T^3+T+1, (1, 1, 0, 1)
+        places = enumerate_places(make_rational_function_field(2), 8)
         assert [(p.qv, p.label) for p in places] == [
             (2, "inf"),
             (2, "T"),
             (2, "T+1"),
             (4, "T^2+T+1"),
+            (8, "T^3+T^2+1"),
+            (8, "T^3+T+1"),
         ]
 
     def test_infinite_place_respects_bound(self):

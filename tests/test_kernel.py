@@ -340,3 +340,55 @@ class TestCostLimits:
             with pytest.raises(DomainError, match="MAX_TABLE_ENTRIES"):
                 dirichlet_l(s, KroneckerCharacter(D))
         assert kernel._table is before
+
+    def test_log_term_limit(self):
+        # Each evaluator at the edge of MAX_LOG_TERM: finite just inside,
+        # DomainError just outside.  The parts that reach the edge are the
+        # pole term x^(1-s) at x = 1 + 142 (Riemann zeta) and x = 2 + 142
+        # (second sum of the shift gap); a^-s at a = 1e-6; for D = -4,
+        # (1 + 115)^(1-s) * 4^-s * phi(4), with phi(4) = 2; for D = -3, the
+        # pole ratio's (1 + 256)^((s-1)/2) * phi(3), with phi(3) = 2.
+        top = kernel.MAX_LOG_TERM
+        assert 707 < top < math.log(1.8e308)
+        chi4, chi3 = KroneckerCharacter(-4), KroneckerCharacter(-3)
+        edges = (
+            (riemann_zeta, 1.0 - top / math.log(143.0), -1),
+            (lambda s: hurwitz_shift_gap(s, 1.0), 1.0 - top / math.log(144.0), -1),
+            (lambda s: hurwitz_zeta(s, 1e-6), top / math.log(1e6), 1),
+            (lambda s: dirichlet_l(s, chi4), 1.0 - (top + math.log(2.0)) / math.log(4.0 * 116.0), -1),
+            (lambda s: dirichlet_l(s, chi3), 1.0 + 2.0 * (top - math.log(2.0)) / math.log(257.0), 1),
+        )
+        for evaluate, edge, outward in edges:
+            inside = evaluate(edge - outward * 1e-9)
+            assert math.isfinite(abs(inside))
+            with pytest.raises(DomainError, match="MAX_LOG_TERM"):
+                evaluate(edge + outward * 1e-9)
+
+    def test_factorization_limit(self):
+        from globalzeta.ffield import factor_prime_power
+
+        over = kernel.MAX_FACTOR_INPUT + 1
+        for n in (over, -over):
+            for helper in (kernel._factorization, kernel._is_squarefree):
+                with pytest.raises(DomainError, match="MAX_FACTOR_INPUT"):
+                    helper(n)
+        for helper in (kernel._totient, factor_prime_power):
+            with pytest.raises(DomainError, match="MAX_FACTOR_INPUT"):
+                helper(over)
+
+    def test_norm_bound_limit(self):
+        from globalzeta import enumerate_places, make_rational_function_field, make_rationals
+        from globalzeta.fields import MAX_NORM_BOUND
+
+        for field in (make_rationals(), make_rational_function_field(2)):
+            with pytest.raises(DomainError, match="MAX_NORM_BOUND"):
+                enumerate_places(field, MAX_NORM_BOUND + 1)
+
+    def test_grid_node_limit(self):
+        from globalzeta import GridSpec, make_rationals, sweep
+        from globalzeta.verify import MAX_GRID_NODES
+
+        # 317 * 316 = 100172 nodes, just over 10^5
+        assert MAX_GRID_NODES == 10**5
+        with pytest.raises(DomainError, match="MAX_GRID_NODES"):
+            sweep(make_rationals(), GridSpec(0.1, 0.9, 317, 0.0, 10.0, 316), 1e-9)
