@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -202,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _covolume_text(value) -> str:
-    # str(Fraction(2)) is "2", so exact values need no special case
-    return str(value) if isinstance(value, (Fraction, int)) else _fmt(value)
+    # exact values (int, Fraction) print as str: str(Fraction(2)) is "2"
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _dispatch(args) -> tuple[int, str]:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from operator import attrgetter
+from bisect import bisect_right
+from functools import reduce
+from itertools import compress, repeat
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import ffield
@@ -26,15 +27,14 @@ from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecke
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
-#: with q^d <= bound: about 0.1 s and 2 s (q = 2) on one x86 core.
+#: with q^d <= bound: about 15 ms and 2 s (q = 2) on one x86 core.
 MAX_NORM_BOUND = 2**17
 
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumberFieldDescriptor:
+class NumberFieldDescriptor(NamedTuple):
     """The rationals or a quadratic field Q(sqrt d).
 
     r1 and r2 count real and imaginary places; r1 + 2*r2 is the degree.
@@ -52,26 +52,30 @@ class NumberFieldDescriptor:
         return self.r1 + 2 * self.r2
 
 
-@dataclass(frozen=True)
-class LPolynomial:
-    """Integer numerator P(T) of a function-field zeta, a_0 = 1, deg = 2g.
-
-    The dataclass itself only pins a_0 = 1 and even degree; the
-    coefficient symmetry a[2g-i] = q^(g-i) a[i] involves q and is
-    enforced by make_curve_function_field.
-    """
-
+class _LPolynomialFields(NamedTuple):
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+
+class LPolynomial(_LPolynomialFields):
+    """Integer numerator P(T) of a function-field zeta, a_0 = 1, deg = 2g.
+
+    The constructor converts the coefficients to int and only pins
+    a_0 = 1 and even degree; the coefficient symmetry
+    a[2g-i] = q^(g-i) a[i] involves q and is enforced by
+    make_curve_function_field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients):
+        coeffs = tuple(int(c) for c in coefficients)
         if not coeffs:
             raise DomainError("LPolynomial needs at least the constant coefficient")
         if coeffs[0] != 1:
             raise DomainError(f"LPolynomial constant coefficient must be 1, got {coeffs[0]}")
         if (len(coeffs) - 1) % 2 != 0:
             raise DomainError(f"LPolynomial degree must be even, got {len(coeffs) - 1}")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -97,8 +101,7 @@ class LPolynomial:
         return None
 
 
-@dataclass(frozen=True)
-class FunctionFieldDescriptor:
+class FunctionFieldDescriptor(NamedTuple):
     """A function field of genus g over the constant field GF(q)."""
 
     q: int
@@ -120,14 +123,16 @@ class Place(NamedTuple):
     label: str
 
 
-def _poly_label(poly: tuple[int, ...]) -> str:
-    # e.g. "T^3+2T+1": nonzero terms from the top, coefficient 1 unprinted
-    terms = [
-        ("" if c == 1 and i else f"{c}") + ("" if i == 0 else "T" if i == 1 else f"T^{i}")
-        for i, c in reversed(list(enumerate(poly)))
-        if c
+def _poly_labels(polys, q: int, degree: int) -> list[str]:
+    # e.g. "T^3+2T+1": nonzero terms from the top, coefficient 1 unprinted.
+    # tables[j][c] is the text of c T^(degree - j), "" for c = 0, so each
+    # label is one C-level join over lookups.
+    powers = ["", "T", *[f"T^{i}" for i in range(2, degree + 1)]]
+    tables = [
+        ["", powers[i] or "1", *[f"{c}{powers[i]}" for c in range(2, q)]]
+        for i in range(degree, -1, -1)
     ]
-    return "+".join(terms) or "0"
+    return ["+".join(filter(None, map(list.__getitem__, tables, reversed(poly)))) for poly in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +144,10 @@ def _primes_up_to(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(math.isqrt(n)) + 1):
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +227,15 @@ def lpoly_from_point_counts(q: int, genus: int, counts) -> LPolynomial:
     if any(int(n) != n or n <= 0 for n in counts):
         raise DomainError("lpoly_from_point_counts: counts must be positive integers")
     power_sums = [q ** m + 1 - int(counts[m - 1]) for m in range(1, genus + 1)]
-    a: list[Fraction] = [Fraction(1)]
+    coeffs = [1]
     for m in range(1, genus + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += a[j] * power_sums[m - 1 - j]
-        am = -acc / m
-        if am.denominator != 1:
+        acc = sum(coeffs[j] * power_sums[m - 1 - j] for j in range(m))
+        if acc % m:
+            g = math.gcd(acc, m)
             raise DomainError(
-                f"lpoly_from_point_counts: counts give non-integer coefficient a_{m} = {am}"
+                f"lpoly_from_point_counts: counts give non-integer coefficient a_{m} = {-acc // g}/{m // g}"
             )
-        a.append(am)
-    coeffs = [int(c) for c in a]
+        coeffs.append(-acc // m)
     for i in range(genus - 1, -1, -1):
         coeffs.append(q ** (genus - i) * coeffs[i])
     for i, c in enumerate(coeffs):
@@ -260,6 +262,10 @@ def covolume(field: FieldDescriptor):
     a Fraction in positive characteristic, a float otherwise.
     """
     if isinstance(field, FunctionFieldDescriptor):
+        # imported here: fractions (with decimal) costs a cold process
+        # about 3 ms, and no other path needs it
+        from fractions import Fraction
+
         return Fraction(field.q) ** (field.genus - 1)
     n = abs(field.discriminant)
     r = math.isqrt(n)
@@ -284,21 +290,46 @@ def _require_prime(p: int, caller: str) -> None:
         raise DomainError(f"{caller}: {p!r} is not prime")
 
 
-def _splitting_type(field: NumberFieldDescriptor, p: int) -> str:
-    if field.discriminant % p == 0:
-        return "ramified"
-    return "split" if kronecker_chi(field.discriminant, p) == 1 else "inert"
+#: How a rational prime p behaves in a quadratic field, by chi_D(p).
+_SPLITTING_TYPE = {1: "split", -1: "inert", 0: "ramified"}
 
 
-def _places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
-    # p must be prime; the public entry points check it
-    if field.kind == "quadratic":
-        typ = _splitting_type(field, p)
-        if typ == "split":
-            return [Place(p, "rational_prime", f"{p}#1"), Place(p, "rational_prime", f"{p}#2")]
-        if typ == "inert":
-            return [Place(p * p, "rational_prime", f"{p}")]
-    return [Place(p, "rational_prime", f"{p}")]
+def _splitting_types(D: int, primes: list[int]) -> list[str]:
+    # chi_D is periodic mod |D|, so one kronecker_chi call per residue
+    # class serves every prime in it; a class sharing a factor with D
+    # holds only ramified primes (chi = 0) and needs no call.
+    q = abs(D)
+    residues = [p % q for p in primes]
+    memo = {
+        r: _SPLITTING_TYPE[kronecker_chi(D, r) if math.gcd(r, q) == 1 else 0]
+        for r in set(residues)
+    }
+    return list(map(memo.__getitem__, residues))
+
+
+def _number_field_places(field: NumberFieldDescriptor, primes: list[int], norm_bound: int) -> list[Place]:
+    # The places above the ascending primes with q_v <= norm_bound, in
+    # output order: a split p gives "p#1" and "p#2", an inert p one place
+    # of norm p^2, a ramified p (or any p of Q) one place "p".  Rows are
+    # built and sorted by C-level loops, with no Python call per place.
+    if field.kind == "rationals":
+        split, inert, single = [], [], primes
+    else:
+        types = _splitting_types(field.discriminant, primes)
+        split, inert, single = (
+            list(compress(primes, map(name.__eq__, types))) for name in ("split", "inert", "ramified")
+        )
+        inert = inert[: bisect_right(inert, math.isqrt(norm_bound))]
+    kind = "rational_prime"
+    rows = [
+        *zip(split, repeat(kind), map("{}#1".format, split)),
+        *zip(split, repeat(kind), map("{}#2".format, split)),
+        *zip(single, repeat(kind), map(str, single)),
+        *zip(map(mul, inert, inert), repeat(kind), map(str, inert)),
+    ]
+    # stable: each "p#1" stays ahead of its "p#2"
+    rows.sort(key=itemgetter(0))
+    return list(map(tuple.__new__, repeat(Place), rows))
 
 
 def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
@@ -306,13 +337,13 @@ def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
     if not isinstance(field, NumberFieldDescriptor) or field.kind != "quadratic":
         raise DomainError("splitting_type: field must be quadratic")
     _require_prime(p, "splitting_type")
-    return _splitting_type(field, p)
+    return _splitting_types(field.discriminant, [p])[0]
 
 
 def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
     """The places of a number field lying above the rational prime p."""
     _require_prime(p, "places_above")
-    return _places_above(field, p)
+    return _number_field_places(field, [p], p * p)
 
 
 def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
@@ -339,16 +370,22 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
         out = [Place(q, "infinite", "inf")] if q <= norm_bound else []
         degree = 1
         while q ** degree <= norm_bound:
-            out += [
-                Place(q ** degree, "monic_irreducible", _poly_label(poly))
-                for poly in sorted(ffield.monic_irreducibles(q, degree))
-            ]
+            labels = _poly_labels(sorted(ffield.monic_irreducibles(q, degree)), q, degree)
+            out += map(tuple.__new__, repeat(Place), zip(repeat(q ** degree), repeat("monic_irreducible"), labels))
             degree += 1
         return out
-    out = [v for p in _primes_up_to(norm_bound) for v in _places_above(field, p) if v.qv <= norm_bound]
-    # stable: only inert places (q_v = p^2) move, split pairs keep their slots
-    out.sort(key=attrgetter("qv"))
-    return out
+    return _number_field_places(field, _primes_up_to(norm_bound), norm_bound)
+
+
+def _inverse_factors(s: complex, qvs: list[int]) -> list[complex]:
+    # (1 - q_v^-s)^-1 for each q_v, with q_v^-s = exp(-s log q_v), in
+    # C-level loops; complex.__rsub__ and __rtruediv__ with 1.0 are the
+    # operations 1.0 - z and 1.0 / z themselves.
+    neg_s = -s
+    denoms = list(map(complex.__rsub__, map(cmath.exp, map(neg_s.__mul__, map(math.log, qvs))), repeat(1.0)))
+    if min(map(abs, denoms), default=1.0) < POLE_EXCLUSION_RADIUS:
+        raise DomainError(f"1 - q_v^-s is within {POLE_EXCLUSION_RADIUS} of 0 at s = {s!r}")
+    return list(map(complex.__rtruediv__, denoms, repeat(1.0)))
 
 
 def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
@@ -356,23 +393,19 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor) == (place.kind == "rational_prime"):
         raise DomainError("local_euler_factor: place does not belong to the field")
-    denom = 1.0 - cmath.exp(-s * math.log(place.qv))
-    if abs(denom) < POLE_EXCLUSION_RADIUS:
-        raise DomainError(
-            f"local_euler_factor: 1 - q_v^-s is within {POLE_EXCLUSION_RADIUS} of 0 at s = {s!r}"
-        )
-    return 1.0 / denom
+    return _inverse_factors(s, [place.qv])[0]
 
 
 def truncated_euler_product(field: FieldDescriptor, s, norm_bound: int) -> complex:
-    """Product of local factors over all places with q_v <= norm_bound (Re s > 1)."""
+    """Product of local factors over all places with q_v <= norm_bound (Re s > 1).
+
+    The factors are multiplied in place order, starting from 1.
+    """
     s = _as_complex(s)
     if s.real <= 1.0:
         raise DomainError("truncated_euler_product: requires Re s > 1")
-    out = complex(1.0)
-    for place in enumerate_places(field, norm_bound):
-        out *= local_euler_factor(field, place, s)
-    return out
+    qvs = list(map(itemgetter(0), enumerate_places(field, norm_bound)))
+    return reduce(mul, _inverse_factors(s, qvs), complex(1.0))
 
 
 # ---------------------------------------------------------------------------

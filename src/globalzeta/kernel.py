@@ -33,10 +33,9 @@ import math
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 
@@ -85,25 +84,26 @@ _LANCZOS_C = (
     3.6899182659531622704e-6,
 )
 
-# B_2 .. B_24 as exact rationals; the Euler-Maclaurin tail below uses
-# B_{2k} / (2k)! as float coefficients.
+# B_2 .. B_24 as exact (numerator, denominator) pairs; the
+# Euler-Maclaurin tail below uses B_{2k} / (2k)! as float coefficients,
+# each a correctly rounded int division.
 _BERNOULLI_EVEN = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
 )
 _EM_COEF = tuple(
-    float(b / Fraction(math.factorial(2 * k)))
-    for k, b in enumerate(_BERNOULLI_EVEN, start=1)
+    n / (d * math.factorial(2 * k))
+    for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1)
 )
 
 _REAL = attrgetter("real")
@@ -190,9 +190,20 @@ def _require_log_term(s: complex, log_term: float) -> None:
     # log_term bounds the natural log of every part of an evaluation at s
     if log_term > MAX_LOG_TERM:
         raise DomainError(
-            f"at s = {s!r} the Euler-Maclaurin terms reach exp({log_term:.1f}), "
+            f"at s = {s!r} the terms reach exp({log_term:.1f}), "
             f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
         )
+
+
+def _require_finite(s: complex, value: complex) -> complex:
+    # A product of parts that each passed _require_log_term can still
+    # leave binary64; refuse it rather than print inf or nan.
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"at s = {s!r} a product of terms leaves binary64, "
+            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
+        )
+    return value
 
 
 def _em_weights(s: complex) -> list[complex]:
@@ -367,8 +378,11 @@ def kronecker_chi(D: int, n: int) -> int:
     return k if b == 1 else 0
 
 
-@dataclass(frozen=True)
-class KroneckerCharacter:
+class _KroneckerCharacterFields(NamedTuple):
+    modulus: int
+
+
+class KroneckerCharacter(_KroneckerCharacterFields):
     """The real character chi_D attached to a fundamental discriminant.
 
     chi_D is completely multiplicative, periodic mod |D|, and vanishes
@@ -376,13 +390,14 @@ class KroneckerCharacter:
     trivial character (whose L function is the Riemann zeta).
     """
 
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_fundamental_discriminant(self.modulus):
+    def __new__(cls, modulus: int):
+        if not is_fundamental_discriminant(modulus):
             raise DomainError(
-                f"KroneckerCharacter: {self.modulus!r} is not 1 or a fundamental discriminant"
+                f"KroneckerCharacter: {modulus!r} is not 1 or a fundamental discriminant"
             )
+        return super().__new__(cls, modulus)
 
     def __call__(self, n: int) -> int:
         return kronecker_chi(self.modulus, n)

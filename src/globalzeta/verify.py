@@ -10,7 +10,7 @@ the truncated Euler product inside the convergence half-plane.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .fields import (
@@ -20,7 +20,7 @@ from .fields import (
     log_covolume,
     truncated_euler_product,
 )
-from .kernel import POLE_EXCLUSION_RADIUS, _as_complex
+from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _require_finite, _require_log_term
 from .zeta import completed_zeta, pole_distance, zeta
 
 STATUS_OK = "ok"
@@ -29,16 +29,13 @@ STATUS_FAILED = "failed"
 
 #: Floor inside the relative residual, guarding 0/0 at zeros of Z.
 RESIDUAL_FLOOR = 1e-300
-#: Both sides below this magnitude count as an exact match (residual 0).
-_BOTH_TINY = 1e-100
 #: Largest node count of a sweep grid.  Each node costs two completed
 #: zeta values (0.1 ms for Q, tens of ms for |D| in the thousands) and
 #: keeps one report.
 MAX_GRID_NODES = 10**5
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     """One verification record.  lhs = Z(1-s), rhs = beta^(2s-1) Z(s);
     all three value fields are None when the node was skipped near a pole."""
 
@@ -50,8 +47,7 @@ class FunctionalEquationReport:
     status: str
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     re_min: float
     re_max: float
     re_steps: int
@@ -66,8 +62,7 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     field: str
     grid: str
     count_ok: int
@@ -76,14 +71,12 @@ class SweepSummary:
     max_residual: float
 
 
-@dataclass(frozen=True)
-class ExactCheckResult:
+class ExactCheckResult(NamedTuple):
     holds: bool
     witness: int | None
 
 
-@dataclass(frozen=True)
-class EulerConsistencyReport:
+class EulerConsistencyReport(NamedTuple):
     closed_form: complex
     truncated: complex
     gap: float
@@ -97,7 +90,9 @@ def check_point(field: FieldDescriptor, s, tolerance: float) -> FunctionalEquati
     Pole proximity (of s or 1-s) yields status near_pole_skipped rather
     than an error; otherwise status is ok or failed by comparing the
     relative residual |lhs - rhs| / max(|lhs|, |rhs|, floor) with the
-    tolerance.
+    tolerance.  When both sides underflow to exactly 0 they cannot be
+    compared, and DomainError is raised instead of a vacuous ok; so is
+    it where beta^(2s-1) or the right side would leave binary64.
     """
     s = _as_complex(s)
     if not tolerance > 0:
@@ -113,11 +108,14 @@ def check_point(field: FieldDescriptor, s, tolerance: float) -> FunctionalEquati
             status=STATUS_SKIPPED,
         )
     lhs = completed_zeta(field, 1.0 - s).completed_value
-    rhs = cmath.exp((2.0 * s - 1.0) * log_covolume(field)) * completed_zeta(field, s).completed_value
-    if abs(lhs) < _BOTH_TINY and abs(rhs) < _BOTH_TINY:
-        residual = 0.0
-    else:
-        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+    log_beta_power = (2.0 * s - 1.0) * log_covolume(field)
+    _require_log_term(s, log_beta_power.real)
+    rhs = _require_finite(s, cmath.exp(log_beta_power) * completed_zeta(field, s).completed_value)
+    if lhs == 0 and rhs == 0:
+        raise DomainError(
+            f"check_point: both sides underflow to 0 at s = {s!r}; binary64 cannot compare them"
+        )
+    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
     status = STATUS_OK if residual <= tolerance else STATUS_FAILED
     return FunctionalEquationReport(
         s=s,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PoleError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
@@ -34,6 +34,8 @@ from .kernel import (
     KroneckerCharacter,
     _as_complex,
     _log_gamma_impl,
+    _require_finite,
+    _require_log_term,
     dirichlet_l,
     riemann_zeta,
 )
@@ -47,8 +49,7 @@ _DERIVATIVE_ZONE = 1e-5
 _STENCIL_H = 0.02
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
+class EvaluationRecord(NamedTuple):
     """One completed-zeta evaluation; completed = gamma_factor * zeta bit for bit."""
 
     s: complex
@@ -59,8 +60,7 @@ class EvaluationRecord:
     precision_cliff: bool = False
 
 
-@dataclass(frozen=True)
-class PoleSet:
+class PoleSet(NamedTuple):
     """Poles of the completed zeta: base points, plus an imaginary period
     (2*pi/log q) in positive characteristic."""
 
@@ -96,19 +96,27 @@ def _require_off_poles(field: FieldDescriptor, s: complex) -> float:
 
 
 def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
-    t = cmath.exp(-s * math.log(field.q))
+    log_t = -s * math.log(field.q)
+    _require_log_term(s, log_t.real)
+    t = cmath.exp(log_t)
     return field.lpoly(t) / ((1.0 - t) * (1.0 - field.q * t))
 
 
 def zeta(field: FieldDescriptor, s) -> complex:
-    """The meromorphically continued Dedekind zeta of the field."""
+    """The meromorphically continued Dedekind zeta of the field.
+
+    Raises DomainError naming MAX_LOG_TERM where q^-s or the value
+    itself would leave binary64.
+    """
     s = _as_complex(s)
     _require_off_poles(field, s)
     if isinstance(field, FunctionFieldDescriptor):
-        return _function_field_zeta(field, s)
-    if field.kind == "rationals":
-        return riemann_zeta(s)
-    return riemann_zeta(s) * dirichlet_l(s, KroneckerCharacter(field.discriminant))
+        value = _function_field_zeta(field, s)
+    elif field.kind == "rationals":
+        value = riemann_zeta(s)
+    else:
+        value = riemann_zeta(s) * dirichlet_l(s, KroneckerCharacter(field.discriminant))
+    return _require_finite(s, value)
 
 
 def _nearest_gamma_pole(field: NumberFieldDescriptor, s: complex) -> int:
@@ -124,7 +132,8 @@ def gamma_factor(field: FieldDescriptor, s) -> complex:
 
     Identically 1 for function fields.  Raises PoleError within the
     exclusion radius of a Gamma pole (s in {0,-2,-4,...} when r1 > 0,
-    s in {0,-1,-2,...} when r2 > 0).
+    s in {0,-1,-2,...} when r2 > 0), and DomainError naming
+    MAX_LOG_TERM where the log of the factor passes it.
     """
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor):
@@ -139,6 +148,7 @@ def gamma_factor(field: FieldDescriptor, s) -> complex:
         acc += field.r1 * (-(s / 2.0) * _LOG_PI + _log_gamma_impl(s / 2.0))
     if field.r2:
         acc += field.r2 * ((1.0 - s) * _LOG_2PI + _log_gamma_impl(s))
+    _require_log_term(s, acc.real)
     return cmath.exp(acc)
 
 
@@ -199,11 +209,13 @@ def _cancelled_pole_near(field: FieldDescriptor, s: complex) -> int | None:
 def _deflated_record(
     field: NumberFieldDescriptor, s: complex, m: int, dist: float
 ) -> EvaluationRecord:
+    log_power = -(s / 2.0) * _LOG_PI if field.r1 else (1.0 - s) * _LOG_2PI
+    _require_log_term(s, log_power.real)
     if field.r1:
         core = 2.0 * _gamma_linear_deflated(s / 2.0, m // 2)
-        g_defl = (cmath.exp(-(s / 2.0) * _LOG_PI) * core) ** field.r1
+        g_defl = (cmath.exp(log_power) * core) ** field.r1
     else:
-        g_defl = cmath.exp((1.0 - s) * _LOG_2PI) * _gamma_linear_deflated(s, m)
+        g_defl = cmath.exp(log_power) * _gamma_linear_deflated(s, m)
     if field.kind == "rationals":
         z_defl = _vanishing_ratio(riemann_zeta, s, m)
     else:
@@ -235,19 +247,25 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     Near a cancelled Gamma pole (a negative integer where a trivial
     zero of zeta_k absorbs the Gamma pole) the returned record carries
     the deflated factor pair and precision_cliff=True; elsewhere the
-    factors are the literal gamma_factor and zeta values.
+    factors are the literal gamma_factor and zeta values.  A factor or
+    product that would leave binary64 raises DomainError naming
+    MAX_LOG_TERM instead of returning inf or nan.
     """
     s = _as_complex(s)
     dist = _require_off_poles(field, s)
     m = _cancelled_pole_near(field, s)
     if m is not None:
-        return _deflated_record(field, s, m, dist)
-    g = gamma_factor(field, s)
-    z = zeta(field, s)
-    return EvaluationRecord(
-        s=s,
-        zeta_value=z,
-        gamma_factor_value=g,
-        completed_value=g * z,
-        pole_distance=dist,
-    )
+        record = _deflated_record(field, s, m, dist)
+    else:
+        g = gamma_factor(field, s)
+        z = zeta(field, s)
+        record = EvaluationRecord(
+            s=s,
+            zeta_value=z,
+            gamma_factor_value=g,
+            completed_value=g * z,
+            pole_distance=dist,
+        )
+    # inf or nan in either factor leaves the product non-finite too
+    _require_finite(s, record.completed_value)
+    return record

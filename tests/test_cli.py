@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,25 @@ class TestExitCodes:
         assert limit in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--field", "Q", "--s", "500"],
+            ["eval", "--field", "Q(sqrt=-1)", "--s=-100"],
+            ["eval", "--field", "Fq(T)?q=5", "--s=-450"],
+            ["check", "--field", "Fq(T)?q=5", "--s", "450"],
+            ["check", "--field", "Fq(T)?q=5", "--s=-450"],
+        ],
+        ids=["gamma", "deflated", "q^-s", "check-lhs", "check-beta"],
+    )
+    def test_binary64_overflow_is_two(self, capsys, argv):
+        # Gamma factor, deflated product, GF(5)(T)'s q^-s, Z(1-s) and
+        # beta^(2s-1): each leaves binary64, which must not escape as an
+        # OverflowError or print inf/nan with exit code 0
+        code, out = parse_and_dispatch(argv)
+        assert (code, out) == (2, "")
+        assert "MAX_LOG_TERM" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, limit",
         [
             (["places", "--field", "Q", "--bound", "131073"], "MAX_NORM_BOUND"),
@@ -116,6 +139,17 @@ class TestExitCodes:
         code, _ = parse_and_dispatch(["eval", "--field", "Q", "--s", "1"])
         assert code == 2
         assert "pole" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        # -S keeps site-packages hooks from importing either module first
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = "import sys, globalzeta.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommands:
@@ -317,6 +351,22 @@ GOLDEN_COMMANDS = {
     ("euler-check", "Q(sqrt=-7)", "--s", "2.5", "--bound", "2000"): (
         "12cb2e7994f59ca518f5c5b9d5b4451f2544c11dcf19104b9acfc7510b99a655",
         "ad78541709f69cf7fff4f43421c5a70292cf071db1bba6635f77e79974220c72",
+    ),
+    # Recorded before number-field places were built from chi_D memoised
+    # by p mod |D|: a ramified 5 and 7 among about 9,600 primes, an inert
+    # 19 whose q_v = 361 sits exactly at the bound, and Euler products
+    # over all places of Q(sqrt 10) up to 95,000 at two points.
+    ("places", "Q(sqrt=-35)", "--bound", "99991"): (
+        "0321e749e2164fee1c32e50884875e79ad77b7115c9275c73c1ca313158aa1e5",
+        "3685b914a48e37383bc83d158289aad939c53b33a7fbbaf9306924d0ae3f7e4a",
+    ),
+    ("places", "Q(sqrt=10)", "--bound", "361"): (
+        "18e81553d8a0c770232a8c50c372874f48fbe403c4faac26b70dc6dcc4f375d2",
+        "114d47e3cb6b4aaa57808dc6b2631928294988b04c1977c7672d4634c02e2cde",
+    ),
+    ("euler-check", "Q(sqrt=10)", "--s", "2.5,3.25", "--bound", "95000"): (
+        "3c72f1f38087161345d10e55d49f3a2b4a07ce4ffd97c254ee9a43354d243263",
+        "5678225a51b034f6c5549d06f2cfbaf34e6b88ec91ee7ef2ceba948e95ba33b1",
     ),
 }
 

@@ -31,6 +31,7 @@ from globalzeta import (
     truncated_euler_product,
 )
 from globalzeta import ffield
+from globalzeta import fields as fields_mod
 
 import oracles
 
@@ -250,6 +251,45 @@ class TestEnumeratePlaces:
                     assert oracles.rabin_irreducible(f, p), (p, f)
                     codes.append(sum(c * p ** i for i, c in enumerate(f[:-1])))
                 assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    def test_number_field_places_match_a_per_prime_loop(self):
+        # reference: one place list per prime, chi_D(p) by brute-force
+        # residue counting, stable-sorted by q_v; bounds land on an inert
+        # p^2 (361 = 19^2 in Q(sqrt 10)) and just below one
+        for d, bound in ((-1, 2000), (10, 361), (10, 360), (-35, 2000), (13, 2000), (-1299, 2000), (997, 1500)):
+            k = make_quadratic(d)
+            D = k.discriminant
+            want = []
+            for p in range(2, bound + 1):
+                if any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+                    continue
+                chi = oracles.brute_kronecker(D, p)
+                if chi == 1:
+                    want += [(p, "rational_prime", f"{p}#1"), (p, "rational_prime", f"{p}#2")]
+                elif chi == -1:
+                    want += [(p * p, "rational_prime", str(p))] if p * p <= bound else []
+                else:
+                    want.append((p, "rational_prime", str(p)))
+            want.sort(key=lambda row: row[0])
+            assert enumerate_places(k, bound) == want, (d, bound)
+
+    def test_kronecker_calls_at_most_one_per_residue_class(self, monkeypatch):
+        # never more calls than one per unramified prime, and for a long
+        # prime list only one per class coprime to |D| (phi(35) = 24)
+        calls = []
+
+        def counting_chi(D, n):
+            calls.append(n)
+            return kronecker_chi(D, n)
+
+        monkeypatch.setattr(fields_mod, "kronecker_chi", counting_chi)
+        k = make_quadratic(-35)
+        places = enumerate_places(k, 99991)
+        assert len(calls) == 24 and len(set(calls)) == 24
+        assert places == enumerate_places(make_quadratic(-35), 99991)
+        calls.clear()
+        enumerate_places(k, 12)  # primes 2, 3, 5, 7, 11; 5 and 7 ramify
+        assert len(calls) == 3
 
     def test_deterministic(self):
         a = enumerate_places(make_quadratic(-1), 60)

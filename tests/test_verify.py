@@ -80,6 +80,28 @@ class TestCheckPoint:
         assert rep.status == "ok"
         assert rep.relative_residual == 0.0
 
+    def test_tiny_sides_get_their_true_residual(self, monkeypatch):
+        values = iter([complex(1e-150, 0.0), complex(2e-150, 0.0)])
+
+        class _Rec:
+            def __init__(self):
+                self.completed_value = next(values)
+
+        monkeypatch.setattr(verify_mod, "completed_zeta", lambda f, s: _Rec())
+        rep = check_point(Q, 0.4, 1e-9)
+        assert rep.status == "failed"
+        assert rep.relative_residual == 0.5
+
+    def test_high_on_the_critical_line_is_not_vacuous(self):
+        # |Z| is about 2e-103 at t = 300: the residual is measured, not 0
+        rep = check_point(Q, 0.5 + 300j, 1e-9)
+        assert rep.status == "ok"
+        assert 0.0 < rep.relative_residual < 1e-11
+
+    def test_both_sides_underflowing_to_zero_is_refused(self):
+        with pytest.raises(DomainError, match="underflow"):
+            check_point(Q, 0.5 + 1000j, 1e-9)
+
     def test_involution_of_residuals(self):
         rng = random.Random(777)
         for field in (Q, QI, F5, CURVE_5_1):
