@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError, PoleError, SymmetryError
 from .fields import (
@@ -57,12 +56,22 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _json_str(text: str) -> str:
+    # A JSON string in ASCII: printable ASCII other than '"' and '\\' as
+    # is, any other UTF-16 code unit as \uXXXX.  The program's own
+    # strings all take the first branch.
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    data = text.encode("utf-16-be", "surrogatepass")
+    units = [int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2)]
+    return '"' + "".join(chr(u) if 32 <= u < 127 and u not in (34, 92) else f"\\u{u:04x}" for u in units) + '"'
+
+
 #: The cell formatter: text of a value by output format and by the
 #: value's exact type (so a bool never prints as an int).  One dict
-#: lookup per cell keeps large place lists cheap to render;
-#: encode_basestring_ascii is what json.dumps applies to a str.
+#: lookup per cell keeps large place lists cheap to render.
 _CELL = {
-    "json": {type(None): lambda x: "null", bool: _bool, int: str, float: _fmt, str: encode_basestring_ascii},
+    "json": {type(None): lambda x: "null", bool: _bool, int: str, float: _fmt, str: _json_str},
     "csv": {type(None): lambda x: "", bool: _bool, int: str, float: _fmt, str: str},
 }
 

@@ -1,11 +1,13 @@
 """Tiny finite fields GF(p^k) and monic irreducible enumeration.
 
-Only desk-scale sizes are needed (q up to a few dozen), so elements are
-integers 0..q-1 and arithmetic goes through precomputed q x q add and
-mul tables.  Polynomials over GF(q) are tuples of element codes in
-ascending degree order.  A monic polynomial of degree n is numbered by
-the base-q code sum c_i q^i of its non-leading coefficients
-c_0..c_{n-1}, and ascending code is the canonical order of this module.
+Only desk-scale sizes are needed, so elements are integers 0..q-1 and
+arithmetic goes through precomputed q x q add and mul tables.  They are
+built only when the sieve multiplies, for degree >= 2, so only q with
+q^2 within a place bound (q <= 362 under MAX_NORM_BOUND) pays for them.
+Polynomials over GF(q) are tuples of element codes in ascending degree
+order.  A monic polynomial of degree n is numbered by the base-q code
+sum c_i q^i of its non-leading coefficients c_0..c_{n-1}, and ascending
+code is the canonical order of this module.
 It is not the order of place lists: ``fields.enumerate_places`` sorts
 each degree lexicographically on (c_0, c_1, ...).
 
@@ -32,6 +34,13 @@ def factor_prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p**k, or None if q is not a prime power."""
     factors = _factorization(q) if q > 1 else []
     return factors[0] if len(factors) == 1 else None
+
+
+def _require_prime_power(q: int) -> tuple[int, int]:
+    pk = factor_prime_power(q)
+    if pk is None:
+        raise DomainError(f"{q!r} is not a prime power")
+    return pk
 
 
 def _coefficients(code: int, q: int, n: int) -> tuple[int, ...]:
@@ -69,10 +78,7 @@ class SmallGaloisField:
     """
 
     def __init__(self, q: int):
-        pk = factor_prime_power(q)
-        if pk is None:
-            raise DomainError(f"{q!r} is not a prime power")
-        p, k = pk
+        p, k = _require_prime_power(q)
         self.q, self.p, self.k = q, p, k
         if k == 1:
             self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
@@ -108,10 +114,11 @@ def galois_field(q: int) -> SmallGaloisField:
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducibles of the given degree over GF(q), in canonical order."""
-    field = galois_field(q)
+    _require_prime_power(q)
     if degree < 1:
         raise DomainError("degree must be >= 1")
     reducible = bytearray(q ** degree)
+    field = galois_field(q) if degree >= 2 else None
     for d in range(1, degree // 2 + 1):
         cofactors = [_coefficients(c, q, degree - d) + (1,) for c in range(q ** (degree - d))]
         for f in monic_irreducibles(q, d):

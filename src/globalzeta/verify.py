@@ -128,8 +128,6 @@ def check_point(field: FieldDescriptor, s, tolerance: float) -> FunctionalEquati
 
 
 def _axis(lo: float, hi: float, steps: int, what: str) -> list[float]:
-    if steps < 1:
-        raise DomainError(f"sweep: {what} steps must be >= 1")
     if hi < lo:
         raise DomainError(f"sweep: inverted {what} range [{lo}, {hi}]")
     if steps == 1:
@@ -145,8 +143,12 @@ def sweep(
 ) -> tuple[list[FunctionalEquationReport], SweepSummary]:
     """check_point at every grid node, row-major (ascending re, then im).
 
-    More than MAX_GRID_NODES nodes raise DomainError before any is laid out.
+    A step count below 1 or more than MAX_GRID_NODES nodes raise
+    DomainError before any node is laid out.
     """
+    for steps, what in ((grid.re_steps, "re"), (grid.im_steps, "im")):
+        if steps < 1:
+            raise DomainError(f"sweep: {what} steps must be >= 1")
     if grid.re_steps * grid.im_steps > MAX_GRID_NODES:
         raise DomainError(f"sweep: {grid.re_steps} * {grid.im_steps} nodes exceed MAX_GRID_NODES = {MAX_GRID_NODES}")
     res = _axis(grid.re_min, grid.re_max, grid.re_steps, "re")

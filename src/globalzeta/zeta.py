@@ -4,25 +4,28 @@ For a number field the completed value is
 
     Z(s) = (pi^(-s/2) Gamma(s/2))^r1 * ((2 pi)^(1-s) Gamma(s))^r2 * zeta_k(s),
 
-with zeta_k evaluated as zeta * L(chi_D) through the kernel; for a
-function field the Gamma factor is identically 1 and zeta_k is the
-closed rational form P(q^-s) / ((1 - q^-s)(1 - q^(1-s))).
+with zeta_k the product of its L-factors through the kernel: zeta(s) for
+Q, zeta(s) * L(s, chi_D) for Q(sqrt d).  For a function field the Gamma
+factor is 1 and zeta_k is the closed form P(q^-s) / ((1 - q^-s)(1 - q^(1-s))).
 
 Pole model: the actual poles of Z are s = 0 and s = 1 (number fields)
 or the two lattices k*2*pi*i/log q and 1 + k*2*pi*i/log q (function
-fields).  The remaining Gamma poles at negative integers are cancelled
-by trivial zeros of zeta_k.  Within GAMMA_CANCEL_RADIUS of such a point
-the record reports deflated factors -- the Gamma part multiplied by
-(s - m)^ord through the recurrence, and the zeta part divided by the
-same power, using finite-difference derivatives at the point itself --
-and flags precision_cliff; their product is still the completed value
-bit for bit.
+fields).  The Gamma poles at negative integers m are cancelled by
+trivial zeros of the L-factors: zeta(s) vanishes at even m, L(s, chi_D)
+at even m for D > 0 and at odd m for D < 0.  Within GAMMA_CANCEL_RADIUS
+of such an m the record flags precision_cliff and reports deflated
+factors: the Gamma part times (s - m) per cancelled pole, through the
+recurrence, and each vanishing L-factor divided by (s - m), from
+finite-difference derivatives at m inside _DERIVATIVE_ZONE.  Their
+product is still the completed value bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 from .errors import PoleError
@@ -43,8 +46,7 @@ from .kernel import (
 #: Inside this radius of a cancelled Gamma pole the completed value is
 #: computed by deflation and the record is flagged.
 GAMMA_CANCEL_RADIUS = 1e-2
-#: Inside this radius the vanishing factor is replaced by its Taylor
-#: expansion from finite-difference derivatives.
+#: Inside this radius a vanishing L-factor is divided by (s - m) in Taylor form.
 _DERIVATIVE_ZONE = 1e-5
 _STENCIL_H = 0.02
 
@@ -98,8 +100,28 @@ def _require_off_poles(field: FieldDescriptor, s: complex) -> float:
 def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
     log_t = -s * math.log(field.q)
     _require_log_term(s, log_t.real)
+    # P(t) is summed in binary64, so each coefficient must fit there too
+    _require_log_term(s, math.log(max(map(abs, field.lpoly.coefficients))))
     t = cmath.exp(log_t)
     return field.lpoly(t) / ((1.0 - t) * (1.0 - field.q * t))
+
+
+def _l_factors(field: NumberFieldDescriptor) -> list:
+    # (L, parity of the negative integers where L has its trivial zeros)
+    factors = [(riemann_zeta, 0)]
+    if field.discriminant != 1:
+        chi = KroneckerCharacter(field.discriminant)
+        factors.append((lambda t: dirichlet_l(t, chi), int(field.discriminant < 0)))
+    return factors
+
+
+def _number_field_zeta(field: NumberFieldDescriptor, s: complex, m: int | None = None) -> complex:
+    # The L-factors at s, each one that vanishes at m divided by (s - m),
+    # multiplied from the first (not from 1.0, which can flip a zero's sign).
+    return reduce(mul, [
+        _vanishing_ratio(f, s, m) if m is not None and m % 2 == parity else f(s)
+        for f, parity in _l_factors(field)
+    ])
 
 
 def zeta(field: FieldDescriptor, s) -> complex:
@@ -111,12 +133,8 @@ def zeta(field: FieldDescriptor, s) -> complex:
     s = _as_complex(s)
     _require_off_poles(field, s)
     if isinstance(field, FunctionFieldDescriptor):
-        value = _function_field_zeta(field, s)
-    elif field.kind == "rationals":
-        value = riemann_zeta(s)
-    else:
-        value = riemann_zeta(s) * dirichlet_l(s, KroneckerCharacter(field.discriminant))
-    return _require_finite(s, value)
+        return _require_finite(s, _function_field_zeta(field, s))
+    return _require_finite(s, _number_field_zeta(field, s))
 
 
 def _nearest_gamma_pole(field: NumberFieldDescriptor, s: complex) -> int:
@@ -198,47 +216,14 @@ def _vanishing_ratio(f, s: complex, m: int) -> complex:
     return d1 + 0.5 * h * d2
 
 
-def _cancelled_pole_near(field: FieldDescriptor, s: complex) -> int | None:
-    if isinstance(field, NumberFieldDescriptor):
-        m = _nearest_gamma_pole(field, s)
-        if m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS:
-            return m
-    return None
-
-
-def _deflated_record(
-    field: NumberFieldDescriptor, s: complex, m: int, dist: float
-) -> EvaluationRecord:
+def _deflated_gamma(field: NumberFieldDescriptor, s: complex, m: int) -> complex:
+    # the Gamma factor times (s - m)^r1, or (s - m) if r1 = 0, by the recurrence
     log_power = -(s / 2.0) * _LOG_PI if field.r1 else (1.0 - s) * _LOG_2PI
     _require_log_term(s, log_power.real)
     if field.r1:
         core = 2.0 * _gamma_linear_deflated(s / 2.0, m // 2)
-        g_defl = (cmath.exp(log_power) * core) ** field.r1
-    else:
-        g_defl = cmath.exp(log_power) * _gamma_linear_deflated(s, m)
-    if field.kind == "rationals":
-        z_defl = _vanishing_ratio(riemann_zeta, s, m)
-    else:
-        chi = KroneckerCharacter(field.discriminant)
-
-        def lfun(t):
-            return dirichlet_l(t, chi)
-
-        zeta_vanishes = m % 2 == 0
-        l_vanishes = (m % 2 == 0) if field.discriminant > 0 else (m % 2 != 0)
-        z_defl = (
-            _vanishing_ratio(riemann_zeta, s, m) if zeta_vanishes else riemann_zeta(s)
-        )
-        z_defl *= _vanishing_ratio(lfun, s, m) if l_vanishes else lfun(s)
-    completed = g_defl * z_defl
-    return EvaluationRecord(
-        s=s,
-        zeta_value=z_defl,
-        gamma_factor_value=g_defl,
-        completed_value=completed,
-        pole_distance=dist,
-        precision_cliff=True,
-    )
+        return (cmath.exp(log_power) * core) ** field.r1
+    return cmath.exp(log_power) * _gamma_linear_deflated(s, m)
 
 
 def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
@@ -253,19 +238,13 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     """
     s = _as_complex(s)
     dist = _require_off_poles(field, s)
-    m = _cancelled_pole_near(field, s)
-    if m is not None:
-        record = _deflated_record(field, s, m, dist)
+    m = _nearest_gamma_pole(field, s) if isinstance(field, NumberFieldDescriptor) else 0
+    cliff = m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS
+    if cliff:
+        g, z = _deflated_gamma(field, s, m), _number_field_zeta(field, s, m)
     else:
-        g = gamma_factor(field, s)
-        z = zeta(field, s)
-        record = EvaluationRecord(
-            s=s,
-            zeta_value=z,
-            gamma_factor_value=g,
-            completed_value=g * z,
-            pole_distance=dist,
-        )
+        g, z = gamma_factor(field, s), zeta(field, s)
     # inf or nan in either factor leaves the product non-finite too
-    _require_finite(s, record.completed_value)
-    return record
+    completed = _require_finite(s, g * z)
+    return EvaluationRecord(s=s, zeta_value=z, gamma_factor_value=g, completed_value=completed,
+                            pole_distance=dist, precision_cliff=cliff)

@@ -109,13 +109,15 @@ class TestExitCodes:
             ["eval", "--field", "Fq(T)?q=5", "--s=-450"],
             ["check", "--field", "Fq(T)?q=5", "--s", "450"],
             ["check", "--field", "Fq(T)?q=5", "--s=-450"],
+            ["eval", "--field", "curve?q=5&L=1," + "0," * 999 + str(5 ** 500), "--s", "2"],
         ],
-        ids=["gamma", "deflated", "q^-s", "check-lhs", "check-beta"],
+        ids=["gamma", "deflated", "q^-s", "check-lhs", "check-beta", "curve-coefficient"],
     )
     def test_binary64_overflow_is_two(self, capsys, argv):
-        # Gamma factor, deflated product, GF(5)(T)'s q^-s, Z(1-s) and
-        # beta^(2s-1): each leaves binary64, which must not escape as an
-        # OverflowError or print inf/nan with exit code 0
+        # Gamma factor, deflated product, GF(5)(T)'s q^-s, Z(1-s),
+        # beta^(2s-1) and an L-polynomial coefficient (5^500, genus 500):
+        # each leaves binary64, which must not escape as an OverflowError
+        # or print inf/nan with exit code 0
         code, out = parse_and_dispatch(argv)
         assert (code, out) == (2, "")
         assert "MAX_LOG_TERM" in capsys.readouterr().err
@@ -126,11 +128,13 @@ class TestExitCodes:
             (["places", "--field", "Q", "--bound", "131073"], "MAX_NORM_BOUND"),
             (["euler-check", "--field", "Fq(T)?q=2", "--s", "2", "--bound", "131073"], "MAX_NORM_BOUND"),
             (["sweep", "--field", "Q", "--grid", "0.1:0.9:317,0:10:316"], "MAX_GRID_NODES"),
+            (["sweep", "--field", "Q", "--grid=0.1:0.9:1000000000,0:1:0"], "im steps must be >= 1"),
         ],
-        ids=["places", "euler-check", "sweep"],
+        ids=["places", "euler-check", "sweep", "sweep-zero-steps"],
     )
     def test_request_size_limit_is_two(self, capsys, argv, limit):
-        # one over MAX_NORM_BOUND = 2**17, and 317 * 316 nodes, just over 10^5
+        # one over MAX_NORM_BOUND = 2**17, 317 * 316 nodes, just over 10^5,
+        # and 10^9 * 0 nodes, whose re axis must not be laid out
         code, out = parse_and_dispatch(argv)
         assert (code, out) == (2, "")
         assert limit in capsys.readouterr().err
@@ -143,9 +147,9 @@ class TestExitCodes:
 
 class TestImport:
     def test_cli_import_skips_dataclasses_and_inspect(self):
-        # -S keeps site-packages hooks from importing either module first
+        # nor json; -S keeps site-packages hooks from importing any of them first
         src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = "import sys, globalzeta.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        probe = "import sys, globalzeta.cli; print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
@@ -368,6 +372,26 @@ GOLDEN_COMMANDS = {
         "3c72f1f38087161345d10e55d49f3a2b4a07ce4ffd97c254ee9a43354d243263",
         "5678225a51b034f6c5549d06f2cfbaf34e6b88ec91ee7ef2ceba948e95ba33b1",
     ),
+    # Recorded before the deflated path was built from the list of
+    # L-factors: odd m where only L(s, chi_-7) vanishes; even m in the
+    # finite-difference zone where only zeta vanishes, and where both
+    # factors of Q(sqrt 13) vanish; a point off the real axis.
+    ("eval", "Q(sqrt=-7)", "--s=-3.004"): (
+        "f978abca4cbe4ea3e241e78a774000aa93fda8a0e98112db4b06fc24f3627eab",
+        "58293c7d6f3df983825e285d26ac8f4ffd3b217deebbc720d0d8f265b06a9283",
+    ),
+    ("eval", "Q(sqrt=-7)", "--s=-2.000003"): (
+        "e91278d8b026f3287d2c2404b400871705d4ecbfabc42fd8032afba5dd9944c2",
+        "6656ee1db6c5c319e9515b313c86c96e36c6aef3b7bada716be646cf3d8f31e9",
+    ),
+    ("eval", "Q(sqrt=13)", "--s=-2.000004"): (
+        "23de2dfddf4ed180aa6b3f3525cf8335462b1a6d5d098c4f2b4810b4c3985cb5",
+        "426bb6eced889617af7c27d716b8fff8f6909140fea7571c6861eb153f1ca324",
+    ),
+    ("eval", "Q(sqrt=-3)", "--s=-1,0.000002"): (
+        "a48eb32ce8b6ba4913799cd62b360505f1b49055211abb332298814a5caa78e9",
+        "bb508aa2254011af9b99f6510f98c5c37d08c3c9e49ff242b98a6d7c1c9ba849",
+    ),
 }
 
 
@@ -424,6 +448,15 @@ class TestSerialization:
             max_residual=payload["summary"]["max_residual"],
         )
         assert render_report(reports, summary, "json") == out
+
+    def test_json_escapes_any_string(self):
+        # quote, backslash, control, DEL, non-ASCII and non-BMP characters
+        # come out as ASCII JSON that parses back to the same string
+        odd = 'a"b\\c\nd\x00\x7f\u00e9\U0001d11e'
+        summary = SweepSummary(field=odd, grid="g", count_ok=0, count_skipped=0, count_failed=0, max_residual=0.0)
+        out = render_report([], summary, "json")
+        assert out.isascii()
+        assert json.loads(out)["summary"]["field"] == odd
 
     def test_seventeen_digit_round_trip(self):
         _, out = parse_and_dispatch(SWEEP_ARGS)

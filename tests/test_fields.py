@@ -239,6 +239,14 @@ class TestEnumeratePlaces:
             for n in range(1, 7):
                 assert len(ffield.monic_irreducibles(q, n)) == oracles.necklace_count(q, n)
 
+    def test_degree_one_builds_no_field_tables(self):
+        # linear monics are all irreducible: no products, so no q x q
+        # tables (for q = 131071 these would not fit in memory)
+        ffield.monic_irreducibles.cache_clear()
+        ffield.galois_field.cache_clear()
+        assert len(ffield.monic_irreducibles(1009, 1)) == 1009
+        assert ffield.galois_field.cache_info().currsize == 0
+
     def test_irreducibles_pass_rabin_oracle(self):
         # with the necklace count above, this pins each tuple exactly
         for p, top in ((2, 12), (3, 8), (5, 5), (7, 4)):
