@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import DomainError, PoleError, SymmetryError
 from .fields import (
@@ -56,11 +56,15 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _plain(text: str) -> bool:
+    # printable ASCII other than '"' and '\\' stands for itself in JSON
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _json_str(text: str) -> str:
-    # A JSON string in ASCII: printable ASCII other than '"' and '\\' as
-    # is, any other UTF-16 code unit as \uXXXX.  The program's own
-    # strings all take the first branch.
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+    # A JSON string in ASCII: plain text as is, any other UTF-16 code
+    # unit as \uXXXX.  The program's own strings are all plain.
+    if _plain(text):
         return f'"{text}"'
     data = text.encode("utf-16-be", "surrogatepass")
     units = [int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2)]
@@ -76,14 +80,34 @@ _CELL = {
 }
 
 
+def _json_columns(template: str, chunk: list) -> tuple[str, tuple]:
+    # A column of strings is checked once, joined; if plain, its slot in
+    # the record template quotes it, so its cells need no call each.
+    cell, slots, columns = _CELL["json"], [], []
+    for column in zip(*chunk):
+        if set(map(type, column)) == {str} and _plain("".join(column)):
+            slots.append('"%s"')
+        else:
+            slots.append("%s")
+            column = [cell[type(x)](x) for x in column]
+        columns.append(column)
+    parts = template.split("%s")
+    record = "".join(chain.from_iterable(zip(parts, slots))) + parts[-1]
+    return record, tuple(chain.from_iterable(zip(*columns)))
+
+
 def _fill(template: str, sep: str, cell: dict, rows):
-    # A chunk of rows is formatted in one flat pass over its cells and one
-    # % on the template repeated per row: no Python call per row, and only
-    # one chunk's cell texts alive at a time.  Column names hold no "%".
+    # A chunk of rows is formatted in one flat pass over its cells (JSON:
+    # column by column) and one % on its record template repeated per row:
+    # no Python call per row, and only one chunk's cell texts alive at a
+    # time.  Column names hold no "%".
     rows = iter(rows)
     while chunk := list(islice(rows, 256)):
-        cells = tuple([cell[type(x)](x) for row in chunk for x in row])
-        yield sep.join([template] * len(chunk)) % cells
+        if cell is _CELL["json"]:
+            record, cells = _json_columns(template, chunk)
+        else:
+            record, cells = template, tuple([cell[type(x)](x) for row in chunk for x in row])
+        yield sep.join([record] * len(chunk)) % cells
 
 
 def _render(fmt: str, columns, rows, head=(), key=None, tail=(), summary_key=None) -> str:

@@ -27,7 +27,7 @@ from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecke
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
-#: with q^d <= bound: about 15 ms and 2 s (q = 2) on one x86 core.
+#: with q^d <= bound: about 15 ms and 0.3 s (q = 2) on one x86 core.
 MAX_NORM_BOUND = 2**17
 
 # ---------------------------------------------------------------------------

@@ -454,9 +454,13 @@ class TestSerialization:
         # come out as ASCII JSON that parses back to the same string
         odd = 'a"b\\c\nd\x00\x7f\u00e9\U0001d11e'
         summary = SweepSummary(field=odd, grid="g", count_ok=0, count_skipped=0, count_failed=0, max_residual=0.0)
-        out = render_report([], summary, "json")
+        # in a row cell too, beside a plain string of the same column
+        reports = [FunctionalEquationReport(2j, None, None, None, 0.5, status) for status in ("ok", odd)]
+        out = render_report(reports, summary, "json")
         assert out.isascii()
-        assert json.loads(out)["summary"]["field"] == odd
+        payload = json.loads(out)
+        assert payload["summary"]["field"] == odd
+        assert [r["status"] for r in payload["reports"]] == ["ok", odd]
 
     def test_seventeen_digit_round_trip(self):
         _, out = parse_and_dispatch(SWEEP_ARGS)

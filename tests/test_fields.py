@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -195,6 +196,44 @@ class TestSplitting:
             splitting_type(make_rationals(), 5)
 
 
+def _codes(polys, q: int, n: int) -> list[int]:
+    """Base-q codes of monic degree-n polynomials, checked to ascend strictly."""
+    codes = []
+    for f in polys:
+        assert len(f) == n + 1 and f[-1] == 1
+        codes.append(sum(c * q ** i for i, c in enumerate(f[:-1])))
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    return codes
+
+
+def _table_field(q: int):
+    """GF(q)'s tables and its negation table, after checking that no
+    product of nonzero elements is 0 (so the tables make a field)."""
+    field = ffield.galois_field(q)
+    assert all(sorted(row) == list(range(q)) for row in field.mul[1:])
+    return field, [row.index(0) for row in field.add]
+
+
+def _rootless_codes(q: int, n: int) -> list[int]:
+    """Codes of the monic degree-n polynomials over GF(q) with no root in GF(q).
+
+    For each root r and each c_1..c_(n-1), the one c_0 giving f(r) = 0
+    is c_0 = -(c_1 r + ... + r^n).  For n <= 3 these are the irreducibles.
+    """
+    field, neg = _table_field(q)
+    rooted = set()
+    for r in range(q):
+        powers = [1]
+        for _ in range(n):
+            powers.append(field.mul[powers[-1]][r])
+        for rest in product(range(q), repeat=n - 1):
+            value = powers[n]
+            for c, power in zip(rest, powers[1:]):
+                value = field.add[value][field.mul[c][power]]
+            rooted.add(neg[value] + q * sum(c * q ** i for i, c in enumerate(rest)))
+    return [code for code in range(q ** n) if code not in rooted]
+
+
 class TestEnumeratePlaces:
     def test_rationals(self):
         places = enumerate_places(make_rationals(), 10)
@@ -235,9 +274,37 @@ class TestEnumeratePlaces:
         assert pair[0] != pair[1]
 
     def test_irreducible_counts_match_necklace_formula(self):
-        for q in (2, 3, 4, 5):
-            for n in range(1, 7):
-                assert len(ffield.monic_irreducibles(q, n)) == oracles.necklace_count(q, n)
+        # prime powers up to k = 3, and the corners: q^n = MAX_NORM_BOUND
+        # at (2, 17), a prime p > 36 at (37, 3), k = 3 at (27, 3)
+        cases = [(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)]
+        cases += [(q, n) for q, top in ((8, 4), (9, 4), (16, 3), (25, 3), (27, 3)) for n in range(1, top + 1)]
+        cases += [(2, 17), (37, 3)]
+        assert 2 ** 17 == fields_mod.MAX_NORM_BOUND
+        for q, n in cases:
+            codes = _codes(ffield.monic_irreducibles(q, n), q, n)
+            assert len(codes) == oracles.necklace_count(q, n), (q, n)
+
+    def test_low_degree_irreducibles_are_the_rootless_monics(self):
+        # up to degree 3 a monic is irreducible iff it has no root
+        for q in (4, 8, 9, 16, 25, 27, 37):
+            for n in (2, 3):
+                assert _codes(ffield.monic_irreducibles(q, n), q, n) == _rootless_codes(q, n), (q, n)
+
+    def test_quartics_have_no_monic_factor_of_degree_one_or_two(self):
+        # with the necklace count and distinct codes, this pins each tuple
+        for q in (4, 9):
+            field, neg = _table_field(q)
+            divisors = [c + (1,) for m in (1, 2) for c in product(range(q), repeat=m)]
+            polys = ffield.monic_irreducibles(q, 4)
+            assert len(_codes(polys, q, 4)) == oracles.necklace_count(q, 4)
+            for f in polys:
+                for g in divisors:
+                    u, m = list(f), len(g) - 1
+                    for top in range(4, m - 1, -1):  # long division by monic g
+                        c = u[top]
+                        for i, gi in enumerate(g):
+                            u[top - m + i] = field.add[u[top - m + i]][neg[field.mul[c][gi]]]
+                    assert any(u[:m]), (q, f, g)
 
     def test_degree_one_builds_no_field_tables(self):
         # linear monics are all irreducible: no products, so no q x q
