@@ -187,20 +187,14 @@ def _gamma_linear_deflated(z: complex, z0: int) -> complex:
     return num / den
 
 
-def _derivative_first(f, x0: float, h: float) -> complex:
-    # sixth-order central stencil
-    f1, fm1 = f(x0 + h), f(x0 - h)
-    f2, fm2 = f(x0 + 2 * h), f(x0 - 2 * h)
-    f3, fm3 = f(x0 + 3 * h), f(x0 - 3 * h)
-    return (45.0 * (f1 - fm1) - 9.0 * (f2 - fm2) + (f3 - fm3)) / (60.0 * h)
-
-
-def _derivative_second(f, x0: float, h: float) -> complex:
-    # fourth-order central stencil
-    f0 = f(x0)
-    f1, fm1 = f(x0 + h), f(x0 - h)
-    f2, fm2 = f(x0 + 2 * h), f(x0 - 2 * h)
-    return (-(f2 + fm2) + 16.0 * (f1 + fm1) - 30.0 * f0) / (12.0 * h * h)
+def _stencil_derivatives(f, x0: float, h: float) -> tuple[complex, complex]:
+    # f' by the sixth-order and f'' by the fourth-order central stencil,
+    # from one evaluation of f at each of x0 + j h, j = -3..3
+    xs = (x0 - 3 * h, x0 - 2 * h, x0 - h, x0, x0 + h, x0 + 2 * h, x0 + 3 * h)
+    fm3, fm2, fm1, f0, f1, f2, f3 = map(f, xs)
+    d1 = (45.0 * (f1 - fm1) - 9.0 * (f2 - fm2) + (f3 - fm3)) / (60.0 * h)
+    d2 = (-(f2 + fm2) + 16.0 * (f1 + fm1) - 30.0 * f0) / (12.0 * h * h)
+    return d1, d2
 
 
 def _vanishing_ratio(f, s: complex, m: int) -> complex:
@@ -211,8 +205,7 @@ def _vanishing_ratio(f, s: complex, m: int) -> complex:
     h = s - m
     if abs(h) >= _DERIVATIVE_ZONE:
         return f(s) / h
-    d1 = _derivative_first(f, float(m), _STENCIL_H)
-    d2 = _derivative_second(f, float(m), _STENCIL_H)
+    d1, d2 = _stencil_derivatives(f, float(m), _STENCIL_H)
     return d1 + 0.5 * h * d2
 
 

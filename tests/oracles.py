@@ -247,6 +247,26 @@ def rabin_irreducible(f, p: int) -> bool:
     return True
 
 
+def extension_field_tables(modulus, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Add and mul tables of GF(p)[x]/(modulus) on integer-coded elements.
+
+    Element a is the polynomial whose coefficients are the base-p digits
+    of a; sums are taken digit by digit mod p and products by
+    _poly_mulmod.  The tables make a field only for an irreducible
+    modulus, which rabin_irreducible decides.
+    """
+    m = list(modulus)
+    k = len(m) - 1
+    polys = [[a // p ** i % p for i in range(k)] for a in range(p ** k)]
+
+    def code(u: list[int]) -> int:
+        return sum(c * p ** i for i, c in enumerate(u))
+
+    add = [[code([(x + y) % p for x, y in zip(u, v)]) for v in polys] for u in polys]
+    mul = [[code(_poly_mulmod(u, v, m, p)) for v in polys] for u in polys]
+    return add, mul
+
+
 def elliptic_point_count_f5() -> int:
     """Brute-force point count of y^2 = x^3 + x + 1 over GF(5), plus infinity."""
     affine = sum(

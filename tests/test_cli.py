@@ -246,7 +246,7 @@ class TestCommands:
 # format.  7200 = min(q^(d+1) - 1, 7200) for the largest degree d the
 # exact-cold benchmark workload asks about (12, 8, 6, 5, 4, 4, 4), so
 # every place of degree <= d is listed.  Any change to the irreducibles,
-# their order, the GF(p^k) modulus or the field tables changes a digest.
+# their order or the GF(p^k) modulus changes a digest.
 GOLDEN_PLACES = {
     (2, "json"): "7daf86f4f5172526d62b93d6a2f50b0d23c46eba5933d1be806c0f500aa44c1a",
     (2, "csv"): "d2868ddd0031bdcfc36447a37b1c9ca29713cb436e44d02cc50edd910de14a49",
@@ -392,6 +392,37 @@ GOLDEN_COMMANDS = {
         "a48eb32ce8b6ba4913799cd62b360505f1b49055211abb332298814a5caa78e9",
         "bb508aa2254011af9b99f6510f98c5c37d08c3c9e49ff242b98a6d7c1c9ba849",
     ),
+    # Recorded before GF(p^k) lost its q x q add and mul tables: every
+    # place of degree <= d over GF(q) for q = 2^4, 3^3, 2^5, 7^2, 5^3, 2^8
+    # and 7^3, each at the bound q^d within MAX_NORM_BOUND.
+    ("places", "Fq(T)?q=16", "--bound", "65536"): (
+        "fb09c67acabaec52cb78763d6a6de0615f3cfc6b4ef7db76b5828093611ef6c6",
+        "5e50b0cdb41e319d68ef5c2b6e5da384ccc7efd59fa2f46f7fdfb6a117298550",
+    ),
+    ("places", "Fq(T)?q=27", "--bound", "19683"): (
+        "57d3aee3f146fd5cb6201057af9b6bfb90fc8fc217871a6705e0bb4de34c8b00",
+        "3a180e2925ebfe0a1aa43ed83ff4c5b002a5dc7de9d6bfb172e2df02960f8772",
+    ),
+    ("places", "Fq(T)?q=32", "--bound", "32768"): (
+        "eb55b8f6d8e318f3389c3ba57fe3c8202dbfcc9938ad53ac3096aed82b4cfe63",
+        "14add122a9c7e1e6addd8cf82e9a95bbc6e66c02153d9a516acac1802c7542b8",
+    ),
+    ("places", "Fq(T)?q=49", "--bound", "117649"): (
+        "3493a8931504f98d59ed0039e0c71b3024bf5da6e568617e0e7dd05c2b8a8c87",
+        "2bf48e363b8cb2ba3a92f840369b37e89bb8f22e20ca8e5d152413c049f26a8d",
+    ),
+    ("places", "Fq(T)?q=125", "--bound", "15625"): (
+        "73a4d0783138e63666740abb18926155482aeb96ad4cc3712c8c7a9544ab728a",
+        "c6f9d5bfca859bc17d1490dac648260ba7209b78d495f4091fcd600f3e37a226",
+    ),
+    ("places", "Fq(T)?q=256", "--bound", "65536"): (
+        "78537723c4ad23259c4b1fc58464f838467555221b34a2d0e0a40fdc2f33e87c",
+        "7ca701cdea9ffced965ca20cace6bc3ae29df13bc7f0107ad89fe71267a2add5",
+    ),
+    ("places", "Fq(T)?q=343", "--bound", "117649"): (
+        "0573078d69ebd395f5429dcdc672077ede90492717d032979f59e89c5930fa6d",
+        "07a97b3c2075e144c87be4aaf01c4d6d2a0028b714ddd17a67191b3db36e9a7a",
+    ),
 }
 
 
@@ -416,6 +447,7 @@ class TestGoldenOutput:
         assert galois_field(4).modulus == (1, 1, 1)
         assert galois_field(8).modulus == (1, 1, 0, 1)
         assert galois_field(9).modulus == (1, 0, 1)
+        assert galois_field(7) == (7, 7, 1, (0, 1))  # x: no special case for k = 1
 
 
 class TestSerialization:

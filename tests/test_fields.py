@@ -207,11 +207,14 @@ def _codes(polys, q: int, n: int) -> list[int]:
 
 
 def _table_field(q: int):
-    """GF(q)'s tables and its negation table, after checking that no
-    product of nonzero elements is 0 (so the tables make a field)."""
-    field = ffield.galois_field(q)
-    assert all(sorted(row) == list(range(q)) for row in field.mul[1:])
-    return field, [row.index(0) for row in field.add]
+    """GF(q)'s add, mul and negation tables from the oracle, modulo
+    galois_field(q).modulus after checking that the modulus is a monic
+    irreducible of degree k (so the tables make a field)."""
+    _, p, k, modulus = ffield.galois_field(q)
+    assert len(modulus) == k + 1 and modulus[-1] == 1
+    assert oracles.rabin_irreducible(modulus, p), (q, modulus)
+    add, mul = oracles.extension_field_tables(modulus, p)
+    return add, mul, [row.index(0) for row in add]
 
 
 def _rootless_codes(q: int, n: int) -> list[int]:
@@ -220,16 +223,16 @@ def _rootless_codes(q: int, n: int) -> list[int]:
     For each root r and each c_1..c_(n-1), the one c_0 giving f(r) = 0
     is c_0 = -(c_1 r + ... + r^n).  For n <= 3 these are the irreducibles.
     """
-    field, neg = _table_field(q)
+    add, mul, neg = _table_field(q)
     rooted = set()
     for r in range(q):
         powers = [1]
         for _ in range(n):
-            powers.append(field.mul[powers[-1]][r])
+            powers.append(mul[powers[-1]][r])
         for rest in product(range(q), repeat=n - 1):
             value = powers[n]
             for c, power in zip(rest, powers[1:]):
-                value = field.add[value][field.mul[c][power]]
+                value = add[value][mul[c][power]]
             rooted.add(neg[value] + q * sum(c * q ** i for i, c in enumerate(rest)))
     return [code for code in range(q ** n) if code not in rooted]
 
@@ -293,7 +296,7 @@ class TestEnumeratePlaces:
     def test_quartics_have_no_monic_factor_of_degree_one_or_two(self):
         # with the necklace count and distinct codes, this pins each tuple
         for q in (4, 9):
-            field, neg = _table_field(q)
+            add, mul, neg = _table_field(q)
             divisors = [c + (1,) for m in (1, 2) for c in product(range(q), repeat=m)]
             polys = ffield.monic_irreducibles(q, 4)
             assert len(_codes(polys, q, 4)) == oracles.necklace_count(q, 4)
@@ -303,12 +306,12 @@ class TestEnumeratePlaces:
                     for top in range(4, m - 1, -1):  # long division by monic g
                         c = u[top]
                         for i, gi in enumerate(g):
-                            u[top - m + i] = field.add[u[top - m + i]][neg[field.mul[c][gi]]]
+                            u[top - m + i] = add[u[top - m + i]][neg[mul[c][gi]]]
                     assert any(u[:m]), (q, f, g)
 
     def test_degree_one_builds_no_field_tables(self):
-        # linear monics are all irreducible: no products, so no q x q
-        # tables (for q = 131071 these would not fit in memory)
+        # linear monics are all irreducible: no products to mark, so the
+        # sieve never asks for the field
         ffield.monic_irreducibles.cache_clear()
         ffield.galois_field.cache_clear()
         assert len(ffield.monic_irreducibles(1009, 1)) == 1009

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from globalzeta import (
     make_rationals,
     pole_distance,
     pole_set,
+    riemann_zeta,
     truncated_euler_product,
     zeta,
 )
@@ -212,6 +214,25 @@ class TestCompletedZeta:
                 v = rec.completed_value
                 assert cmath.isfinite(v)
                 assert abs(v) < 10.0
+
+    def test_stencil_evaluates_each_point_once(self, monkeypatch):
+        # inside the finite-difference zone the deflated zeta needs f at
+        # m + j h for j = -3..3, once each; the value is pinned by float.hex
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return riemann_zeta(s)
+
+        # the package exports the function zeta under the module's name
+        monkeypatch.setattr(sys.modules["globalzeta.zeta"], "riemann_zeta", counted)
+        rec = completed_zeta(Q, -4.000003)
+        assert rec.precision_cliff
+        assert len(calls) == len(set(calls)) == 7
+        assert rec.zeta_value.real.hex() == "0x1.059ca91ca740ep-7"
+        assert rec.gamma_factor_value.real.hex() == "0x1.3bd3d37ff1f2ep+3"
+        assert rec.completed_value.real.hex() == "0x1.42c03c5883c5ep-4"
+        assert rec.completed_value.imag == 0.0
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
