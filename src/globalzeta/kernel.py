@@ -14,16 +14,19 @@ DomainError / PoleError rather than letting NaNs or infinities escape.
 
 Cost is bounded up front.  An Euler-Maclaurin sum takes max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
-dirichlet_l sums one Hurwitz zeta per class r coprime to D and keeps
-what does not depend on s in a single slot for the last modulus seen:
-chi(r), r/|D| and log(r/|D| + n) for n up to the largest shift count
-that modulus has needed.  A new modulus replaces the slot, so at most
-one field's table, phi(|D|) * (N + 1) doubles, is alive; a call that
-would push it past MAX_TABLE_ENTRIES (2 MiB) raises DomainError before
-the table is built or grown.  Each evaluator also bounds the size of
-its terms before any work: past exp(MAX_LOG_TERM) they would overflow
-binary64, so it raises DomainError instead (for the Riemann zeta, at
-Re s below about -141.6).
+dirichlet_l has two paths, chosen per call by a cost estimate from
+phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
+moduli, and a Taylor series in the class offsets whose coefficients are
+the character's moments for large ones (globalzeta.moments, imported on
+the first call that takes that path).  It keeps what does not depend on
+s in a cache of tables, one per path and modulus: class logs, or head
+logs and exact moments.  Their sizes, in doubles, sum to at most
+MAX_TABLE_ENTRIES (2 MiB); the least recently used tables are dropped
+to make room, and a call whose own table would pass the limit raises
+DomainError before any table is built or grown.  Each evaluator also
+bounds the size of its terms before any work: past exp(MAX_LOG_TERM)
+they would overflow binary64, so it raises DomainError instead (for the
+Riemann zeta, at Re s below about -141.6).
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ MAX_ABS_S = 1e4
 #: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
 MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 
-#: Largest phi(|D|) * (N + 1) that dirichlet_l tabulates, N being the
-#: shift count: the number of doubles in its log table (2 MiB here).
+#: Largest number of doubles in dirichlet_l's tables, summed over the
+#: moduli it keeps (2 MiB here): phi(|D|) * (N + 1) for a per-class table
+#: with shift count N, phi(|D|) * (M + 1) + J + 1 for a moment table with
+#: head length M and order J.
 MAX_TABLE_ENTRIES = 2**18
 
 #: Largest |n| factored by trial division (squarefree tests, prime
@@ -422,7 +427,7 @@ def _totient(n: int) -> int:
 
 
 class _ClassTable:
-    """The s-independent data of L(s, chi_D) for one modulus q = |D|.
+    """The s-independent data of the per-class path for one modulus q = |D|.
 
     classes holds (chi(r), r/q, logs) for each r in 1..q coprime to D,
     with logs[n] = log(r/q + n) for n = 0..depth in array('d') storage.
@@ -440,73 +445,87 @@ class _ClassTable:
         ]
         self.depth = -1
 
-    def extend(self, depth: int) -> None:
-        for _, a, logs in self.classes:
-            logs.extend([math.log(a + n) for n in range(self.depth + 1, depth + 1)])
-        self.depth = depth
+    def size(self, depth: int = -1) -> int:
+        # doubles held, after growing to depth
+        return len(self.classes) * (max(self.depth, depth) + 1)
+
+    def grow(self, depth: int) -> None:
+        if self.depth < depth:
+            for _, a, logs in self.classes:
+                logs.extend([math.log(a + n) for n in range(self.depth + 1, depth + 1)])
+            self.depth = depth
 
 
-# The one slot: the table of the modulus dirichlet_l saw last.  A new
-# modulus replaces it, so at most one field's table is alive.
-_table: _ClassTable | None = None
+# The tables of the moduli dirichlet_l has seen, least recently used first,
+# keyed by (table class, D); their sizes sum to at most MAX_TABLE_ENTRIES.
+_tables: dict = {}
 _table_lock = threading.Lock()
 
 
-def _tabulated_classes(D: int, shift: int) -> list[tuple[int, float, array]]:
-    # The classes of D with logs tabulated to at least n = shift.
-    global _table
+def _cached_table(kind, D: int, need: int, *grow_args):
+    # kind's table of D, grown by grow_args, need <= MAX_TABLE_ENTRIES
+    # being the size of a fresh one; older tables are dropped, least
+    # recently used first, until everything fits.
     with _table_lock:
-        table = _table
-        if table is None or table.modulus != D:
-            _table = None  # let the old modulus's table go before building
-            table = _table = _ClassTable(D)
-        if table.depth < shift:
-            table.extend(shift)
-        return table.classes
+        table = _tables.pop((kind, D), None)
+        if table is not None and table.size(*grow_args) == table.size():
+            _tables[kind, D] = table  # holds all this call needs already
+            return table
+        if table is not None and table.size(*grow_args) > MAX_TABLE_ENTRIES:
+            table = None  # what it holds beyond this call does not fit too
+        room = MAX_TABLE_ENTRIES - (need if table is None else table.size(*grow_args))
+        for key in list(_tables):
+            if sum(t.size() for t in _tables.values()) <= room:
+                break
+            del _tables[key]
+        if table is None:
+            table = kind(D)
+        table.grow(*grow_args)
+        _tables[kind, D] = table
+        return table
 
 
-def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
-    """L(s, chi_D) = |D|^-s * sum_r chi(r) zeta_H(s, r/|D|), continued.
+# Measured costs in microseconds (CPython 3.11, one x86-64 core): one
+# term (a + n)^-s of a sum (a class's Hurwitz sum has N + 12 of them), and
+# per jet one scaled term of its Euler-Maclaurin sum and its fixed work.
+_COST_TERM = 0.34
+_COST_JET_TERM = 0.38
+_COST_JET = 12.0
 
-    Entire for D != 1; the principal case D = 1 degenerates to the
-    Riemann zeta and keeps its PoleError near s = 1.  For D != 1 the
-    individual Hurwitz pole terms x^(1-s)/(s-1) are recombined through
-    (x^(1-s) - 1)/(s-1), which is regular at s = 1 because the chi
-    values sum to zero over a period; this keeps the evaluation stable
-    arbitrarily close to (and at) s = 1.
+# The order J the moment path's tail bound asks for: 38 once |s| > 30,
+# between 30 and 57 below, and never less than 1 - Re s.
+_MOMENT_ORDER = 38
 
-    Only work that depends on s is done per call.  The classes r coprime
-    to D, as chi(r) and r/|D|, and log(r/|D| + n) for n = 0..N are kept
-    in one slot for the last modulus seen: a new modulus replaces the
-    slot, and a larger shift count N extends it, N being the largest
-    max(20, ceil|s|) that modulus has needed.  It therefore holds
-    phi(|D|) * (N + 1) doubles, at most MAX_TABLE_ENTRIES (2 MiB), plus
-    about 200 bytes per class (1.4 MB in all for |D| = 2351, N = 50).
-    The Euler-Maclaurin weights are computed once per call and shared
-    by every class.  Raises DomainError, before any work, when |s|
-    exceeds MAX_ABS_S, the table would exceed MAX_TABLE_ENTRIES, or a
-    term, |D|^-s times the class sum included, could pass
-    exp(MAX_LOG_TERM).
-    """
-    s = _as_complex(s)
-    D = chi.modulus
-    if D == 1:
-        return riemann_zeta(s)
-    q = abs(D)
-    shift = _em_shift_count(s)
-    count = _totient(q)
-    if count * (shift + 1) > MAX_TABLE_ENTRIES:
-        raise DomainError(
-            f"dirichlet_l: phi(|D|) * (N + 1) = {count} * {shift + 1} exceeds "
-            f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift})"
-        )
-    # A class's largest part is (1/q)^-s, the pole term x^(1-s) (x < 1 + N)
-    # or, inside _phi_expm1_ratio, x^((s-1)/2); the phi(q) classes are
-    # summed and the sum is scaled by q^-s.
-    sigma, log_q, log_x = s.real, math.log(q), math.log(1.0 + shift)
-    largest = max(sigma * log_q, (1.0 - sigma) * log_x, 0.5 * (sigma - 1.0) * log_x)
-    _require_log_term(s, largest + math.log(count) + max(0.0, -sigma) * log_q)
-    classes = _tabulated_classes(D, shift)
+# The moment path is taken where its estimate is below 1/_SWITCH_GAIN of
+# the per-class one.  The margin is not a measured crossover (the moment
+# path is faster from about phi = 24-36 on): it keeps every |D| <= 40, the
+# paper's own sweep, on the per-class path and so keeps those values.
+_SWITCH_GAIN = 1.5
+
+
+def _moment_head(s: complex) -> int:
+    # The head M at which the growth of the moment series, about
+    # exp(|s| / (2M + 1)), is within 2^8 (moments.GROWTH_BOUND).
+    return max(1, round(abs(s) / 11.0))
+
+
+def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int] | None:
+    """(M, J) for the moment path at s, or None where its estimated cost
+    does not gain _SWITCH_GAIN over the per-class path for count =
+    phi(|D|) classes, or no head shorter than a class's sum meets the
+    bounds."""
+    class_cost = count * (shift + 12) * _COST_TERM
+    jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
+    moment_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
+    if _SWITCH_GAIN * moment_cost >= class_cost:
+        return None
+    from . import moments
+
+    return moments.head_and_order(s, shift + 12)
+
+
+def _class_sum(s: complex, classes: list, shift: int) -> tuple[list, list]:
+    # The real and imaginary parts of q^s L(s, chi), one Hurwitz sum per class.
     neg_s = -s
     one_minus_s = 1.0 - s
     weights = _em_weights(s)
@@ -519,5 +538,88 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         t = reg + pole
         re_parts.append(c * t.real)
         im_parts.append(c * t.imag)
+    return re_parts, im_parts
+
+
+def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
+    """L(s, chi_D) = |D|^-s * sum_r chi(r) zeta_H(s, r/|D|), continued.
+
+    Entire for D != 1; the principal case D = 1 degenerates to the
+    Riemann zeta and keeps its PoleError near s = 1.  Write q = |D|,
+    a_r = r/q and N = max(20, ceil|s|).  One of two paths evaluates it:
+
+    * Per class: one Euler-Maclaurin Hurwitz sum of N terms for each of
+      the phi(q) classes r coprime to q, their pole terms x^(1-s)/(s-1)
+      recombined through (x^(1-s) - 1)/(s-1), which is regular at s = 1
+      because the chi values sum to zero over a period.
+    * By moments (Arb's acb_dirichlet_hurwitz_precomp, arXiv:1309.2877):
+      with x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
+        q^s L = sum_r chi(r) sum_{n<M} (a_r + n)^-s
+                + sum_{j<=J} (-1)^j (s)_j/j! zeta_H(s + j, x) mu_j.
+      mu_j vanishes unless (-1)^j = chi(-1), and the jets zeta_H(s + j, x)
+      come from one Euler-Maclaurin pass of N terms, each pole term
+      folded into (-1)^j (s)_{j-1}/j! X^(1-s-j) so that s = 1 - j stays
+      regular.  With |mu_j| <= phi(q) 2^-j and
+      |zeta_H(s + j, x)| <= x^-(sigma+j) + x^(1-sigma-j)/(sigma+j-1),
+      the j-th term is at most phi(q) x^-sigma t_j, where
+      t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j), and for j >= 1 - sigma
+      the terms after j fall at least by max(|s| + j + 1, j + 2) /
+      (2x (j + 2)) each.  J is the first j >= 1 - sigma at which that
+      tail bound is below 2^-56 (moments.TAIL_BOUND), and M the smallest head
+      at which the growth sum_{j<=J} t_j, which bounds the cancellation
+      among the terms, is at most 2^8 (moments.GROWTH_BOUND).
+
+    The moment path is taken where an estimate of its cost, phi(q) M
+    head terms with M about |s|/11 plus max(38, 1 - sigma)/2 jets of N
+    terms, is below 2/3 of the per-class phi(q) (N + 12) terms, and a
+    head M <= N + 12 meets the growth bound.  The margin of 3/2 is not a
+    measured crossover: it keeps every |D| <= 40, the paper's own sweep,
+    on the per-class path at every s, so those values do not move.  On
+    0 < Re s < 1, |Im s| <= 50 the moment path is taken for every
+    phi(q) >= 57 and for none below 47.  Values are a pure function of (s, D) whatever the cache
+    holds.  Only work that depends on s is done per call: the classes,
+    their logs log(a_r + n) and the exact moments are kept per modulus
+    (see MAX_TABLE_ENTRIES), plus about 200 bytes per class for the
+    class records.  Raises DomainError, before any work, when |s|
+    exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
+    or a term, |D|^-s times the sum included, could pass
+    exp(MAX_LOG_TERM).
+    """
+    s = _as_complex(s)
+    D = chi.modulus
+    if D == 1:
+        return riemann_zeta(s)
+    q = abs(D)
+    shift = _em_shift_count(s)
+    count = _totient(q)
+    # Both paths meet the part (1/q)^-s and a pole term x^(1-s) with
+    # x >= 1 + N; the phi(q) parts are summed and the sum is scaled by
+    # q^-s.  Checked before the plan, so that a point far left of the
+    # strip is refused before any search for M and J.
+    sigma, log_q, log_x = s.real, math.log(q), math.log(1.0 + shift)
+    spread = math.log(count) + max(0.0, -sigma) * log_q
+    _require_log_term(s, max(sigma * log_q, (1.0 - sigma) * log_x) + spread)
+    plan = _moment_plan(s, count, shift)
+    need = count * (shift + 1) if plan is None else count * (plan[0] + 1) + plan[1] + 1
+    if need > MAX_TABLE_ENTRIES:
+        what = "phi(|D|) * (N + 1)" if plan is None else "phi(|D|) * (M + 1) + J + 1"
+        raise DomainError(
+            f"dirichlet_l: {what} = {need} exceeds MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} "
+            f"(D = {D}, N = {shift}, plan = {plan})"
+        )
+    if plan is None:
+        # inside _phi_expm1_ratio a class also meets x^((s-1)/2)
+        _require_log_term(s, 0.5 * (sigma - 1.0) * log_x + spread)
+        re_parts, im_parts = _class_sum(s, _cached_table(_ClassTable, D, need, shift).classes, shift)
+    else:
+        # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
+        # (the head) and X^(1-s) (the jets, X = M + 1/2 + N).
+        from . import moments
+
+        head, order = plan
+        largest = max(sigma * log_q, (1.0 - sigma) * math.log(head + 0.5 + shift))
+        _require_log_term(s, largest + math.log(moments.GROWTH_BOUND) + spread)
+        table = _cached_table(moments.MomentTable, D, need, head, order)
+        re_parts, im_parts = moments.moment_sum(s, table, head, order, shift)
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
     return cmath.exp(-s * math.log(q)) * total

@@ -1,0 +1,187 @@
+"""The moment path of dirichlet_l, for large moduli.
+
+With q = |D|, a_r = r/q, x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
+
+    q^s L(s, chi) = sum_r chi(r) sum_{n<M} (a_r + n)^-s
+                    + sum_{j<=J} (-1)^j (s)_j/j! zeta_H(s + j, x) mu_j,
+
+the Taylor expansion of each zeta_H(s, a_r + M) about x (Arb's
+acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
+M and J are stated in kernel.dirichlet_l.  kernel imports this module
+only when a call takes this path, so a process that never evaluates a
+large modulus does not compile it.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import sys
+from array import array
+from operator import mul, neg
+
+from .kernel import _EM_COEF, _IMAG, _REAL, _em_weights, _moment_head, kronecker_chi
+
+# The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
+TAIL_BOUND = 2.0**-56
+GROWTH_BOUND = 2.0**8
+
+
+class MomentTable:
+    """The s-independent data of the moment path for one modulus q = |D|.
+
+    plus and minus hold r/q for the classes with chi(r) = +1 and -1, and
+    heads[0], heads[1] the logs log(r/q + n) of each, for n < rows, one
+    block of classes per n.  moments[j] = mu_j = sum_r chi(r) (r/q - 1/2)^j
+    for j < len(moments), each the exact integer sum
+    2 sum_{r<q/2} chi(r) (2r - q)^j divided by (2q)^j, rounded once; it is
+    0 for j of the other parity than chi(-1) = (-1)^j.
+    """
+
+    __slots__ = ("modulus", "count", "plus", "minus", "heads", "rows", "moments")
+
+    def __init__(self, D: int) -> None:
+        q = abs(D)
+        self.modulus = D
+        chis = [(r, kronecker_chi(D, r)) for r in range(1, q) if math.gcd(r, q) == 1]
+        self.count = len(chis)
+        self.plus = [r / q for r, c in chis if c > 0]
+        self.minus = [r / q for r, c in chis if c < 0]
+        self.heads = (array("d"), array("d"))
+        self.rows = 0
+        self.moments: list[float] = []
+
+    def size(self, rows: int = 0, order: int = -1) -> int:
+        # doubles held (r/q, logs, moments), after growing to rows and order
+        return self.count * (max(self.rows, rows) + 1) + max(len(self.moments), order + 1)
+
+    def grow(self, rows: int, order: int) -> None:
+        for logs, tops in zip(self.heads, (self.plus, self.minus)):
+            for n in range(self.rows, rows):
+                logs.extend([math.log(a + n) for a in tops])
+        self.rows = max(self.rows, rows)
+        if len(self.moments) <= order:
+            self.moments = _exact_moments(self.modulus, order)
+
+
+def _exact_moments(D: int, order: int) -> list[float]:
+    # mu_j for j = 0..order.  chi(q - r) = chi(-1) chi(r) pairs r with q - r,
+    # so only r < q/2 and j with (-1)^j = chi(-1) are summed.
+    q = abs(D)
+    half = [(r, kronecker_chi(D, r)) for r in range(1, (q + 1) // 2) if math.gcd(r, q) == 1]
+    first = 1 if D < 0 else 0
+    powers = [c * (2 * r - q) ** first for r, c in half]
+    squares = [(2 * r - q) ** 2 for r, _ in half]
+    moments = [0.0] * (order + 1)
+    for j in range(first, order + 1, 2):
+        moments[j] = 2 * sum(powers) / (2 * q) ** j
+        powers = list(map(mul, powers, squares))
+    return moments
+
+
+def _order(s: complex, x: float) -> tuple[int, float]:
+    # The order J and growth G of the Taylor series at x = M + 1/2: the
+    # smallest J >= 1 - sigma after which the tail bound falls below
+    # TAIL_BOUND, and G = sum_{j<=J} t_j, where
+    # t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j).  G is inf where the
+    # terms leave binary64 first: a sum overflows, or 1/(j! (2x)^j) drops
+    # below the normal range, which at x >= 3/2 it does by j = 140.
+    size = abs(s)
+    lowest = max(1, math.ceil(1.0 - s.real))
+    poch_prev, poch = 1.0, size  # |(s)_{j-1}|, |(s)_j| at j = 1
+    scale = 1.0 / (2.0 * x)  # 1 / (j! (2x)^j) at j = 1
+    growth = 0.0
+    j = 1
+    while True:
+        growth += (poch + x * poch_prev) * scale
+        poch_prev, poch = poch, poch * abs(s + j)
+        scale /= 2.0 * x * (j + 1)
+        if not growth < math.inf or scale < sys.float_info.min:
+            return j, math.inf
+        if j >= lowest:
+            # the terms after j fall at least by ratio each
+            ratio = max(size + j + 1, j + 2) / (2.0 * x * (j + 2))
+            if ratio < 1.0 and (poch + x * poch_prev) * scale <= TAIL_BOUND * (1.0 - ratio):
+                return j, growth
+        j += 1
+
+
+def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
+    """(M, J): the smallest head M whose growth is within GROWTH_BOUND,
+    and the order J that the tail bound asks for at x = M + 1/2; None
+    where no M <= limit meets the bound."""
+    head = _moment_head(s)
+    while head > 1 and _order(s, head - 0.5)[1] <= GROWTH_BOUND:
+        head -= 1
+    order, growth = _order(s, head + 0.5)
+    while growth > GROWTH_BOUND:
+        head += 1
+        if head > limit:
+            return None
+        order, growth = _order(s, head + 0.5)
+    return head, order
+
+
+def _real_power(p: float, z: complex) -> complex:
+    # p^z for p > 0 with the modulus p^Re(z) from pow, whose error does not
+    # grow with |Re z| log p as that of exp(z log p) does
+    return p ** z.real * cmath.exp(complex(0.0, z.imag * math.log(p)))
+
+
+def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int) -> tuple[list, list]:
+    """The real and imaginary parts of q^s L(s, chi), to be summed.
+
+    They are the head sum_c chi_c sum_{n<head} (a_c + n)^-s, and for each
+    j <= order of the parity of chi(-1) = (-1)^j the Taylor term
+      (-1)^j mu_j [(s)_j/j! R_j + (s)_{j-1}/j! X^(1-s-j)],
+    where R_j is zeta_H(s + j, x), x = head + 1/2, less its pole term
+    X^(1-s-j)/(s+j-1), by Euler-Maclaurin with X = x + shift.
+    """
+    neg_s = -s
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    for logs, tops, sign in zip(table.heads, (table.plus, table.minus), (1.0, -1.0)):
+        terms = list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
+        if sign > 0:
+            re_parts += map(_REAL, terms)
+            im_parts += map(_IMAG, terms)
+        else:
+            re_parts += map(neg, map(_REAL, terms))
+            im_parts += map(neg, map(_IMAG, terms))
+    if s.imag == 0.0 and s.real.is_integer() and -2 * len(_EM_COEF) <= s.real <= 0.0:
+        # At s = -n every jet that counts has s + j = -m with m < 2K, where
+        # Euler-Maclaurin with K terms is exact at any shift: take none, so
+        # its sums stay as small as the values they add up to.
+        shift = 0
+    x = head + 0.5
+    big_x = x + shift
+    points = [x + n for n in range(shift)]
+    powers_s = [_real_power(p, neg_s) for p in points]
+    inv = [1.0 / p for p in points]
+    inv2 = list(map(mul, inv, inv))
+    x_s = _real_power(big_x, neg_s)
+    inv_x2 = 1.0 / (big_x * big_x)
+    odd = table.modulus < 0
+    sign = -1.0 if odd else 1.0
+    first = 1 if odd else 2
+    scaled = inv if odd else inv2
+    coef = complex(1.0) if odd else s  # (s)_{j-1} / (j-1)! at j = first
+    moments = table.moments
+    for j in range(first, order + 1, 2):
+        pole_coef = coef / j  # (s)_{j-1} / j!
+        coef *= (s + (j - 1)) / j  # (s)_j / j!
+        mu = sign * moments[j]
+        terms = list(map(mul, powers_s, scaled))
+        regular = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+        x_sj = x_s * big_x**-j
+        em = 0.5
+        xp = 1.0 / big_x
+        for w in _em_weights(s + j):
+            em += w * xp
+            xp *= inv_x2
+        part = mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj)
+        re_parts.append(part.real)
+        im_parts.append(part.imag)
+        scaled = list(map(mul, scaled, inv2))
+        coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!
+    return re_parts, im_parts

@@ -100,6 +100,39 @@ def hurwitz_at_negative_integer(n: int, a: Fraction) -> Fraction:
     return -bernoulli_poly(n + 1, Fraction(a)) / (n + 1)
 
 
+def euler_kronecker(D: int, n: int) -> int:
+    """(D/n) for a fundamental discriminant D and n >= 1, multiplied out
+    over n's prime factors with Euler's criterion at each odd prime."""
+    out = 1
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            if D % p == 0:
+                return 0
+            if p == 2:
+                out *= 1 if D % 8 == 1 else -1
+            else:
+                out *= 1 if pow(D % p, (p - 1) // 2, p) == 1 else -1
+            n //= p
+        p += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def generalized_bernoulli(n: int, D: int) -> Fraction:
+    """B_{n,chi_D} = f^(n-1) sum_{a=1..f} chi_D(a) B_n(a/f), f = |D| > 1."""
+    f = abs(D)
+    acc = sum(euler_kronecker(D, a) * bernoulli_poly(n, Fraction(a, f)) for a in range(1, f + 1))
+    return f ** (n - 1) * acc
+
+
+def l_at_negative(n: int, D: int) -> Fraction:
+    """L(-n, chi_D) = -B_{n+1,chi}/(n+1), n >= 0, exact."""
+    return -generalized_bernoulli(n + 1, D) / (n + 1)
+
+
 # ---------------------------------------------------------------------------
 # Gamma by quadrature
 # ---------------------------------------------------------------------------

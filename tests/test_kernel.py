@@ -8,6 +8,7 @@ quadrature, brute-force residue symbols).
 import cmath
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from globalzeta import (
     log_gamma,
     riemann_zeta,
 )
-from globalzeta import kernel
+from globalzeta import kernel, moments
 from globalzeta.kernel import hurwitz_shift_gap
 
 import oracles
@@ -293,27 +294,182 @@ class TestDirichletL:
         assert abs(dirichlet_l(-1, chi)) < 1e-12
 
     def test_table_reuse_matches_fresh_tables(self, monkeypatch):
-        # One slot holds the last modulus's classes and log table: grow it
-        # for A, replace it by B, rebuild A at a smaller shift.  Every value
-        # must equal one computed from a freshly built table.
+        # The cache holds several moduli: grow A's tables, add B, go back
+        # to A.  Every value must equal one computed from fresh tables.
+        # Under a limit that holds A's largest tables alone, adding B
+        # evicts A and frees its arrays; A then comes back beside B.
         a, b = KroneckerCharacter(-1299), KroneckerCharacter(1001)
         steps = ((a, 0.5 + 3j), (a, 0.5 + 45j), (b, 0.3 + 7j), (a, 0.5 + 3j))
-        depths = (20, 46, 20, 20)
-        monkeypatch.setattr(kernel, "_table", None)
-        reused = []
-        for (chi, s), depth in zip(steps, depths):
-            reused.append(dirichlet_l(s, chi))
-            assert (kernel._table.modulus, kernel._table.depth) == (chi.modulus, depth)
-            if chi is a:
-                a_logs = weakref.ref(kernel._table.classes[0][2])
-            else:
-                # B's table replaced A's: A's arrays are freed
-                assert a_logs() is None
+        monkeypatch.setattr(kernel, "_tables", {})
         fresh = []
         for chi, s in steps:
-            monkeypatch.setattr(kernel, "_table", None)
+            kernel._tables.clear()
             fresh.append(dirichlet_l(s, chi))
+            assert len(kernel._tables) == 1
+        kernel._tables.clear()
+        reused = [dirichlet_l(s, chi) for chi, s in steps[:2]]
+        (key_a, table_a), = kernel._tables.items()
+        assert key_a == (moments.MomentTable, a.modulus)
+        monkeypatch.setattr(kernel, "MAX_TABLE_ENTRIES", table_a.size())
+        a_heads = weakref.ref(table_a.heads[0])
+        del table_a
+        reused.append(dirichlet_l(steps[2][1], b))
+        assert list(kernel._tables) == [(moments.MomentTable, b.modulus)]
+        assert a_heads() is None
+        reused.append(dirichlet_l(steps[3][1], a))
+        assert list(kernel._tables) == [(moments.MomentTable, m) for m in (b.modulus, a.modulus)]
         assert reused == fresh
+
+    def test_class_path_table_grows_with_shift(self, monkeypatch):
+        # the per-class table of a small modulus keeps log(a + n) for n up
+        # to the largest shift count N it has needed
+        chi = KroneckerCharacter(-7)
+        monkeypatch.setattr(kernel, "_tables", {})
+        for s, depth in ((0.5 + 3j, 20), (0.5 + 45j, 46), (0.5 + 3j, 46)):
+            dirichlet_l(s, chi)
+            (key, table), = kernel._tables.items()
+            assert key == (kernel._ClassTable, -7) and table.depth == depth
+
+    # float.hex of dirichlet_l at the commit before the moment path existed;
+    # these moduli stay on the per-class path, whose values must not move
+    PINNED_POINTS = (0.1 + 0j, 0.5 + 14j, 0.9 + 33j, 0.3 - 48j, 2.5 + 7j)
+    PINNED = {
+        -3: (
+            ("0x1.754ebed895bbep-2", "0x0.0p+0"),
+            ("0x1.6241b6d82c0a6p+1", "-0x1.33902d60011bdp+0"),
+            ("0x1.4f631d2970818p+0", "-0x1.35bf4364705bfp+0"),
+            ("-0x1.8836c373dc134p+0", "-0x1.c1531471d6037p+0"),
+            ("0x1.e3df900b29c12p-1", "-0x1.7c0a16a601d22p-3"),
+        ),
+        -7: (
+            ("0x1.0aa799d3a3812p+0", "0x0.0p+0"),
+            ("0x1.f82db0adb799fp+0", "-0x1.cff355328d950p-4"),
+            ("0x1.abc4243acb38ap-1", "0x1.9e38874f1d438p-3"),
+            ("0x1.a28411fbf7d0cp+1", "-0x1.e1befa79b957ap+0"),
+            ("0x1.ed852780fd6c8p-1", "0x1.c467cf1661944p-3"),
+        ),
+        13: (
+            ("0x1.cbee8172fa6c8p-4", "0x0.0p+0"),
+            ("0x1.a03463ebed84fp+1", "-0x1.a04b477924628p+0"),
+            ("0x1.c9057e5c33d43p+0", "0x1.43adf49f519abp-2"),
+            ("-0x1.afffc6228fce1p+0", "-0x1.3c75d00c9f5cep-1"),
+            ("0x1.de293c97ad0f7p-1", "-0x1.dfe1292bcfd74p-3"),
+        ),
+        37: (
+            ("0x1.be9e094b4f619p-3", "0x0.0p+0"),
+            ("0x1.a6dff4491eafcp-3", "-0x1.816911c4e723ap+1"),
+            ("0x1.9f67a947d5869p+0", "-0x1.5fb9786799139p-1"),
+            ("-0x1.02a9dc0ab732fp+1", "0x1.6a111a1335bf6p-2"),
+            ("0x1.df0d6d91b43bap-1", "-0x1.f3cf5c333304cp-3"),
+        ),
+        -40: (
+            ("0x1.cfad978329bfbp+0", "0x0.0p+0"),
+            ("0x1.5b5b64982a410p+1", "0x1.ba37a9e444bf5p-1"),
+            ("0x1.0092a55fb7c6ep-1", "-0x1.6a7b6498ceef8p-2"),
+            ("0x1.323c9069d7959p+0", "0x1.d3f667c60cf10p+1"),
+            ("0x1.fa2a07f069b23p-1", "0x1.dcb1e77d95408p-5"),
+        ),
+    }
+
+    @pytest.mark.parametrize("D", sorted(PINNED))
+    def test_class_path_values_pinned(self, D):
+        chi = KroneckerCharacter(D)
+        for s, expected in zip(self.PINNED_POINTS, self.PINNED[D]):
+            assert plan_of(s, D) is None
+            value = dirichlet_l(s, chi)
+            assert (value.real.hex(), value.imag.hex()) == expected
+
+    def test_small_moduli_keep_class_path(self):
+        # every field of the paper's own sweep (|D| <= 40) on its strip
+        small = [D for D in range(-40, 41) if D != 1 and is_fundamental_discriminant(D)]
+        for D in small:
+            for s in (0.1 + 0j, 0.5 + 14j, 0.9 + 50j, -0.9 + 50j, 2.5 + 60j):
+                assert plan_of(s, D) is None, (D, s)
+
+    def test_large_modulus_takes_moment_path(self):
+        head, order = plan_of(0.5 + 30j, -2351)
+        assert 1 <= head <= 5 and order < 80
+
+    def test_cache_state_does_not_change_values(self, monkeypatch):
+        # a rotation of three moduli (moment, moment, per-class), twice,
+        # against a fresh cache before every call
+        steps = [
+            (KroneckerCharacter(D), s)
+            for D, s in ((-2351, 0.5 + 30j), (997, 0.1 + 48j), (-7, 0.9 + 3j))
+            * 2
+            for s in (s, s.conjugate() + 0.25)
+        ]
+        monkeypatch.setattr(kernel, "_tables", {})
+        warm = [dirichlet_l(s, chi) for chi, s in steps]
+        fresh = []
+        for chi, s in steps:
+            kernel._tables.clear()
+            fresh.append(dirichlet_l(s, chi))
+        assert [(v.real.hex(), v.imag.hex()) for v in warm] == [
+            (v.real.hex(), v.imag.hex()) for v in fresh
+        ]
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # Four threads evaluate a rotation of moduli under a limit too
+        # small for all their tables, with a short switch interval, so
+        # tables are grown, dropped and rebuilt under each other's calls.
+        # Every value must equal the one computed alone.
+        import sys
+        import threading
+
+        steps = [
+            (KroneckerCharacter(D), s)
+            for D, s in ((-1299, 0.5 + 30j), (1001, 0.1 + 8j), (-7, 0.9 + 3j), (-163, 0.5 + 45j))
+        ]
+        monkeypatch.setattr(kernel, "_tables", {})
+        alone = [dirichlet_l(s, chi) for chi, s in steps]
+        monkeypatch.setattr(kernel, "MAX_TABLE_ENTRIES", 4000)
+        kernel._tables.clear()
+        results, errors = [], []
+
+        def worker(offset):
+            try:
+                for k in range(12):
+                    i = (offset + k) % len(steps)
+                    chi, s = steps[i]
+                    results.append((i, dirichlet_l(s, chi)))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(results) == 48
+        assert all(value == alone[i] for i, value in results)
+        assert sum(t.size() for t in kernel._tables.values()) <= 4000
+
+    def test_moment_path_regular_at_one_minus_j(self):
+        # s = -n = 1 - j meets the pole of zeta_H(s + j, x): the folded pole
+        # term keeps that jet finite.  Where L(-n, chi) does not vanish it
+        # matches the exact rational (tests/test_oracle_grid.py holds the
+        # error to the reference kernel's).
+        for D in (-2351, 997):
+            chi = KroneckerCharacter(D)
+            for n in range(6):
+                assert plan_of(-n, D) is not None
+                value = dirichlet_l(-n, chi)
+                assert math.isfinite(value.real) and value.imag == 0.0
+                if (n % 2 == 0) == (D < 0):
+                    exact = float(oracles.l_at_negative(n, D))
+                    assert abs(value.real - exact) <= 1e-6 * abs(exact)
+
+
+def plan_of(s, D):
+    s = complex(s)
+    return kernel._moment_plan(s, kernel._totient(abs(D)), kernel._em_shift_count(s))
 
 
 class TestCostLimits:
@@ -331,15 +487,43 @@ class TestCostLimits:
             with pytest.raises(DomainError, match="MAX_ABS_S"):
                 evaluate()
 
-    def test_table_size_limit(self):
-        before = kernel._table
-        # phi(12487) * (20 + 1) = 262206 and phi(164) * (3276 + 1) = 262160,
-        # both just over MAX_TABLE_ENTRIES = 2**18 = 262144
+    def test_table_size_limit(self, monkeypatch):
+        # Just over MAX_TABLE_ENTRIES = 2**18 = 262144 on each path.  A
+        # per-class table holds phi(|D|) * (N + 1) entries: 28 * 9363 =
+        # 262164 for D = 29 at |s| just under N = 9362.  A moment table
+        # holds phi(|D|) * (M + 1) + J + 1: 131058 * 2 + 39 + 1 = 262156
+        # for D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
+        # D = -12487 at s = 0.5 + 213i.
         assert kernel.MAX_TABLE_ENTRIES == 2**18
-        for D, s in ((-12487, 2.0), (-164, 3275.5)):
-            with pytest.raises(DomainError, match="MAX_TABLE_ENTRIES"):
+        monkeypatch.setattr(kernel, "_tables", {})
+        cases = (
+            (29, 0.5 + 9361.9j, None, 262164),
+            (-131059, 2.0, (1, 39), 262156),
+            (-12487, 0.5 + 213j, (20, 37), 262244),
+        )
+        for D, s, plan, need in cases:
+            assert plan_of(s, D) == plan
+            count = kernel._totient(abs(D))
+            if plan is None:
+                assert count * (kernel._em_shift_count(complex(s)) + 1) == need
+            else:
+                assert count * (plan[0] + 1) + plan[1] + 1 == need
+            what = "phi(|D|) * (N + 1)" if plan is None else "phi(|D|) * (M + 1) + J + 1"
+            with pytest.raises(DomainError, match=re.escape(f"{what} = {need} exceeds MAX_TABLE_ENTRIES")):
                 dirichlet_l(s, KroneckerCharacter(D))
-        assert kernel._table is before
+        assert kernel._tables == {}
+
+    def test_far_left_refused_before_planning(self):
+        # At Re s = -300 every term of the moment series past 1 - Re s
+        # leaves binary64, whatever the head: the search for M and J gives
+        # up instead of looping, and dirichlet_l refuses such points by
+        # MAX_LOG_TERM before it plans at all.
+        assert moments._order(complex(-300.0), 1.5)[1] == math.inf
+        assert moments.head_and_order(complex(-300.0), 312) is None
+        chi = KroneckerCharacter(-2351)
+        for s in (-300.0, complex(-75.5, 9990.0)):
+            with pytest.raises(DomainError, match="MAX_LOG_TERM"):
+                dirichlet_l(s, chi)
 
     def test_log_term_limit(self):
         # Each evaluator at the edge of MAX_LOG_TERM: finite just inside,
@@ -347,16 +531,20 @@ class TestCostLimits:
         # pole term x^(1-s) at x = 1 + 142 (Riemann zeta) and x = 2 + 142
         # (second sum of the shift gap); a^-s at a = 1e-6; for D = -4,
         # (1 + 115)^(1-s) * 4^-s * phi(4), with phi(4) = 2; for D = -3, the
-        # pole ratio's (1 + 256)^((s-1)/2) * phi(3), with phi(3) = 2.
+        # pole ratio's (1 + 256)^((s-1)/2) * phi(3), with phi(3) = 2; for
+        # D = -2351, on the moment path, 2351^s * phi(2351) * GROWTH_BOUND.
         top = kernel.MAX_LOG_TERM
         assert 707 < top < math.log(1.8e308)
-        chi4, chi3 = KroneckerCharacter(-4), KroneckerCharacter(-3)
+        chi4, chi3, chi2351 = KroneckerCharacter(-4), KroneckerCharacter(-3), KroneckerCharacter(-2351)
+        moment_edge = (top - math.log(2350.0 * moments.GROWTH_BOUND)) / math.log(2351.0)
+        assert plan_of(moment_edge, -2351) is not None
         edges = (
             (riemann_zeta, 1.0 - top / math.log(143.0), -1),
             (lambda s: hurwitz_shift_gap(s, 1.0), 1.0 - top / math.log(144.0), -1),
             (lambda s: hurwitz_zeta(s, 1e-6), top / math.log(1e6), 1),
             (lambda s: dirichlet_l(s, chi4), 1.0 - (top + math.log(2.0)) / math.log(4.0 * 116.0), -1),
             (lambda s: dirichlet_l(s, chi3), 1.0 + 2.0 * (top - math.log(2.0)) / math.log(257.0), 1),
+            (lambda s: dirichlet_l(s, chi2351), moment_edge, 1),
         )
         for evaluate, edge, outward in edges:
             inside = evaluate(edge - outward * 1e-9)

@@ -1,0 +1,67 @@
+"""The oracle grid: L(s, chi_D) against independent oracle values.
+
+tests/oracle_grid.json holds each point's oracle value and the relative
+error a reference kernel made there (see make_oracle_grid.py, which
+wrote it).  The kernel must stay within max(reference error, kappa),
+kappa = 2^-50 (1 + |s| log|D|) being the relative error that rounding
+log|D| alone puts into |D|^-s.
+"""
+
+import json
+import math
+import os
+from functools import lru_cache
+
+import pytest
+
+from globalzeta import KroneckerCharacter, dirichlet_l
+from globalzeta import kernel
+
+with open(os.path.join(os.path.dirname(__file__), "oracle_grid.json")) as fh:
+    POINTS = json.load(fh)["points"]
+
+KINDS = ("l1", "negint", "strip")
+
+
+def kappa(s: complex, D: int) -> float:
+    return 2.0**-50 * (1.0 + abs(s) * math.log(abs(D)))
+
+
+@lru_cache(maxsize=None)
+def evaluated(kind: str) -> list:
+    # (point, s, D, relative error, taken by the moment path) per point
+    out = []
+    for point in POINTS:
+        if point["kind"] == kind:
+            s, D = complex(*point["s"]), point["D"]
+            value = complex(*point["value"])
+            error = abs(dirichlet_l(s, KroneckerCharacter(D)) - value) / abs(value)
+            plan = kernel._moment_plan(s, kernel._totient(abs(D)), kernel._em_shift_count(s))
+            out.append((point, s, D, error, plan is not None))
+    return out
+
+
+def test_grid_covers_each_kind():
+    counts = {kind: sum(p["kind"] == kind for p in POINTS) for kind in KINDS}
+    assert counts["l1"] >= 300 and counts["negint"] >= 900 and counts["strip"] >= 200
+    assert min(p["D"] for p in POINTS) <= -3999 and max(p["D"] for p in POINTS) >= 3997
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_worse_than_reference(kind):
+    worse = [
+        (D, s, error, point["reference_error"])
+        for point, s, D, error, _ in evaluated(kind)
+        if not error <= max(point["reference_error"], kappa(s, D))
+    ]
+    assert worse == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_moment_path_meets_documented_accuracy(kind):
+    # the kernel's 1e-12 relative claim on Re s >= 0, |s| <= 50 at every
+    # grid point that the moment path evaluates, and finite values elsewhere
+    moment = [(s, D, error) for _, s, D, error, on_moment in evaluated(kind) if on_moment]
+    assert len(moment) >= 200
+    assert all(math.isfinite(error) for _, _, error in moment)
+    assert [(D, s, e) for s, D, e in moment if s.real >= 0 and abs(s) <= 50 and e > 1e-12] == []
