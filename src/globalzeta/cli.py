@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, PoleError, SymmetryError
 from .fields import (
@@ -22,16 +24,9 @@ from .fields import (
     field_spec_string,
     parse_field_spec,
 )
-from .verify import (
-    FunctionalEquationReport,
-    GridSpec,
-    SweepSummary,
-    check_point,
-    euler_consistency_check,
-    summarize_reports,
-    sweep,
-)
-from .zeta import completed_zeta
+
+if TYPE_CHECKING:  # the commands that evaluate import verify and zeta themselves
+    from .verify import FunctionalEquationReport, GridSpec, SweepSummary
 
 ENV_FORMAT = "GLOBALZETA_FORMAT"
 
@@ -174,6 +169,8 @@ def _parse_s(text: str) -> complex:
 
 
 def _parse_grid(text: str) -> GridSpec:
+    from .verify import GridSpec
+
     chunks = text.split(",")
     if len(chunks) != 2:
         raise DomainError(f"bad --grid value {text!r}; expected re_min:re_max:steps,im_min:im_max:steps")
@@ -190,18 +187,20 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(re_min, re_max, re_steps, im_min, im_max, im_steps)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; --format defaults to None, read as
+    # GLOBALZETA_FORMAT when each invocation is dispatched.
     parser = argparse.ArgumentParser(
         prog="globalzeta",
         description="Completed zeta functions of global fields and their functional equation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_fmt = os.environ.get(ENV_FORMAT, "json")
 
     def common(p, with_format=True):
         p.add_argument("--field", required=True, help='field spec, e.g. "Q", "Q(sqrt=-1)", "Fq(T)?q=5", "curve?q=5&L=1,3,5"')
         if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
+            p.add_argument("--format", choices=("json", "csv"))
             p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("eval", help="evaluate zeta, Gamma factor and completed value at s")
@@ -244,33 +243,42 @@ def _dispatch(args) -> tuple[int, str]:
         return 0, _covolume_text(covolume(field))
     spec = field_spec_string(field)
     head = (("field", spec),)
+    fmt = args.format or os.environ.get(ENV_FORMAT, "json")
     if args.command == "eval":
+        from .zeta import completed_zeta
+
         rec = completed_zeta(field, _parse_s(args.s))
         row = (
             *_parts(rec.s), *_parts(rec.zeta_value), *_parts(rec.gamma_factor_value),
             *_parts(rec.completed_value), rec.pole_distance, rec.precision_cliff,
         )
-        return 0, _render(args.format, EVAL_COLUMNS, [row], head)
+        return 0, _render(fmt, EVAL_COLUMNS, [row], head)
     if args.command == "check":
+        from .verify import check_point, summarize_reports
+
         s = _parse_s(args.s)
         reports = [check_point(field, s, args.tol)]
         summary = summarize_reports(spec, f"point[{_fmt(s.real)}:{_fmt(s.imag)}]", reports)
-        return int(summary.count_failed > 0), render_report(reports, summary, args.format)
+        return int(summary.count_failed > 0), render_report(reports, summary, fmt)
     if args.command == "sweep":
+        from .verify import sweep
+
         reports, summary = sweep(field, _parse_grid(args.grid), args.tol)
-        return int(summary.count_failed > 0), render_report(reports, summary, args.format)
+        return int(summary.count_failed > 0), render_report(reports, summary, fmt)
     if args.command == "places":
         places = enumerate_places(field, args.bound)
         head += (("norm_bound", args.bound),)
-        return 0, _render(args.format, PLACE_COLUMNS, places, head, "places", (("count", len(places)),))
+        return 0, _render(fmt, PLACE_COLUMNS, places, head, "places", (("count", len(places)),))
     if args.command == "euler-check":
+        from .verify import euler_consistency_check
+
         s = _parse_s(args.s)
         rec = euler_consistency_check(field, s, args.bound)
         row = (
             *_parts(s), args.bound, *_parts(rec.closed_form), *_parts(rec.truncated),
             rec.gap, rec.tail_bound, rec.passed,
         )
-        return int(not rec.passed), _render(args.format, EULER_COLUMNS, [row], head)
+        return int(not rec.passed), _render(fmt, EULER_COLUMNS, [row], head)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -44,7 +44,7 @@ from itertools import compress, product
 from typing import NamedTuple
 
 from .errors import DomainError
-from .kernel import _factorization
+from .arith import _factorization
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import ffield
 from .errors import DomainError, SymmetryError, WeilBoundWarning
-from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
+from .arith import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d

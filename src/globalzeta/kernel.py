@@ -1,9 +1,12 @@
 """Complex special-function kernel.
 
 Everything the zeta machinery needs at arbitrary complex argument:
-a continuous branch of log Gamma, the analytically continued Hurwitz
-zeta (the engine behind both the Riemann zeta and the Dirichlet L
-functions used here), and real Kronecker characters chi_D.
+a continuous branch of log Gamma and the analytically continued Hurwitz
+zeta, the engine behind both the Riemann zeta and the Dirichlet L
+functions L(s, chi_D).  The characters chi_D and the integer arithmetic
+they need live in globalzeta.arith, which builds fields without this
+module; kernel re-imports those names, so kernel.KroneckerCharacter,
+kernel._totient and the like still resolve.
 
 All functions work on binary64 complex numbers.  The algorithmic error
 budget is 1e-12 relative on |s| <= 50 with Re s >= 0; summation is done
@@ -38,12 +41,19 @@ import threading
 from array import array
 from itertools import islice
 from operator import attrgetter
-from typing import NamedTuple
 
+from .arith import (  # noqa: F401 -- re-exported, as kernel.X, for moments and tests
+    MAX_FACTOR_INPUT,
+    POLE_EXCLUSION_RADIUS,
+    KroneckerCharacter,
+    _as_complex,
+    _factorization,
+    _is_squarefree,
+    _totient,
+    is_fundamental_discriminant,
+    kronecker_chi,
+)
 from .errors import DomainError, PoleError
-
-#: Radius around a pole inside which evaluation raises PoleError.
-POLE_EXCLUSION_RADIUS = 1e-3
 
 #: Largest |s| the Hurwitz, Riemann and Dirichlet evaluators accept.  One
 #: Euler-Maclaurin sum costs max(20, ceil|s|) complex exponentials, so
@@ -59,10 +69,6 @@ MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 #: with shift count N, phi(|D|) * (M + 1) + J + 1 for a moment table with
 #: head length M and order J.
 MAX_TABLE_ENTRIES = 2**18
-
-#: Largest |n| factored by trial division (squarefree tests, prime
-#: powers, totients): at most 10^6 divisions, about 0.1 s on one x86 core.
-MAX_FACTOR_INPUT = 10**12
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -113,17 +119,6 @@ _EM_COEF = tuple(
 
 _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
-
-# Kronecker symbol (a/2) as a function of a mod 8 (a odd).
-_CHI_TWO = (0, 1, 0, -1, 0, -1, 0, 1)
-
-
-def _as_complex(s, name: str = "s") -> complex:
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"{name} must be finite, got {s!r}")
-    return s
-
 
 # ---------------------------------------------------------------------------
 # log Gamma
@@ -308,107 +303,6 @@ def riemann_zeta(s) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker characters
-# ---------------------------------------------------------------------------
-
-def _factorization(n: int) -> list[tuple[int, int]]:
-    # (p, k) pairs with |n| = prod p^k, p ascending; [] for |n| <= 1.
-    # Trial division costs up to sqrt|n| steps, hence MAX_FACTOR_INPUT.
-    n = abs(n)
-    if n > MAX_FACTOR_INPUT:
-        raise DomainError(
-            f"|n| = {n} exceeds MAX_FACTOR_INPUT = {MAX_FACTOR_INPUT}; "
-            "trial division takes up to sqrt|n| steps"
-        )
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _is_squarefree(n: int) -> bool:
-    return n != 0 and all(k == 1 for _, k in _factorization(n))
-
-
-def is_fundamental_discriminant(D: int) -> bool:
-    """True for D = 1 and for discriminants of quadratic fields."""
-    if D == 1:
-        return True
-    if D % 4 == 1:
-        return _is_squarefree(D)
-    if D % 4 == 0:
-        d = D // 4
-        return d % 4 in (2, 3) and _is_squarefree(d)
-    return False
-
-
-def kronecker_chi(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) for n >= 1.
-
-    D is assumed to be 1 or a fundamental discriminant (the character
-    constructors validate this); the symbol itself is computed by the
-    usual reciprocity iteration with the 2-adic rule
-    (D/2) = 0, +1, -1 for D even, D = +-1, D = +-3 mod 8.
-    """
-    if n <= 0:
-        raise DomainError(f"kronecker_chi: n must be positive, got {n!r}")
-    a, b = D, n
-    k = 1
-    if b % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        v = 0
-        while b % 2 == 0:
-            b //= 2
-            v += 1
-        if v % 2:
-            k = _CHI_TWO[a % 8]
-    a %= b
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            k *= _CHI_TWO[b % 8]
-        if a % 4 == 3 and b % 4 == 3:
-            k = -k
-        a, b = b % a, a
-    return k if b == 1 else 0
-
-
-class _KroneckerCharacterFields(NamedTuple):
-    modulus: int
-
-
-class KroneckerCharacter(_KroneckerCharacterFields):
-    """The real character chi_D attached to a fundamental discriminant.
-
-    chi_D is completely multiplicative, periodic mod |D|, and vanishes
-    exactly on integers sharing a factor with D.  D = 1 gives the
-    trivial character (whose L function is the Riemann zeta).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, modulus: int):
-        if not is_fundamental_discriminant(modulus):
-            raise DomainError(
-                f"KroneckerCharacter: {modulus!r} is not 1 or a fundamental discriminant"
-            )
-        return super().__new__(cls, modulus)
-
-    def __call__(self, n: int) -> int:
-        return kronecker_chi(self.modulus, n)
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet L functions
 # ---------------------------------------------------------------------------
 
@@ -418,12 +312,6 @@ def _phi_expm1_ratio(u: complex) -> complex:
         return complex(1.0)
     half = 0.5 * u
     return cmath.exp(half) * cmath.sinh(half) / half
-
-
-def _totient(n: int) -> int:
-    for p, _ in _factorization(n):
-        n -= n // p
-    return n
 
 
 class _ClassTable:
@@ -449,6 +337,9 @@ class _ClassTable:
         # doubles held, after growing to depth
         return len(self.classes) * (max(self.depth, depth) + 1)
 
+    def covers(self, depth: int) -> bool:
+        return depth <= self.depth
+
     def grow(self, depth: int) -> None:
         if self.depth < depth:
             for _, a, logs in self.classes:
@@ -466,22 +357,25 @@ def _cached_table(kind, D: int, need: int, *grow_args):
     # kind's table of D, grown by grow_args, need <= MAX_TABLE_ENTRIES
     # being the size of a fresh one; older tables are dropped, least
     # recently used first, until everything fits.
+    key = (kind, D)
     with _table_lock:
-        table = _tables.pop((kind, D), None)
-        if table is not None and table.size(*grow_args) == table.size():
-            _tables[kind, D] = table  # holds all this call needs already
+        table = _tables.get(key)
+        if table is not None and table.covers(*grow_args):
+            if next(reversed(_tables)) != key:
+                _tables[key] = _tables.pop(key)  # now the most recently used
             return table
+        table = _tables.pop(key, None)
         if table is not None and table.size(*grow_args) > MAX_TABLE_ENTRIES:
             table = None  # what it holds beyond this call does not fit too
         room = MAX_TABLE_ENTRIES - (need if table is None else table.size(*grow_args))
-        for key in list(_tables):
+        for oldest in list(_tables):
             if sum(t.size() for t in _tables.values()) <= room:
                 break
-            del _tables[key]
+            del _tables[oldest]
         if table is None:
             table = kind(D)
         table.grow(*grow_args)
-        _tables[kind, D] = table
+        _tables[key] = table
         return table
 
 

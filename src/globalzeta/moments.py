@@ -55,6 +55,9 @@ class MomentTable:
         # doubles held (r/q, logs, moments), after growing to rows and order
         return self.count * (max(self.rows, rows) + 1) + max(len(self.moments), order + 1)
 
+    def covers(self, rows: int, order: int) -> bool:
+        return rows <= self.rows and order < len(self.moments)
+
     def grow(self, rows: int, order: int) -> None:
         for logs, tops in zip(self.heads, (self.plus, self.minus)):
             for n in range(self.rows, rows):

@@ -158,6 +158,104 @@ class TestImport:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    # The evaluator modules, which a command compiles only when it evaluates.
+    EVALUATORS = ("globalzeta.kernel", "globalzeta.zeta", "globalzeta.verify", "globalzeta.moments")
+
+    def _loaded_after(self, steps: str) -> list[list[str]]:
+        # Runs steps in a fresh python -S; each loaded() call records which
+        # EVALUATORS are in sys.modules at that point.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import json, sys\n"
+            f"watched = {self.EVALUATORS!r}\n"
+            "seen = []\n"
+            "def loaded():\n"
+            "    seen.append([m for m in watched if m in sys.modules])\n"
+            f"{steps}\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_places_and_covolume_load_no_evaluator(self):
+        specs = ["Q", "Q(sqrt=-1)", "Q(sqrt=5)", "Fq(T)?q=4", "curve?q=5&L=1,3,5", "curve?q=5&N=4"]
+        steps = (
+            "import globalzeta.cli\n"
+            "loaded()\n"
+            "from globalzeta.fields import parse_field_spec\n"
+            f"for spec in {specs!r}:\n"
+            "    parse_field_spec(spec)\n"
+            "loaded()\n"
+            "from globalzeta.cli import parse_and_dispatch\n"
+            f"for spec in {specs!r}:\n"
+            "    assert parse_and_dispatch(['covolume', '--field', spec])[0] == 0\n"
+            "    # curves carry no place list: refused with exit code 2\n"
+            "    code = parse_and_dispatch(['places', '--field', spec, '--bound', '30'])[0]\n"
+            "    assert code == (2 if spec.startswith('curve') else 0)\n"
+            "loaded()"
+        )
+        assert self._loaded_after(steps) == [[], [], []]
+
+    def test_evaluating_commands_load_their_modules(self):
+        steps = (
+            "from globalzeta.cli import parse_and_dispatch\n"
+            "assert parse_and_dispatch(['eval', '--field', 'Q(sqrt=-1)', '--s', '2'])[0] == 0\n"
+            "loaded()\n"
+            "assert parse_and_dispatch(['euler-check', '--field', 'Q', '--s', '2', '--bound', '50'])[0] == 0\n"
+            "loaded()"
+        )
+        kernel, zeta, verify, _ = self.EVALUATORS
+        assert self._loaded_after(steps) == [[kernel, zeta], [kernel, zeta, verify]]
+
+    def test_public_names_are_their_modules_objects(self):
+        steps = (
+            "import importlib, globalzeta\n"
+            "for module, names in globalzeta._EXPORTS.items():\n"
+            "    defining = importlib.import_module('globalzeta.' + module)\n"
+            "    for name in names:\n"
+            "        assert getattr(globalzeta, name) is getattr(defining, name), name\n"
+            "assert sorted(globalzeta.__all__) == sorted(n for names in globalzeta._EXPORTS.values() for n in names)\n"
+            "assert set(globalzeta.__all__) <= set(dir(globalzeta))\n"
+            "namespace = {}\n"
+            "exec('from globalzeta import *', namespace)\n"
+            "assert all(namespace[name] is getattr(globalzeta, name) for name in globalzeta.__all__)\n"
+            "loaded()"
+        )
+        assert self._loaded_after(steps) == [list(self.EVALUATORS[:3])]
+
+    def test_zeta_stays_the_function_after_its_module_loads(self):
+        steps = (
+            "import globalzeta, globalzeta.verify, types\n"
+            "assert callable(globalzeta.zeta) and not isinstance(globalzeta.zeta, types.ModuleType)\n"
+            "assert isinstance(sys.modules['globalzeta.zeta'], types.ModuleType)\n"
+            "assert globalzeta.zeta is sys.modules['globalzeta.zeta'].zeta\n"
+            "from globalzeta import zeta\n"
+            "assert zeta is sys.modules['globalzeta.zeta'].zeta\n"
+            "loaded()"
+        )
+        assert self._loaded_after(steps) == [list(self.EVALUATORS[:3])]
+
+    def test_zeta_stays_the_function_after_a_cli_eval(self):
+        # the submodule is first loaded by the CLI, before the package name is read
+        steps = (
+            "import types\n"
+            "from globalzeta.cli import parse_and_dispatch\n"
+            "assert parse_and_dispatch(['eval', '--field', 'Q', '--s', '2'])[0] == 0\n"
+            "import globalzeta\n"
+            "assert globalzeta.zeta is sys.modules['globalzeta.zeta'].zeta\n"
+            "assert isinstance(sys.modules['globalzeta.zeta'], types.ModuleType)\n"
+            "loaded()"
+        )
+        assert self._loaded_after(steps) == [list(self.EVALUATORS[:2])]
+
+    def test_unknown_name_is_attribute_error(self):
+        import globalzeta
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            globalzeta.no_such_name
+
 
 class TestCommands:
     def test_covolume_gaussian_prints_two(self):
@@ -541,6 +639,19 @@ class TestSerialization:
         monkeypatch.delenv("GLOBALZETA_FORMAT")
         _, out = parse_and_dispatch(["check", "--field", "Q", "--s", "2"])
         assert out.startswith('{"reports"')
+
+    def test_env_var_read_per_call_by_one_parser(self, monkeypatch):
+        # the parser is built once per process; the variable is read per call
+        from globalzeta.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        args = ["places", "--field", "Q", "--bound", "5"]
+        monkeypatch.setenv("GLOBALZETA_FORMAT", "csv")
+        assert parse_and_dispatch(args)[1].startswith("qv,kind,label\n")
+        assert parse_and_dispatch([*args, "--format", "json"])[1].startswith('{"field":"Q"')
+        monkeypatch.setenv("GLOBALZETA_FORMAT", "json")
+        assert parse_and_dispatch(args)[1].startswith('{"field":"Q"')
+        assert parse_and_dispatch([*args, "--format", "csv"])[1].startswith("qv,kind,label\n")
 
     def test_main_prints_and_returns(self, capsys):
         code = main(["covolume", "--field", "Q(sqrt=-1)"])
