@@ -10,6 +10,7 @@ the truncated Euler product inside the convergence half-plane.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -29,9 +30,10 @@ STATUS_FAILED = "failed"
 
 #: Floor inside the relative residual, guarding 0/0 at zeros of Z.
 RESIDUAL_FLOOR = 1e-300
-#: Largest node count of a sweep grid.  Each node costs two completed
-#: zeta values (0.1 ms for Q, tens of ms for |D| in the thousands) and
-#: keeps one report.
+#: Largest node count of a sweep grid.  Each node costs at most two
+#: completed zeta values (0.1 ms for Q, tens of ms for |D| in the
+#: thousands) and keeps one report; the sweep's memo of evaluated points
+#: holds at most two complex values per node.
 MAX_GRID_NODES = 10**5
 
 
@@ -93,41 +95,59 @@ def check_point(field: FieldDescriptor, s, tolerance: float) -> FunctionalEquati
     tolerance.  When both sides underflow to exactly 0 they cannot be
     compared, and DomainError is raised instead of a vacuous ok; so is
     it where beta^(2s-1) or the right side would leave binary64.
+    This is the one-node case of sweep: on Re s = 1/2 off the real
+    axis, 1 - s is conj(s), so Z is evaluated once.
     """
-    s = _as_complex(s)
+    return _check_nodes(field, [_as_complex(s)], tolerance)[0]
+
+
+def _check_nodes(
+    field: FieldDescriptor, nodes: list[complex], tolerance: float
+) -> list[FunctionalEquationReport]:
+    # Each distinct point is evaluated once, keyed by its exact bits.
+    # Off the real axis Z(conj s) is served as conj Z(s), which the
+    # kernel returns bit for bit (pinned in tests/test_zeta.py); on the
+    # real axis Z(x - 0i) equals Z(x + 0i), not its conjugate, so nothing
+    # folds there.  At most two values per node.
     if not tolerance > 0:
         raise DomainError("check_point: tolerance must be positive")
-    dist = min(pole_distance(field, s), pole_distance(field, 1.0 - s))
-    if dist < POLE_EXCLUSION_RADIUS:
-        return FunctionalEquationReport(
-            s=s,
-            lhs=None,
-            rhs=None,
-            relative_residual=None,
-            pole_distance_min=dist,
-            status=STATUS_SKIPPED,
-        )
-    lhs = completed_zeta(field, 1.0 - s).completed_value
-    log_beta_power = (2.0 * s - 1.0) * log_covolume(field)
-    _require_log_term(s, log_beta_power.real)
-    rhs = _require_finite(s, cmath.exp(log_beta_power) * completed_zeta(field, s).completed_value)
-    if lhs == 0 and rhs == 0:
-        raise DomainError(
-            f"check_point: both sides underflow to 0 at s = {s!r}; binary64 cannot compare them"
-        )
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
-    status = STATUS_OK if residual <= tolerance else STATUS_FAILED
-    return FunctionalEquationReport(
-        s=s,
-        lhs=lhs,
-        rhs=rhs,
-        relative_residual=residual,
-        pole_distance_min=dist,
-        status=status,
-    )
+    memo: dict[tuple[str, str], complex] = {}
+
+    def value(s: complex) -> complex:
+        key = (s.real.hex(), s.imag.hex())
+        if key not in memo:
+            conj = (key[0], (-s.imag).hex())
+            if s.imag != 0 and conj in memo:
+                memo[key] = memo[conj].conjugate()
+            else:
+                memo[key] = completed_zeta(field, s).completed_value
+        return memo[key]
+
+    reports = []
+    for s in nodes:
+        dist = min(pole_distance(field, s), pole_distance(field, 1.0 - s))
+        if dist < POLE_EXCLUSION_RADIUS:
+            reports.append(FunctionalEquationReport(s, None, None, None, dist, STATUS_SKIPPED))
+            continue
+        lhs = value(1.0 - s)
+        log_beta_power = (2.0 * s - 1.0) * log_covolume(field)
+        _require_log_term(s, log_beta_power.real)
+        rhs = _require_finite(s, cmath.exp(log_beta_power) * value(s))
+        if lhs == 0 and rhs == 0:
+            raise DomainError(
+                f"check_point: both sides underflow to 0 at s = {s!r}; binary64 cannot compare them"
+            )
+        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+        status = STATUS_OK if residual <= tolerance else STATUS_FAILED
+        reports.append(FunctionalEquationReport(s, lhs, rhs, residual, dist, status))
+    return reports
 
 
 def _axis(lo: float, hi: float, steps: int, what: str) -> list[float]:
+    # hi - lo is not finite for an inf or nan bound, and for a span
+    # beyond binary64: the nodes would hold nan (0 * inf) or inf.
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"sweep: {what} range [{lo}, {hi}] is not a finite interval")
     if hi < lo:
         raise DomainError(f"sweep: inverted {what} range [{lo}, {hi}]")
     if steps == 1:
@@ -143,8 +163,11 @@ def sweep(
 ) -> tuple[list[FunctionalEquationReport], SweepSummary]:
     """check_point at every grid node, row-major (ascending re, then im).
 
-    A step count below 1 or more than MAX_GRID_NODES nodes raise
-    DomainError before any node is laid out.
+    Each distinct point is evaluated once per call: where 1 - s, or its
+    conjugate off the real axis, is a point already evaluated, its value
+    is reused, so the reports equal those of check_point node by node.
+    A step count below 1, more than MAX_GRID_NODES nodes, or a bound
+    that is not finite raise DomainError before any node is laid out.
     """
     for steps, what in ((grid.re_steps, "re"), (grid.im_steps, "im")):
         if steps < 1:
@@ -153,9 +176,7 @@ def sweep(
         raise DomainError(f"sweep: {grid.re_steps} * {grid.im_steps} nodes exceed MAX_GRID_NODES = {MAX_GRID_NODES}")
     res = _axis(grid.re_min, grid.re_max, grid.re_steps, "re")
     ims = _axis(grid.im_min, grid.im_max, grid.im_steps, "im")
-    reports = [
-        check_point(field, complex(x, y), tolerance) for x in res for y in ims
-    ]
+    reports = _check_nodes(field, [complex(x, y) for x in res for y in ims], tolerance)
     return reports, summarize_reports(field_spec_string(field), grid.describe(), reports)
 
 

@@ -141,6 +141,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert limit in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ("0.1:inf:2,0:1:2", "re range [0.1, inf]"),
+            ("0.1:0.9:2,nan:1:2", "im range [nan, 1.0]"),
+            ("-1e308:1e308:3,0:1:1", "re range [-1e+308, 1e+308]"),
+        ],
+        ids=["inf", "nan", "span-overflow"],
+    )
+    def test_non_finite_grid_bound_is_two(self, capsys, grid, named):
+        # the diagnostic names the range the user wrote, not a nan node
+        # computed from it (0 * inf)
+        code, out = parse_and_dispatch(["sweep", "--field", "Q", f"--grid={grid}"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert named in err and "nan+" not in err
+
     def test_pole_point_is_two(self, capsys):
         code, _ = parse_and_dispatch(["eval", "--field", "Q", "--s", "1"])
         assert code == 2

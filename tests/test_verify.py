@@ -1,6 +1,7 @@
 """Verifier tests: check_point, sweep, exact positive-characteristic check,
 Euler consistency, involution structure of the residual."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -21,9 +22,13 @@ from globalzeta import (
     make_quadratic,
     make_rational_function_field,
     make_rationals,
+    parse_field_spec,
+    pole_distance,
     sweep,
 )
 from globalzeta import verify as verify_mod
+from globalzeta.cli import parse_and_dispatch
+from globalzeta.kernel import _require_finite, _require_log_term
 
 Q = make_rationals()
 QI = make_quadratic(-1)
@@ -172,6 +177,102 @@ class TestSweep:
         for field in (Q, QI, make_quadratic(-3), make_quadratic(5), make_quadratic(2)):
             _, summary = sweep(field, STANDARD_GRID, 1e-9)
             assert summary.count_failed == 0
+
+
+def _unmemoized_check(field, s, tolerance):
+    # check_point node by node with both sides evaluated afresh: the
+    # reference for the sweep's memo of evaluated points.
+    dist = min(pole_distance(field, s), pole_distance(field, 1.0 - s))
+    if dist < 1e-3:
+        return (s, None, None, None, "near_pole_skipped")
+    lhs = completed_zeta(field, 1.0 - s).completed_value
+    log_beta_power = (2.0 * s - 1.0) * log_covolume(field)
+    _require_log_term(s, log_beta_power.real)
+    rhs = _require_finite(s, cmath.exp(log_beta_power) * completed_zeta(field, s).completed_value)
+    if lhs == 0 and rhs == 0:
+        raise DomainError(
+            f"check_point: both sides underflow to 0 at s = {s!r}; binary64 cannot compare them"
+        )
+    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return (s, lhs, rhs, residual, "ok" if residual <= tolerance else "failed")
+
+
+def _bits(row):
+    # a report's s, lhs, rhs and residual in float.hex (signed zeros
+    # distinct), and its status
+    def hexed(x):
+        if x is None:
+            return None
+        if isinstance(x, complex):
+            return (x.real.hex(), x.imag.hex())
+        return x.hex()
+
+    s, lhs, rhs, residual, status = row
+    return (hexed(s), hexed(lhs), hexed(rhs), hexed(residual), status)
+
+
+def _reference_sweep(field, grid, tolerance):
+    res = verify_mod._axis(grid.re_min, grid.re_max, grid.re_steps, "re")
+    ims = verify_mod._axis(grid.im_min, grid.im_max, grid.im_steps, "im")
+    return [_unmemoized_check(field, complex(x, y), tolerance) for x in res for y in ims]
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            ("Q(sqrt=-163)", GridSpec(0.1, 0.9, 5, 0.0, 10.0, 5)),
+            ("Q(sqrt=997)", GridSpec(0.1, 0.9, 3, -20.0, 20.0, 5)),  # moment path
+            ("Fq(T)?q=5", GridSpec(0.0, 1.0, 3, 0.0, 4.0, 3)),
+            ("Q", GridSpec(-5.0, -3.0, 5, 0.0, 0.0, 1)),
+            ("Q", GridSpec(-0.5, 1.5, 9, -0.0, 0.0, 1)),
+            ("Fq(T)?q=5", GridSpec(-0.5, 1.5, 9, -0.0, 0.0, 1)),
+        ],
+        ids=["d-163", "d997-symmetric", "fq5", "q-left-real", "q-minus-zero", "fq5-minus-zero"],
+    )
+    def test_sweep_equals_per_node_evaluation(self, spec, grid):
+        field = parse_field_spec(spec)
+        reports, _ = sweep(field, grid, 1e-9)
+        got = [_bits((r.s, r.lhs, r.rhs, r.relative_residual, r.status)) for r in reports]
+        assert got == [_bits(row) for row in _reference_sweep(field, grid, 1e-9)]
+        if grid.im_min == 0.0 and math.copysign(1.0, grid.im_min) < 0:
+            assert all(math.copysign(1.0, r.s.imag) < 0 for r in reports)
+
+    def test_later_node_raises_the_same_error(self):
+        # 0.5 + 500i compares; at 0.5 + 1000i both sides underflow to 0
+        grid = GridSpec(0.5, 0.5, 1, 0.0, 1000.0, 3)
+        with pytest.raises(DomainError) as ref:
+            _reference_sweep(Q, grid, 1e-9)
+        with pytest.raises(DomainError) as got:
+            sweep(Q, grid, 1e-9)
+        assert str(got.value) == str(ref.value)
+        assert "1000j" in str(got.value)
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+        original = verify_mod.completed_zeta
+
+        def counted(field, s):
+            calls.append(s)
+            return original(field, s)
+
+        monkeypatch.setattr(verify_mod, "completed_zeta", counted)
+        return calls
+
+    def test_acceptance_grid_evaluates_each_point_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        sweep(make_quadratic(-163), STANDARD_GRID, 1e-9)
+        assert len(calls) < 50
+        keys = {(s.real.hex(), s.imag.hex()) for s in calls}
+        assert len(keys) == len(calls)
+        # no point is evaluated along with its conjugate off the real axis
+        assert not any(s.imag and (s.real.hex(), (-s.imag).hex()) in keys for s in calls)
+
+    def test_check_on_the_critical_line_evaluates_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        code, _ = parse_and_dispatch(["check", "--field", "Q", "--s=0.5,14"])
+        assert code == 0
+        assert calls == [complex(0.5, -14.0)]
 
 
 class TestExactCheck:

@@ -17,6 +17,7 @@ from globalzeta import (
     make_quadratic,
     make_rational_function_field,
     make_rationals,
+    parse_field_spec,
     pole_distance,
     pole_set,
     riemann_zeta,
@@ -170,6 +171,32 @@ class TestCompletedZeta:
                     continue
                 rec = completed_zeta(field, s)
                 assert rec.completed_value == rec.gamma_factor_value * rec.zeta_value
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["Q", "Q(sqrt=-1)", "Q(sqrt=-3)", "Q(sqrt=5)", "Q(sqrt=-163)", "Q(sqrt=997)",
+         "Q(sqrt=-2351)", "Fq(T)?q=5", "curve?q=5&L=1,3,5"],
+    )
+    def test_conjugate_point_gives_conjugate_value_bit_for_bit(self, spec):
+        # verify's sweep serves Z(conj s) as conj Z(s) off the real axis,
+        # so its reports stay bit-identical only while this holds.
+        field = parse_field_spec(spec)
+        rng = random.Random(f"conjugate/{spec}")
+        points = [complex(rng.uniform(0.1, 0.9), rng.uniform(0.05, 50.0)) for _ in range(6)]
+        points += [complex(rng.uniform(-8.0, -0.01), rng.uniform(-20.0, 20.0)) for _ in range(6)]
+        points += [
+            complex(rng.uniform(0.1, 0.9), sign * rng.uniform(100.0, 400.0))
+            for sign in (1, -1, 1, -1)
+        ]
+        for m in range(-1, -7, -1):  # around the cancelled Gamma poles
+            for lo, hi in ((1e-5, 1e-2), (1e-8, 1e-5)):
+                angle = rng.uniform(0.1, math.pi - 0.1) * rng.choice((1, -1))
+                points.append(m + cmath.rect(rng.uniform(lo, hi), angle))
+        for s in points:
+            assert s.imag != 0
+            a = completed_zeta(field, s.conjugate()).completed_value
+            b = completed_zeta(field, s).completed_value.conjugate()
+            assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex()), s
 
     def test_pole_distance_recorded(self):
         rec = completed_zeta(Q, 2)
