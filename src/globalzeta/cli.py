@@ -1,29 +1,23 @@
 """Command-line front end.
 
-Commands: eval, check, sweep, covolume, places, euler-check.  Reports
-go to stdout (or --output) as JSON or CSV with numbers printed to 17
-significant digits, so identical invocations are byte-identical and
-values round-trip through parsing.  Diagnostics go to stderr.  Exit
-codes: 0 success (skipped nodes included), 1 any failed check, 2
-usage or parse errors.
+Commands: eval, check, sweep, covolume, places, euler-check.  One table,
+COMMANDS, lists their options; a short loop parses argv by it and -h
+prints help from it.  Reports go to stdout (or --output) as JSON or CSV
+with numbers printed to 17 significant digits, so identical invocations
+are byte-identical and values round-trip through parsing.  Diagnostics
+go to stderr.  Exit codes: 0 success (skipped nodes included), 1 any
+failed check, 2 usage or parse errors, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from functools import cache
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PoleError, SymmetryError
-from .fields import (
-    covolume,
-    enumerate_places,
-    field_spec_string,
-    parse_field_spec,
-)
+from .fields import covolume, enumerate_places, field_spec_string, parse_field_spec
 
 if TYPE_CHECKING:  # the commands that evaluate import verify and zeta themselves
     from .verify import FunctionalEquationReport, GridSpec, SweepSummary
@@ -38,9 +32,8 @@ PLACE_COLUMNS = ("qv", "kind", "label")
 REPORT_COLUMNS = ("s_re", "s_im", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                   "residual", "pole_distance", "status")
 
-# argparse reads a value such as "-1,2" as an option unless it is attached with "="
-_S_HELP = 'point, RE or RE,IM (write --s=-1,2 when the value starts with "-")'
-_GRID_HELP = 're_min:re_max:steps,im_min:im_max:steps (write --grid=-5:-3:5,0:0:1 when it starts with "-")'
+# Values may start with "-" (--s -1,2): the token after an option is always its value.
+_S_HELP = "point, RE or RE,IM"
 
 
 def _fmt(x: float) -> str:
@@ -142,27 +135,18 @@ def _parts(z: complex | None) -> tuple:
 
 def render_report(reports: list[FunctionalEquationReport], summary: SweepSummary, fmt: str) -> str:
     """Serialize functional-equation reports plus their summary."""
-    rows = [
-        (*_parts(r.s), *_parts(r.lhs), *_parts(r.rhs), r.relative_residual, r.pole_distance_min, r.status)
-        for r in reports
-    ]
-    return _render(
-        fmt, REPORT_COLUMNS, rows,
-        head=(("field", summary.field), ("grid", summary.grid)),
-        key="reports",
-        tail=(("ok", summary.count_ok), ("skipped", summary.count_skipped),
-              ("failed", summary.count_failed), ("max_residual", summary.max_residual)),
-        summary_key="summary",
-    )
+    rows = [(*_parts(r.s), *_parts(r.lhs), *_parts(r.rhs), r.relative_residual, r.pole_distance_min, r.status)
+            for r in reports]
+    tail = (("ok", summary.count_ok), ("skipped", summary.count_skipped),
+            ("failed", summary.count_failed), ("max_residual", summary.max_residual))
+    return _render(fmt, REPORT_COLUMNS, rows, (("field", summary.field), ("grid", summary.grid)), "reports", tail, "summary")
 
 
 def _parse_s(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:
+            return complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
     except ValueError:
         pass
     raise DomainError(f"bad --s value {text!r}; expected RE or RE,IM")
@@ -183,123 +167,148 @@ def _parse_grid(text: str) -> GridSpec:
             axes.append((float(cols[0]), float(cols[1]), int(cols[2])))
         except ValueError:
             raise DomainError(f"bad --grid axis {chunk!r}; non-numeric token") from None
-    (re_min, re_max, re_steps), (im_min, im_max, im_steps) = axes
-    return GridSpec(re_min, re_max, re_steps, im_min, im_max, im_steps)
+    return GridSpec(*axes[0], *axes[1])
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process; --format defaults to None, read as
-    # GLOBALZETA_FORMAT when each invocation is dispatched.
-    parser = argparse.ArgumentParser(
-        prog="globalzeta",
-        description="Completed zeta functions of global fields and their functional equation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_format=True):
-        p.add_argument("--field", required=True, help='field spec, e.g. "Q", "Q(sqrt=-1)", "Fq(T)?q=5", "curve?q=5&L=1,3,5"')
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"))
-            p.add_argument("--output", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("eval", help="evaluate zeta, Gamma factor and completed value at s")
-    common(p)
-    p.add_argument("--s", required=True, help=_S_HELP)
-
-    p = sub.add_parser("check", help="check Z(1-s) = beta^(2s-1) Z(s) at one point")
-    common(p)
-    p.add_argument("--s", required=True, help=_S_HELP)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("sweep", help="check the functional equation on a grid")
-    common(p)
-    p.add_argument("--grid", required=True, help=_GRID_HELP)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("covolume", help="print the adelic covolume of the field")
-    common(p, with_format=False)
-
-    p = sub.add_parser("places", help="list places with q_v up to a bound")
-    common(p)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("euler-check", help="closed form vs truncated Euler product (Re s > 1)")
-    common(p)
-    p.add_argument("--s", required=True, help=_S_HELP)
-    p.add_argument("--bound", type=int, required=True)
-
-    return parser
+#: The option table: per command its help line and its options in usage order,
+#: name -> (type, default, help).  Type None keeps the text, a tuple lists the
+#: choices, and default REQUIRED marks a required option.  --format defaults
+#: to None, read as GLOBALZETA_FORMAT when each invocation is dispatched.
+REQUIRED = object()
+_FIELD = {"field": (None, REQUIRED, 'field spec, e.g. "Q", "Q(sqrt=-1)", "Fq(T)?q=5", "curve?q=5&L=1,3,5"')}
+_REPORT = {**_FIELD, "format": (("json", "csv"), None, f"report format (default: ${ENV_FORMAT}, else json)"),
+           "output": (None, None, "write the report here instead of stdout")}
+_S = {"s": (None, REQUIRED, _S_HELP)}
+_TOL = {"tol": (float, 1e-9, "relative residual tolerance")}
+_BOUND = {"bound": (int, REQUIRED, "norm bound on q_v")}
+COMMANDS = {
+    "eval": ("evaluate zeta, Gamma factor and completed value at s", {**_REPORT, **_S}),
+    "check": ("check Z(1-s) = beta^(2s-1) Z(s) at one point", {**_REPORT, **_S, **_TOL}),
+    "sweep": ("check the functional equation on a grid",
+              {**_REPORT, "grid": (None, REQUIRED, "re_min:re_max:steps,im_min:im_max:steps"), **_TOL}),
+    "covolume": ("print the adelic covolume of the field", _FIELD),
+    "places": ("list places with q_v up to a bound", {**_REPORT, **_BOUND}),
+    "euler-check": ("closed form vs truncated Euler product (Re s > 1)", {**_REPORT, **_S, **_BOUND}),
+}
 
 
-def _covolume_text(value) -> str:
-    # exact values (int, Fraction) print as str: str(Fraction(2)) is "2"
-    return _fmt(value) if isinstance(value, float) else str(value)
+def _help(command: str | None) -> str:
+    if command is None:
+        head = ("usage: globalzeta COMMAND --option value ...  (globalzeta COMMAND -h lists them)\n\n"
+                "Completed zeta functions of global fields and their functional equation.\n\ncommands:")
+        rows = [(name, line) for name, (line, _) in COMMANDS.items()]
+    else:
+        head = f"usage: globalzeta {command} --option value ...\n\n{COMMANDS[command][0]}\n\noptions:"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()),
+             text + (" (required)" if default is REQUIRED else f" (default: {default})" if default else ""))
+            for name, (kind, default, text) in COMMANDS[command][1].items()]
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([head, *(f"  {left:<{width}}  {right}" for left, right in rows)])
 
 
-def _dispatch(args) -> tuple[int, str]:
-    field = parse_field_spec(args.field)
-    if args.command == "covolume":
-        return 0, _covolume_text(covolume(field))
+def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
+    """(command, option values) of argv by COMMANDS; (command, None) for -h.
+
+    An option is --name value or --name=value, a unique prefix of name will
+    do, and the last of repeated options wins.  The token after an option is
+    always its value.  A usage error raises DomainError naming the token.
+    """
+    command, options, values, stray = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "-h":
+            return command, None
+        if token == "--" or not token.startswith("--"):
+            if command is None and token in COMMANDS:
+                command, options = token, COMMANDS[token][1]
+            elif command is None and not token.startswith("-"):
+                raise DomainError(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            else:
+                stray.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        key = name[2:]
+        matches = [key] if key in options else [m for m in ("help", *options) if m.startswith(key)]
+        if len(matches) > 1:
+            raise DomainError(f"ambiguous option {name} could match --{', --'.join(matches)}")
+        if matches == ["help"] and not eq:
+            return command, None
+        if matches in ([], ["help"]):
+            stray.append(token)
+            continue
+        key, kind = matches[0], options[matches[0]][0]
+        if not eq and (value := next(tokens, None)) is None:
+            raise DomainError(f"argument --{key}: expected one argument")
+        if isinstance(kind, tuple) and value not in kind:
+            raise DomainError(f"argument --{key}: invalid choice {value!r} (choose from {', '.join(kind)})")
+        try:
+            values[key] = kind(value) if kind in (int, float) else value
+        except ValueError:
+            raise DomainError(f"argument --{key}: invalid {kind.__name__} value {value!r}") from None
+    if command is None:
+        raise DomainError(f"no command given (choose from {', '.join(COMMANDS)})")
+    missing = ["--" + name for name, (_, default, _) in options.items() if default is REQUIRED and name not in values]
+    if missing or stray:
+        raise DomainError(f"the following arguments are required: {', '.join(missing)}" if missing
+                          else f"unrecognized arguments: {' '.join(stray)}")
+    return command, {name: default for name, (_, default, _) in options.items()} | values
+
+
+def _dispatch(command: str, opts: dict) -> tuple[int, str]:
+    field = parse_field_spec(opts["field"])
+    if command == "covolume":
+        value = covolume(field)  # exact values (int, Fraction) print as str: str(Fraction(2)) is "2"
+        return 0, _fmt(value) if isinstance(value, float) else str(value)
     spec = field_spec_string(field)
     head = (("field", spec),)
-    fmt = args.format or os.environ.get(ENV_FORMAT, "json")
-    if args.command == "eval":
-        from .zeta import completed_zeta
-
-        rec = completed_zeta(field, _parse_s(args.s))
-        row = (
-            *_parts(rec.s), *_parts(rec.zeta_value), *_parts(rec.gamma_factor_value),
-            *_parts(rec.completed_value), rec.pole_distance, rec.precision_cliff,
-        )
-        return 0, _render(fmt, EVAL_COLUMNS, [row], head)
-    if args.command == "check":
-        from .verify import check_point, summarize_reports
-
-        s = _parse_s(args.s)
-        reports = [check_point(field, s, args.tol)]
-        summary = summarize_reports(spec, f"point[{_fmt(s.real)}:{_fmt(s.imag)}]", reports)
-        return int(summary.count_failed > 0), render_report(reports, summary, fmt)
-    if args.command == "sweep":
+    fmt = opts["format"] or os.environ.get(ENV_FORMAT, "json")
+    if command == "places":
+        places, bound = enumerate_places(field, opts["bound"]), opts["bound"]
+        return 0, _render(fmt, PLACE_COLUMNS, places, (*head, ("norm_bound", bound)), "places", (("count", len(places)),))
+    if command == "sweep":
         from .verify import sweep
 
-        reports, summary = sweep(field, _parse_grid(args.grid), args.tol)
+        reports, summary = sweep(field, _parse_grid(opts["grid"]), opts["tol"])
         return int(summary.count_failed > 0), render_report(reports, summary, fmt)
-    if args.command == "places":
-        places = enumerate_places(field, args.bound)
-        head += (("norm_bound", args.bound),)
-        return 0, _render(fmt, PLACE_COLUMNS, places, head, "places", (("count", len(places)),))
-    if args.command == "euler-check":
-        from .verify import euler_consistency_check
+    s = _parse_s(opts["s"])
+    if command == "eval":
+        from .zeta import completed_zeta
 
-        s = _parse_s(args.s)
-        rec = euler_consistency_check(field, s, args.bound)
-        row = (
-            *_parts(s), args.bound, *_parts(rec.closed_form), *_parts(rec.truncated),
-            rec.gap, rec.tail_bound, rec.passed,
-        )
-        return int(not rec.passed), _render(fmt, EULER_COLUMNS, [row], head)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+        rec = completed_zeta(field, s)
+        row = (*_parts(rec.s), *_parts(rec.zeta_value), *_parts(rec.gamma_factor_value),
+               *_parts(rec.completed_value), rec.pole_distance, rec.precision_cliff)
+        return 0, _render(fmt, EVAL_COLUMNS, [row], head)
+    if command == "check":
+        from .verify import check_point, summarize_reports
+
+        reports = [check_point(field, s, opts["tol"])]
+        summary = summarize_reports(spec, f"point[{_fmt(s.real)}:{_fmt(s.imag)}]", reports)
+        return int(summary.count_failed > 0), render_report(reports, summary, fmt)
+    from .verify import euler_consistency_check
+
+    rec = euler_consistency_check(field, s, opts["bound"])
+    row = (*_parts(s), opts["bound"], *_parts(rec.closed_form), *_parts(rec.truncated),
+           rec.gap, rec.tail_bound, rec.passed)
+    return int(not rec.passed), _render(fmt, EULER_COLUMNS, [row], head)
 
 
 def parse_and_dispatch(argv: list[str]) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, serialized output).
 
-    Usage errors print a diagnostic to stderr and return exit code 2.
-    When --output is given, the report is written to that path and the
-    returned text is empty.
+    Usage errors print a diagnostic to stderr and return exit code 2;
+    -h returns 0 and the help text.  When --output is given, the report
+    is written to that path and the returned text is empty.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return (int(exc.code or 0), "")
-    try:
-        code, text = _dispatch(args)
+        command, opts = _parse(argv)
+        if opts is None:
+            return 0, _help(command)
+        code, text = _dispatch(command, opts)
     except (DomainError, PoleError, SymmetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    output_path = getattr(args, "output", None)
+    output_path = opts.get("output")
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -310,7 +319,13 @@ def parse_and_dispatch(argv: list[str]) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     code, text = parse_and_dispatch(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left (`| head`): point stdout at devnull so the flush
+            # at exit cannot raise again, and exit as SIGPIPE would, 128 + 13
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return code
 
 

@@ -14,13 +14,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .fields import (
-    FieldDescriptor,
-    FunctionFieldDescriptor,
-    field_spec_string,
-    log_covolume,
-    truncated_euler_product,
-)
+from .fields import FieldDescriptor, FunctionFieldDescriptor, field_spec_string, log_covolume, truncated_euler_product
 from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _require_finite, _require_log_term
 from .zeta import completed_zeta, pole_distance, zeta
 

@@ -2,12 +2,14 @@
 
 Everything here is deliberately dumb: direct summation with explicit
 tail bounds, exact Bernoulli rationals from the defining recurrence,
-Simpson quadrature, brute-force residue symbols and point counts.
-None of it shares code with the package under test.
+Simpson quadrature, brute-force residue symbols and point counts, and
+the argparse parser the CLI used to build.  None of it shares code
+with the package under test.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -330,3 +332,58 @@ def log_zeta_series_counts(coefficients, q: int, upto: int) -> list[Fraction]:
         # -log(1-T) and -log(1-qT) contribute (1 + q^m)/m at T^m
         out.append(m * logp[m] + 1 + Fraction(q) ** m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The CLI's former argparse parser, the reference for its option table
+# ---------------------------------------------------------------------------
+
+_S_HELP = 'point, RE or RE,IM (write --s=-1,2 when the value starts with "-")'
+_GRID_HELP = 're_min:re_max:steps,im_min:im_max:steps (write --grid=-5:-3:5,0:0:1 when it starts with "-")'
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The globalzeta parser as argparse built it, option for option.
+
+    A value that starts with "-" and is not a plain negative number
+    (``--s -1,2``) is read as an option here: "expected one argument".
+    """
+    parser = argparse.ArgumentParser(
+        prog="globalzeta",
+        description="Completed zeta functions of global fields and their functional equation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, with_format=True):
+        p.add_argument("--field", required=True, help='field spec, e.g. "Q", "Q(sqrt=-1)", "Fq(T)?q=5", "curve?q=5&L=1,3,5"')
+        if with_format:
+            p.add_argument("--format", choices=("json", "csv"))
+            p.add_argument("--output", default=None, help="write the report here instead of stdout")
+
+    p = sub.add_parser("eval", help="evaluate zeta, Gamma factor and completed value at s")
+    common(p)
+    p.add_argument("--s", required=True, help=_S_HELP)
+
+    p = sub.add_parser("check", help="check Z(1-s) = beta^(2s-1) Z(s) at one point")
+    common(p)
+    p.add_argument("--s", required=True, help=_S_HELP)
+    p.add_argument("--tol", type=float, default=1e-9)
+
+    p = sub.add_parser("sweep", help="check the functional equation on a grid")
+    common(p)
+    p.add_argument("--grid", required=True, help=_GRID_HELP)
+    p.add_argument("--tol", type=float, default=1e-9)
+
+    p = sub.add_parser("covolume", help="print the adelic covolume of the field")
+    common(p, with_format=False)
+
+    p = sub.add_parser("places", help="list places with q_v up to a bound")
+    common(p)
+    p.add_argument("--bound", type=int, required=True)
+
+    p = sub.add_parser("euler-check", help="closed form vs truncated Euler product (Re s > 1)")
+    common(p)
+    p.add_argument("--s", required=True, help=_S_HELP)
+    p.add_argument("--bound", type=int, required=True)
+
+    return parser

@@ -1,16 +1,21 @@
 """CLI tests: command surface, exit codes, serialization, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
+import oracles
 import pytest
 
-from globalzeta.cli import main, parse_and_dispatch, render_report
+from globalzeta.cli import COMMANDS, _parse, main, parse_and_dispatch, render_report
+from globalzeta.errors import DomainError
 from globalzeta.ffield import galois_field
 from globalzeta.verify import FunctionalEquationReport, SweepSummary
 
@@ -163,6 +168,20 @@ class TestExitCodes:
         assert code == 2
         assert "pole" in capsys.readouterr().err
 
+    def test_closed_stdout_is_141_without_traceback(self):
+        # 2.2 MB of places, far more than a pipe holds, so the process is
+        # still writing when the reader leaves after one line
+        argv = ["places", "--field", "Fq(T)?q=343", "--bound", "117649", "--format", "csv"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "globalzeta.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"qv,kind,label\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err and "Exception" not in err, err
+
 
 class TestImport:
     def test_cli_import_skips_dataclasses_and_inspect(self):
@@ -170,6 +189,21 @@ class TestImport:
         # integer sums); -S keeps site-packages hooks from importing any of them first
         src = str(Path(__file__).resolve().parents[1] / "src")
         probe = "import sys, globalzeta.cli; print(sorted({'dataclasses', 'inspect', 'json', 'fractions'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_places_loads_neither_argparse_nor_gettext(self):
+        # the option table parses argv and prints help without them
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "from globalzeta.cli import parse_and_dispatch\n"
+            "assert parse_and_dispatch(['places', '--field', 'Fq(T)?q=3', '--bound', '27'])[0] == 0\n"
+            "assert parse_and_dispatch(['places', '-h'])[0] == 0\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
@@ -572,6 +606,185 @@ class TestGoldenOutput:
         assert galois_field(7) == (7, 7, 1, (0, 1))  # x: no special case for k = 1
 
 
+def _argparse_result(argv: list[str]) -> tuple:
+    # (command, option values) as the former argparse parser read argv,
+    # or (exit code, stderr) where it exited
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            values = vars(oracles.argparse_cli_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, stderr.getvalue()
+    return values.pop("command"), values
+
+
+def _table_result(argv: list[str]) -> tuple:
+    try:
+        return _parse(argv)
+    except DomainError as exc:
+        return 2, str(exc)
+
+
+def _both_forms(argv: list[str]) -> list[list[str]]:
+    # argv as written (--opt value), and with every value attached (--opt=value)
+    name, *rest = argv
+    return [argv, [name, *(f"{k}={v}" for k, v in zip(rest[::2], rest[1::2]))]]
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    # --opt -value written as --opt=-value
+    out = []
+    for token in argv:
+        if out and token.startswith("-") and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+PLACES = ["places", "--field", "Q", "--bound", "10"]
+#: Every golden command in both forms, then the argv cases argparse
+#: treats specially: abbreviations, ambiguous prefixes, repeats, missing
+#: and extra tokens, bad values, commands, help and values that start
+#: with "-".
+PARSER_CORPUS = [
+    *chain.from_iterable(
+        _both_forms([name, "--field", field, *rest, "--format", fmt])
+        for name, field, *rest in GOLDEN_COMMANDS for fmt in ("json", "csv")
+    ),
+    *_both_forms(["covolume", "--field", "Q(sqrt=-1)"]),
+    *_both_forms(["check", "--field", "Q", "--s", "2", "--tol", "1e-3", "--output", "out.json"]),
+    ["places", "--fi", "Q", "--bou", "10"],
+    ["places", "--fie=Q", "--b=10", "--fo", "csv", "--o", "x.csv"],
+    ["check", "--field", "Q", "--s", "2", "--t", "1e-3"],
+    ["euler-check", "--field", "Q", "--s", "3", "--bo", "100"],
+    ["places", "--f", "Q", "--bound", "10"],
+    ["places", "--field", "Q", "--bound", "10", "--f=csv"],
+    ["places", "--=Q", "--bound", "10"],
+    [*PLACES, "--format", "json", "--format", "csv"],
+    ["places", "--field", "Q", "--field", "Q(sqrt=-1)", "--bound", "10", "--bou=20"],
+    ["check", "--field", "Q", "--s", "2", "--tol", "1e-3", "--tol", "1_0"],
+    ["places", "--field", "Q", "--bound", "1_000"],
+    ["places", "--field", "Q", "--bound", " 12 "],
+    ["places", "--field", "Q", "--bound", "-5"],
+    ["places", "--field=", "--bound", "10"],
+    ["check", "--field", "Q", "--s", "2", "--tol", " inf "],
+    ["places"],
+    ["places", "--field", "Q"],
+    ["places", "--field"],
+    ["places", "--field", "Q", "--bound"],
+    ["eval", "--field", "Q"],
+    ["sweep", "--field", "Q", "--tol", "1e-9"],
+    [*PLACES, "extra"],
+    ["places", "extra", "--field", "Q", "--bound", "10"],
+    [*PLACES, "--bogus"],
+    [*PLACES, "--bogus=1"],
+    [*PLACES, "--tol", "1e-9"],
+    [*PLACES, "--"],
+    [*PLACES, "-"],
+    [*PLACES, "-x"],
+    [*PLACES, "-5"],
+    [*PLACES, "--help=1"],
+    ["covolume", "--field", "Q", "--format", "json"],
+    ["places", "--field", "Q", "--bound", "ten"],
+    ["places", "--field", "Q", "--bound", "1.5"],
+    ["places", "--field", "Q", "--bound="],
+    ["check", "--field", "Q", "--s", "2", "--tol", "tiny"],
+    [*PLACES, "--format", "xml"],
+    [*PLACES, "--format", "JSON"],
+    [*PLACES, "--format="],
+    ["frobnicate"],
+    ["Places", "--field", "Q", "--bound", "10"],
+    [],
+    ["--field", "Q", "places", "--bound", "10"],
+    ["--bogus", *PLACES],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "places"],
+    ["--bogus", "-h"],
+    ["places", "-h"],
+    ["places", "--h"],
+    [*PLACES, "--help"],
+    ["frobnicate", "-h"],
+    ["places", "--bound", "ten", "-h"],
+    ["eval", "--field", "Q", "--s", "-2"],
+    ["eval", "--field", "Q", "--s", "-.5"],
+    ["eval", "--field", "Q", "--s=-1,2"],
+    ["eval", "--field", "Q", "--s", "-1,2"],
+    ["eval", "--field", "Q", "--s", "-1e-3"],
+    ["sweep", "--field", "Q", "--grid", "-5:-3:5,0:0:1"],
+    ["check", "--field", "Q", "--s", "2", "--tol", "-1e-3"],
+    ["eval", "--field", "--s", "2"],
+    ["eval", "--field", "Q", "--s", "-h"],
+]
+
+
+class TestOptionTable:
+    """The table-driven parser against the argparse parser it replaced."""
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_parses_as_argparse_did(self, argv):
+        reference, table = _argparse_result(argv), _table_result(argv)
+        if isinstance(reference[0], str):  # accepted: the same command and values
+            assert table == reference
+        elif reference[0] == 0:  # help
+            assert table[1] is None
+        elif "expected one argument" in reference[1] and table[0] != 2:
+            # the one relaxation: the token after an option is its value,
+            # as argparse read it when attached with "="
+            assert table == _argparse_result(_attach_dash_values(argv))
+        else:
+            assert table[0] == 2, table
+
+    def test_corpus_covers_every_outcome(self):
+        outcomes = [_argparse_result(argv)[0] for argv in PARSER_CORPUS]
+        assert {*COMMANDS} <= {*outcomes} and 0 in outcomes and 2 in outcomes
+        relaxed = [argv for argv in PARSER_CORPUS if "expected one argument" in str(_argparse_result(argv)[1])]
+        assert ["eval", "--field", "Q", "--s", "-1,2"] in relaxed
+
+    def test_value_after_option_may_start_with_dash(self):
+        for attached, spaced in [
+            (["eval", "--field", "Q", "--s=-1,2"], ["eval", "--field", "Q", "--s", "-1,2"]),
+            (["sweep", "--field", "Q", "--grid=-5:-3:5,0:0:1"], ["sweep", "--field", "Q", "--grid", "-5:-3:5,0:0:1"]),
+        ]:
+            code, out = parse_and_dispatch(spaced)
+            assert (code, out) == parse_and_dispatch(attached) and code != 2 and out
+
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "--field", "Q"], "--s"),
+        (["frobnicate"], "'frobnicate'"),
+        ([], "command"),
+        (["places", "--field", "Q", "--bound", "ten"], "--bound"),
+        (["places", "--field", "Q", "--bound", "ten"], "'ten'"),
+        (["check", "--field", "Q", "--s", "2", "--tol", "tiny"], "--tol"),
+        ([*PLACES, "--format", "xml"], "'xml'"),
+        ([*PLACES, "extra"], "extra"),
+        ([*PLACES, "--bogus"], "--bogus"),
+        (["places", "--f", "Q", "--bound", "10"], "--f"),
+        (["places", "--field", "Q", "--bound"], "--bound"),
+    ])
+    def test_usage_error_is_two_and_names_the_token(self, capsys, argv, named):
+        assert parse_and_dispatch(argv) == (2, "")
+        assert named in capsys.readouterr().err
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        for argv in (["-h"], ["--help"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: globalzeta")
+            assert all(f"\n  {name} " in out for name in COMMANDS)
+
+    def test_command_help_lists_its_options(self, capsys):
+        assert main(["places", "-h"]) == 0
+        out = capsys.readouterr().out
+        for option in ("-h, --help", "--field FIELD", "--format {json,csv}", "--output OUTPUT", "--bound BOUND"):
+            assert option in out
+        assert "--s " not in out and "--tol" not in out
+        assert main(["check", "--help"]) == 0
+        assert "--tol TOL" in capsys.readouterr().out
+
+
 class TestSerialization:
     def test_determinism(self):
         first = parse_and_dispatch(SWEEP_ARGS)
@@ -658,10 +871,7 @@ class TestSerialization:
         assert out.startswith('{"reports"')
 
     def test_env_var_read_per_call_by_one_parser(self, monkeypatch):
-        # the parser is built once per process; the variable is read per call
-        from globalzeta.cli import _build_parser
-
-        assert _build_parser() is _build_parser()
+        # the variable is read per call, not once per process
         args = ["places", "--field", "Q", "--bound", "5"]
         monkeypatch.setenv("GLOBALZETA_FORMAT", "csv")
         assert parse_and_dispatch(args)[1].startswith("qv,kind,label\n")
