@@ -21,15 +21,16 @@ dirichlet_l has two paths, chosen per call by a cost estimate from
 phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
 moduli, and a Taylor series in the class offsets whose coefficients are
 the character's moments for large ones (globalzeta.moments, imported on
-the first call that takes that path).  It keeps what does not depend on
-s in a cache of tables, one per path and modulus: class logs, or head
-logs and exact moments.  Their sizes, in doubles, sum to at most
-MAX_TABLE_ENTRIES (2 MiB); the least recently used tables are dropped
-to make room, and a call whose own table would pass the limit raises
-DomainError before any table is built or grown.  Each evaluator also
-bounds the size of its terms before any work: past exp(MAX_LOG_TERM)
-they would overflow binary64, so it raises DomainError instead (for the
-Riemann zeta, at Re s below about -141.6).
+first use).  What does not depend on s is kept in a cache of tables, one
+per path and modulus: class logs, or head logs and exact moments; the
+Riemann zeta's logs are the class table of D = 1.  Their sizes, in
+doubles, sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently
+used tables are dropped to make room, and a call whose own table would
+pass the limit raises DomainError before any table is built or grown.
+zeta(s) and L(s, chi) at one s share its Euler-Maclaurin weights.  Each
+evaluator also bounds the size of its terms before any work: past
+exp(MAX_LOG_TERM) they would overflow binary64, so it raises DomainError
+instead (for the Riemann zeta, at Re s below about -141.6).
 """
 
 from __future__ import annotations
@@ -206,18 +207,28 @@ def _require_finite(s: complex, value: complex) -> complex:
     return value
 
 
-def _em_weights(s: complex) -> list[complex]:
+# The weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
+_last_weights: tuple = (None, ())
+
+
+def _em_weights(s: complex) -> tuple[complex, ...]:
     # B_2k/(2k)! * s(s+1)...(s+2k-2) for k = 1..K: the factors of the
-    # Euler-Maclaurin correction terms that depend on s only.
-    weights = []
-    poch = s
-    for k, coef in enumerate(_EM_COEF, start=1):
-        weights.append(coef * poch)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+    # Euler-Maclaurin correction terms that depend on s only, computed
+    # once for zeta(s) and L(s, chi) of one evaluation.
+    global _last_weights
+    key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+    last, weights = _last_weights
+    if key != last:
+        terms, poch = [], s
+        for k, coef in enumerate(_EM_COEF, start=1):
+            terms.append(coef * poch)
+            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        weights = tuple(terms)
+        _last_weights = (key, weights)
     return weights
 
 
-def _hurwitz_regular(neg_s: complex, weights: list[complex], logs, x: float, log_x: float) -> complex:
+def _hurwitz_regular(neg_s: complex, weights: tuple[complex, ...], logs, x: float, log_x: float) -> complex:
     # Euler-Maclaurin evaluation of zeta_H(s, a) with the single pole
     # term x^(1-s)/(s-1), x = a + shift, split off:
     #
@@ -268,7 +279,9 @@ def _hurwitz_unrestricted(s: complex, a: float) -> complex:
     log_x = math.log(x)
     # the largest parts are a^-s and the pole term x^(1-s)
     _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * log_x))
-    logs = [math.log(a + n) for n in range(shift)]
+    # log(a + n); for a = 1, the Riemann zeta, the class table of D = 1 keeps them
+    logs = (islice(_cached_table(_ClassTable, 1, shift + 1, shift).classes[0][2], shift) if a == 1.0
+            else [math.log(a + n) for n in range(shift)])
     regular = _hurwitz_regular(-s, _em_weights(s), logs, x, log_x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
@@ -298,7 +311,7 @@ def hurwitz_shift_gap(s, a: float) -> float:
 
 
 def riemann_zeta(s) -> complex:
-    """Riemann zeta via the Hurwitz kernel at a = 1."""
+    """Riemann zeta via the Hurwitz kernel at a = 1, its logs kept once."""
     return hurwitz_zeta(s, 1.0)
 
 

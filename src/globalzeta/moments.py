@@ -18,6 +18,7 @@ import cmath
 import math
 import sys
 from array import array
+from itertools import chain
 from operator import mul, neg
 
 from .kernel import _EM_COEF, _IMAG, _REAL, _em_weights, _moment_head, kronecker_chi
@@ -131,8 +132,8 @@ def _real_power(p: float, z: complex) -> complex:
     return p ** z.real * cmath.exp(complex(0.0, z.imag * math.log(p)))
 
 
-def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int) -> tuple[list, list]:
-    """The real and imaginary parts of q^s L(s, chi), to be summed.
+def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int) -> tuple:
+    """Iterators over the real and imaginary parts of q^s L(s, chi), for fsum.
 
     They are the head sum_c chi_c sum_{n<head} (a_c + n)^-s, and for each
     j <= order of the parity of chi(-1) = (-1)^j the Taylor term
@@ -141,16 +142,8 @@ def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int
     X^(1-s-j)/(s+j-1), by Euler-Maclaurin with X = x + shift.
     """
     neg_s = -s
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for logs, tops, sign in zip(table.heads, (table.plus, table.minus), (1.0, -1.0)):
-        terms = list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
-        if sign > 0:
-            re_parts += map(_REAL, terms)
-            im_parts += map(_IMAG, terms)
-        else:
-            re_parts += map(neg, map(_REAL, terms))
-            im_parts += map(neg, map(_IMAG, terms))
+    plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
+                   for logs, tops in zip(table.heads, (table.plus, table.minus)))
     if s.imag == 0.0 and s.real.is_integer() and -2 * len(_EM_COEF) <= s.real <= 0.0:
         # At s = -n every jet that counts has s + j = -m with m < 2K, where
         # Euler-Maclaurin with K terms is exact at any shift: take none, so
@@ -170,6 +163,7 @@ def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int
     scaled = inv if odd else inv2
     coef = complex(1.0) if odd else s  # (s)_{j-1} / (j-1)! at j = first
     moments = table.moments
+    jets = []
     for j in range(first, order + 1, 2):
         pole_coef = coef / j  # (s)_{j-1} / j!
         coef *= (s + (j - 1)) / j  # (s)_j / j!
@@ -182,9 +176,8 @@ def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int
         for w in _em_weights(s + j):
             em += w * xp
             xp *= inv_x2
-        part = mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj)
-        re_parts.append(part.real)
-        im_parts.append(part.imag)
+        jets.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))
         scaled = list(map(mul, scaled, inv2))
         coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!
-    return re_parts, im_parts
+    return (chain(map(_REAL, plus), map(neg, map(_REAL, minus)), map(_REAL, jets)),
+            chain(map(_IMAG, plus), map(neg, map(_IMAG, minus)), map(_IMAG, jets)))

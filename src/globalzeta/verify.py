@@ -117,6 +117,7 @@ def _check_nodes(
                 memo[key] = completed_zeta(field, s).completed_value
         return memo[key]
 
+    log_beta = log_covolume(field)
     reports = []
     for s in nodes:
         dist = min(pole_distance(field, s), pole_distance(field, 1.0 - s))
@@ -124,7 +125,7 @@ def _check_nodes(
             reports.append(FunctionalEquationReport(s, None, None, None, dist, STATUS_SKIPPED))
             continue
         lhs = value(1.0 - s)
-        log_beta_power = (2.0 * s - 1.0) * log_covolume(field)
+        log_beta_power = (2.0 * s - 1.0) * log_beta
         _require_log_term(s, log_beta_power.real)
         rhs = _require_finite(s, cmath.exp(log_beta_power) * value(s))
         if lhs == 0 and rhs == 0:

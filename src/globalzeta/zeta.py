@@ -5,8 +5,9 @@ For a number field the completed value is
     Z(s) = (pi^(-s/2) Gamma(s/2))^r1 * ((2 pi)^(1-s) Gamma(s))^r2 * zeta_k(s),
 
 with zeta_k the product of its L-factors through the kernel: zeta(s) for
-Q, zeta(s) * L(s, chi_D) for Q(sqrt d).  For a function field the Gamma
-factor is 1 and zeta_k is the closed form P(q^-s) / ((1 - q^-s)(1 - q^(1-s))).
+Q, zeta(s) * L(s, chi_D) for Q(sqrt d), chi_D cached per discriminant.
+For a function field the Gamma factor is 1 and zeta_k is the closed form
+P(q^-s) / ((1 - q^-s)(1 - q^(1-s))).
 
 Pole model: the actual poles of Z are s = 0 and s = 1 (number fields)
 or the two lattices k*2*pi*i/log q and 1 + k*2*pi*i/log q (function
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple
 
@@ -39,6 +40,8 @@ GAMMA_CANCEL_RADIUS = 1e-2
 #: Inside this radius a vanishing L-factor is divided by (s - m) in Taylor form.
 _DERIVATIVE_ZONE = 1e-5
 _STENCIL_H = 0.02
+#: chi_D per discriminant, as KroneckerCharacter validates D by trial division.
+_character = lru_cache(maxsize=256)(KroneckerCharacter)
 
 
 class EvaluationRecord(NamedTuple):
@@ -68,14 +71,13 @@ def pole_set(field: FieldDescriptor) -> PoleSet:
 
 
 def pole_distance(field: FieldDescriptor, s) -> float:
-    """Distance from s to the pole set of the completed zeta."""
+    """Distance from s to the pole set of the completed zeta (see pole_set)."""
     s = _as_complex(s)
-    poles = pole_set(field)
-    if poles.period is None:
-        return min(abs(s - b) for b in poles.bases)
-    k = round(s.imag / poles.period)
-    dy = s.imag - k * poles.period
-    return min(math.hypot(s.real - b, dy) for b in poles.bases)
+    if isinstance(field, FunctionFieldDescriptor):
+        period = pole_set(field).period
+        dy = s.imag - round(s.imag / period) * period
+        return min(math.hypot(s.real, dy), math.hypot(s.real - 1.0, dy))
+    return min(abs(s), abs(s - 1.0))
 
 
 def _require_off_poles(field: FieldDescriptor, s: complex) -> float:
@@ -100,7 +102,7 @@ def _l_factors(field: NumberFieldDescriptor) -> list:
     # (L, parity of the negative integers where L has its trivial zeros)
     factors = [(riemann_zeta, 0)]
     if field.discriminant != 1:
-        chi = KroneckerCharacter(field.discriminant)
+        chi = _character(field.discriminant)
         factors.append((lambda t: dirichlet_l(t, chi), int(field.discriminant < 0)))
     return factors
 

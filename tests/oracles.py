@@ -124,7 +124,11 @@ def euler_kronecker(D: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, D: int) -> Fraction:
-    """B_{n,chi_D} = f^(n-1) sum_{a=1..f} chi_D(a) B_n(a/f), f = |D| > 1."""
+    """B_{n,chi_D} = f^(n-1) sum_{a=1..f} chi_D(a) B_n(a/f), f = |D| > 1.
+
+    Twin of bench/reference.py's generalized_bernoulli: tests do not
+    import bench/, so each side keeps one copy.
+    """
     f = abs(D)
     acc = sum(euler_kronecker(D, a) * bernoulli_poly(n, Fraction(a, f)) for a in range(1, f + 1))
     return f ** (n - 1) * acc

@@ -1,6 +1,7 @@
 """Engine tests: Dedekind zeta, Gamma factor, completed values, pole model."""
 
 import cmath
+import hashlib
 import math
 import random
 import sys
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from globalzeta import (
+    DomainError,
     PoleError,
+    check_point,
     completed_zeta,
     gamma_factor,
+    hurwitz_zeta,
     make_curve_function_field,
     make_quadratic,
     make_rational_function_field,
@@ -287,3 +291,216 @@ class TestPoleModel:
         assert pole_distance(F5, complex(1.0, period)) < 1e-15
         assert abs(pole_distance(F5, complex(1.0, period / 2.0)) - period / 2.0) < 1e-12
         assert abs(pole_distance(F5, complex(1.0, 7 * period)) ) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One evaluation, pinned bit for bit: values and errors
+# ---------------------------------------------------------------------------
+
+# Strip nodes up to |Im s| = 50, the real axis, Re s in [-8, 0), and the
+# deflated and finite-difference zones around -1 .. -6.
+PIN_POINTS = [complex(x, y) for x in (0.1, 0.5, 0.9) for y in (0.0, 3.5, 14.134725, -21.0, 50.0)]
+PIN_POINTS += [2.0, 3.5, 1.5, 12.0, -0.5, -7.5, complex(-7.9, 2.0), complex(-3.3, 0.4), complex(-0.2, 1.0),
+               complex(-5.5, -7.0)]
+for _m in range(-1, -7, -1):
+    PIN_POINTS += [_m + 0j, _m + 0.005, complex(_m, -0.004), _m - 3e-6, complex(_m, 2e-6), _m + 0.02]
+
+# sha256 of the float.hex of the real and imaginary parts of zeta_value,
+# gamma_factor_value and completed_value at each of PIN_POINTS, recorded
+# before the evaluation layers shared their per-s and per-field work.
+# |D| <= 40 takes dirichlet_l's per-class path, |D| of about 130 and
+# 3,000 its moment path on the strip.
+PIN_DIGESTS = {
+    "Q": "21c7640895f883a64c04ef835d7f2337f1e0589e0899cde0adc1aaea1ce51586",
+    "Q(sqrt=-1)": "a926a79de58337597ac3fa77e63d57cfbb9f97901dafad19ce30c67a4661aca2",
+    "Q(sqrt=-3)": "023785133bfd32aec553e34568db94c02a7a35e8c29fcf23dee97c696012f543",
+    "Q(sqrt=5)": "2ab51bbaa59b31fbd62595a81c335fad952b4501dedae6927b3f7063e1d4f1a5",
+    "Q(sqrt=10)": "d7c373b0378a1ccfe0b9e349e64ee3d52f9fb9a80a7c5551ae8489da5a930067",
+    "Q(sqrt=-131)": "00fec71ef7ed6e56dd52f69a8ed109d7467f22279340c4e234582d2d3e5deea4",
+    "Q(sqrt=129)": "62949bb04d9c72548dc40e9f59275e519920625b853cc4027c6e8f7664016e4d",
+    "Q(sqrt=-2999)": "67cf6c68536f91b30e97b7af9c96059e5046a4f901fe198972c4d679a5d5f572",
+    "Q(sqrt=3001)": "b51724a9d875b264f45a972b4abd1d8cc2feedce9500459f6778822a059c589b",
+    "Fq(T)?q=5": "0bb2259d115655e483fe0e94d7cb83c27c81784df6fd63a38b3caa3814047bf7",
+    "curve?q=5&L=1,3,5": "af3e7692defb0dd1206f7b5b370fe58e046b911c4e96356dc6198bbbbe148e74",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PIN_DIGESTS))
+def test_completed_values_pinned_bit_for_bit(spec):
+    field = parse_field_spec(spec)
+    hexes = []
+    for s in PIN_POINTS:
+        rec = completed_zeta(field, s)
+        for z in (rec.zeta_value, rec.gamma_factor_value, rec.completed_value):
+            hexes += [z.real.hex(), z.imag.hex()]
+    assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == PIN_DIGESTS[spec]
+
+
+def test_riemann_zeta_is_hurwitz_at_one_bit_for_bit():
+    # riemann_zeta keeps its own logs and checks rather than calling hurwitz_zeta
+    for s in PIN_POINTS:
+        a, b = riemann_zeta(s), hurwitz_zeta(s, 1.0)
+        assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex()), s
+
+
+PERIOD_5 = 2.0 * math.pi / math.log(5.0)
+
+# (function, field spec, s, exception, message), recorded before the
+# evaluation layers shared their checks: poles, Gamma poles, non-finite
+# s, MAX_ABS_S and MAX_LOG_TERM, called directly and through check_point.
+ERROR_CASES = [
+    (completed_zeta, "Q", 1e-4, PoleError,
+     '(0.0001+0j) is within 0.001 of a pole of the completed zeta'),
+    (zeta, "Q", 1e-4, PoleError,
+     '(0.0001+0j) is within 0.001 of a pole of the completed zeta'),
+    (gamma_factor, "Q", 1e-4, PoleError,
+     'gamma_factor: (0.0001+0j) is within 0.001 of the Gamma pole at 0'),
+    (completed_zeta, "Q", 1 + 1e-4j, PoleError,
+     '(1+0.0001j) is within 0.001 of a pole of the completed zeta'),
+    (zeta, "Q", 1 + 1e-4j, PoleError,
+     '(1+0.0001j) is within 0.001 of a pole of the completed zeta'),
+    (riemann_zeta, "Q", 1 + 1e-4j, PoleError,
+     'hurwitz_zeta: (1+0.0001j) is within 0.001 of the pole s=1'),
+    (completed_zeta, "Fq(T)?q=5", complex(1.0, 3 * PERIOD_5) + 2e-4, PoleError,
+     '(1.0002+11.71188759498703j) is within 0.001 of a pole of the completed zeta'),
+    (zeta, "Fq(T)?q=5", complex(1.0, 3 * PERIOD_5) + 2e-4, PoleError,
+     '(1.0002+11.71188759498703j) is within 0.001 of a pole of the completed zeta'),
+    (completed_zeta, "Fq(T)?q=5", complex(0.0, -PERIOD_5), PoleError,
+     '-3.903962531662343j is within 0.001 of a pole of the completed zeta'),
+    (zeta, "Fq(T)?q=5", complex(0.0, -PERIOD_5), PoleError,
+     '-3.903962531662343j is within 0.001 of a pole of the completed zeta'),
+    (gamma_factor, "Q", -2 + 1e-4j, PoleError,
+     'gamma_factor: (-2+0.0001j) is within 0.001 of the Gamma pole at -2'),
+    (gamma_factor, "Q(sqrt=-1)", -3 - 1e-4, PoleError,
+     'gamma_factor: (-3.0001+0j) is within 0.001 of the Gamma pole at -3'),
+    (gamma_factor, "Q(sqrt=5)", -4 + 5e-4, PoleError,
+     'gamma_factor: (-3.9995+0j) is within 0.001 of the Gamma pole at -4'),
+    (completed_zeta, "Q", math.nan, DomainError,
+     's must be finite, got (nan+0j)'),
+    (zeta, "Q", math.nan, DomainError,
+     's must be finite, got (nan+0j)'),
+    (gamma_factor, "Q", math.nan, DomainError,
+     's must be finite, got (nan+0j)'),
+    (riemann_zeta, "Q", math.nan, DomainError,
+     's must be finite, got (nan+0j)'),
+    (check_point, "Q", math.nan, DomainError,
+     's must be finite, got (nan+0j)'),
+    (completed_zeta, "Q(sqrt=-1)", complex(0.5, math.inf), DomainError,
+     's must be finite, got (0.5+infj)'),
+    (zeta, "Q(sqrt=-1)", complex(0.5, math.inf), DomainError,
+     's must be finite, got (0.5+infj)'),
+    (gamma_factor, "Q(sqrt=-1)", complex(0.5, math.inf), DomainError,
+     's must be finite, got (0.5+infj)'),
+    (check_point, "Q(sqrt=-1)", complex(0.5, math.inf), DomainError,
+     's must be finite, got (0.5+infj)'),
+    (completed_zeta, "Q", 2e4j, DomainError,
+     '|s| = 20000 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (zeta, "Q", 2e4j, DomainError,
+     '|s| = 20000 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (riemann_zeta, "Q", 2e4j, DomainError,
+     '|s| = 20000 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (check_point, "Q", 2e4j, DomainError,
+     '|s| = 20000.000025000001 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (completed_zeta, "Q(sqrt=5)", complex(0.5, -1.5e4), DomainError,
+     '|s| = 15000.000008333333 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (zeta, "Q(sqrt=5)", complex(0.5, -1.5e4), DomainError,
+     '|s| = 15000.000008333333 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (check_point, "Q(sqrt=5)", complex(0.5, -1.5e4), DomainError,
+     '|s| = 15000.000008333333 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (completed_zeta, "Q", 2e4, DomainError,
+     'at s = (20000+0j) the terms reach exp(70652.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (zeta, "Q", 2e4, DomainError,
+     '|s| = 20000 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (gamma_factor, "Q", 2e4, DomainError,
+     'at s = (20000+0j) the terms reach exp(70652.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (riemann_zeta, "Q", 2e4, DomainError,
+     '|s| = 20000 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (check_point, "Q", 2e4, DomainError,
+     '|s| = 19999 exceeds MAX_ABS_S = 10000; the Euler-Maclaurin shift count grows with |s|'),
+    (completed_zeta, "Q", 500, DomainError,
+     'at s = (500+0j) the terms reach exp(842.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (gamma_factor, "Q", 500, DomainError,
+     'at s = (500+0j) the terms reach exp(842.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (check_point, "Q", 500, DomainError,
+     'at s = (-499+0j) the terms reach exp(3107.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (completed_zeta, "Q(sqrt=-1)", -150, DomainError,
+     'at s = (-150.06+0j) the terms reach exp(758.9), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (zeta, "Q(sqrt=-1)", -150, DomainError,
+     'at s = (-150+0j) the terms reach exp(757.6), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (gamma_factor, "Q(sqrt=-1)", -150, PoleError,
+     'gamma_factor: (-150+0j) is within 0.001 of the Gamma pole at -150'),
+    (check_point, "Q(sqrt=-1)", -150, DomainError,
+     'at s = (-150.06+0j) the terms reach exp(758.9), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (completed_zeta, "Q", -160, DomainError,
+     'at s = (-160.06+0j) the terms reach exp(819.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (zeta, "Q", -160, DomainError,
+     'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (gamma_factor, "Q", -160, PoleError,
+     'gamma_factor: (-160+0j) is within 0.001 of the Gamma pole at -160'),
+    (riemann_zeta, "Q", -160, DomainError,
+     'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (check_point, "Q", -160, DomainError,
+     'at s = (-160.06+0j) the terms reach exp(819.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (completed_zeta, "Fq(T)?q=5", -500, DomainError,
+     'at s = (-500+0j) the terms reach exp(804.7), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (zeta, "Fq(T)?q=5", -500, DomainError,
+     'at s = (-500+0j) the terms reach exp(804.7), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+    (check_point, "Fq(T)?q=5", -500, DomainError,
+     'at s = (-500+0j) the terms reach exp(1611.0), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+]
+
+
+@pytest.mark.parametrize("fn, spec, s, error, message", ERROR_CASES)
+def test_errors_unchanged(fn, spec, s, error, message):
+    field = parse_field_spec(spec)
+    args = (s,) if fn is riemann_zeta else (field, s, 1e-9) if fn is check_point else (field, s)
+    with pytest.raises(error) as caught:
+        fn(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("spec, s", [("Q", 1e-4), ("Q", 1 + 1e-4j), ("Fq(T)?q=5", complex(1.0, 3 * PERIOD_5) + 2e-4),
+                                     ("Fq(T)?q=5", complex(0.0, -PERIOD_5))])
+def test_check_point_skips_what_completed_zeta_refuses(spec, s):
+    assert check_point(parse_field_spec(spec), s, 1e-9).status == "near_pole_skipped"
+
+
+def test_threads_share_the_evaluation_caches():
+    # Four threads evaluate the same fields and points in the same order
+    # with a short switch interval, so the per-s weights, the characters
+    # and the Riemann zeta's log table are read and replaced under each
+    # other's calls.  Every value must equal the one computed alone, bit
+    # for bit.  A smoke test: the race windows are a few bytecodes wide,
+    # so a racy cache can pass it; the weights stay safe by construction
+    # (one tuple of key and weights, read once and replaced whole).
+    import threading
+
+    steps = [(parse_field_spec(spec), s) for spec, s in (
+        ("Q", 0.5 + 14j), ("Q(sqrt=5)", 0.2 + 3j), ("Q(sqrt=-131)", 0.7 + 40j),
+        ("Q(sqrt=-1)", -1.003 + 0j), ("Q", 0.9 - 33j), ("Q(sqrt=-3)", 0.5 + 0j),
+    )]
+    alone = [completed_zeta(field, s).completed_value for field, s in steps]
+    results, errors = [], []
+
+    def worker():
+        try:
+            for k in range(24):
+                i = k % len(steps)
+                results.append((i, completed_zeta(*steps[i]).completed_value))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(results) == 96
+    assert all((v.real.hex(), v.imag.hex()) == (alone[i].real.hex(), alone[i].imag.hex()) for i, v in results)
