@@ -5,8 +5,7 @@ a continuous branch of log Gamma and the analytically continued Hurwitz
 zeta, the engine behind both the Riemann zeta and the Dirichlet L
 functions L(s, chi_D).  The characters chi_D and the integer arithmetic
 they need live in globalzeta.arith, which builds fields without this
-module; kernel re-imports those names, so kernel.KroneckerCharacter,
-kernel._totient and the like still resolve.
+module.
 
 All functions work on binary64 complex numbers.  The algorithmic error
 budget is 1e-12 relative on |s| <= 50 with Re s >= 0; summation is done
@@ -22,11 +21,12 @@ phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
 moduli, and a Taylor series in the class offsets whose coefficients are
 the character's moments for large ones (globalzeta.moments, imported on
 first use).  What does not depend on s is kept in a cache of tables, one
-per path and modulus: class logs, or head logs and exact moments; the
-Riemann zeta's logs are the class table of D = 1.  Their sizes, in
-doubles, sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently
-used tables are dropped to make room, and a call whose own table would
-pass the limit raises DomainError before any table is built or grown.
+per modulus, which both paths read: the class offsets, their logs and,
+for the moment path, the exact moments; the Riemann zeta's logs are the
+table of D = 1.  Their sizes, in doubles, sum to at most
+MAX_TABLE_ENTRIES (2 MiB); the least recently used tables are dropped to
+make room, and a call whose own table would pass the limit raises
+DomainError before any table is built or grown.
 zeta(s) and L(s, chi) at one s share its Euler-Maclaurin weights.  Each
 evaluator also bounds the size of its terms before any work: past
 exp(MAX_LOG_TERM) they would overflow binary64, so it raises DomainError
@@ -40,20 +40,10 @@ import math
 import sys
 import threading
 from array import array
-from itertools import islice
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, neg
 
-from .arith import (  # noqa: F401 -- re-exported, as kernel.X, for moments and tests
-    MAX_FACTOR_INPUT,
-    POLE_EXCLUSION_RADIUS,
-    KroneckerCharacter,
-    _as_complex,
-    _factorization,
-    _is_squarefree,
-    _totient,
-    is_fundamental_discriminant,
-    kronecker_chi,
-)
+from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _totient, kronecker_chi
 from .errors import DomainError, PoleError
 
 #: Largest |s| the Hurwitz, Riemann and Dirichlet evaluators accept.  One
@@ -65,10 +55,12 @@ MAX_ABS_S = 1e4
 #: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
 MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 
-#: Largest number of doubles in dirichlet_l's tables, summed over the
-#: moduli it keeps (2 MiB here): phi(|D|) * (N + 1) for a per-class table
-#: with shift count N, phi(|D|) * (M + 1) + J + 1 for a moment table with
-#: head length M and order J.
+#: Largest number of doubles in the tables, summed over the moduli kept
+#: (2 MiB here).  A table holds phi(|D|) * (rows + 1) + len(moments): the
+#: class offsets, rows rows of logs and the moments.  The per-class path
+#: and the Riemann zeta (phi = 1) need N + 1 rows for shift count N and no
+#: moments; the moment path needs M rows for head length M and J + 1
+#: moments for order J.
 MAX_TABLE_ENTRIES = 2**18
 
 _LOG_PI = math.log(math.pi)
@@ -228,7 +220,7 @@ def _em_weights(s: complex) -> tuple[complex, ...]:
     return weights
 
 
-def _hurwitz_regular(neg_s: complex, weights: tuple[complex, ...], logs, x: float, log_x: float) -> complex:
+def _hurwitz_regular(weights: tuple[complex, ...], powers: list, x: float) -> complex:
     # Euler-Maclaurin evaluation of zeta_H(s, a) with the single pole
     # term x^(1-s)/(s-1), x = a + shift, split off:
     #
@@ -236,17 +228,17 @@ def _hurwitz_regular(neg_s: complex, weights: tuple[complex, ...], logs, x: floa
     #
     # regular = sum_{n<shift} (a+n)^-s + x^-s/2 + sum_{k=1..K} weights[k-1] * x^(-s-2k+1)
     #
-    # neg_s = -s, logs yields log(a+n) for n < shift, and log_x = log(x).
-    # fsum is correctly rounded, so the order of the parts is immaterial.
-    terms = list(map(cmath.exp, map(neg_s.__mul__, logs)))
-    xs = cmath.exp(neg_s * log_x)
-    terms.append(complex(0.5 * xs.real, 0.5 * xs.imag))
+    # powers holds (a+n)^-s for n < shift and x^-s last; it is taken
+    # over as the list of parts.  fsum is correctly rounded, so the order
+    # of the parts is immaterial.
+    xs = powers[-1]
+    powers[-1] = complex(0.5 * xs.real, 0.5 * xs.imag)
     inv_x2 = 1.0 / (x * x)
     xp = xs / x
     for w in weights:
-        terms.append(w * xp)
+        powers.append(w * xp)
         xp *= inv_x2
-    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    return complex(math.fsum(map(_REAL, powers)), math.fsum(map(_IMAG, powers)))
 
 
 def hurwitz_zeta(s, a: float) -> complex:
@@ -279,10 +271,10 @@ def _hurwitz_unrestricted(s: complex, a: float) -> complex:
     log_x = math.log(x)
     # the largest parts are a^-s and the pole term x^(1-s)
     _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * log_x))
-    # log(a + n); for a = 1, the Riemann zeta, the class table of D = 1 keeps them
-    logs = (islice(_cached_table(_ClassTable, 1, shift + 1, shift).classes[0][2], shift) if a == 1.0
-            else [math.log(a + n) for n in range(shift)])
-    regular = _hurwitz_regular(-s, _em_weights(s), logs, x, log_x)
+    # log(a + n) for n <= N; for a = 1, the Riemann zeta, the table of D = 1 keeps them
+    logs = (_cached_table(1, shift + 2, shift + 1).heads[0][: shift + 1] if a == 1.0
+            else [math.log(a + n) for n in range(shift + 1)])
+    regular = _hurwitz_regular(_em_weights(s), list(map(cmath.exp, map((-s).__mul__, logs))), x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
 
@@ -327,57 +319,65 @@ def _phi_expm1_ratio(u: complex) -> complex:
     return cmath.exp(half) * cmath.sinh(half) / half
 
 
-class _ClassTable:
-    """The s-independent data of the per-class path for one modulus q = |D|.
+class _Table:
+    """The s-independent data of one modulus q = |D|, for every path.
 
-    classes holds (chi(r), r/q, logs) for each r in 1..q coprime to D,
-    with logs[n] = log(r/q + n) for n = 0..depth in array('d') storage.
+    plus and minus hold r/q for the classes r in 1..q coprime to q with
+    chi(r) = +1 and -1 (D = 1, the Riemann zeta, has the one class 1/1),
+    and heads[0], heads[1] the logs log(r/q + n) of each, for n < rows,
+    one block of classes per n.  moments[j] = mu_j = sum_r chi(r)
+    (r/q - 1/2)^j for j < len(moments), filled for the moment path only
+    (moments.exact_moments).
     """
 
-    __slots__ = ("modulus", "classes", "depth")
+    __slots__ = ("modulus", "plus", "minus", "heads", "rows", "moments")
 
     def __init__(self, D: int) -> None:
         q = abs(D)
         self.modulus = D
-        self.classes = [
-            (kronecker_chi(D, r), r / q, array("d"))
-            for r in range(1, q + 1)
-            if math.gcd(r, q) == 1
-        ]
-        self.depth = -1
+        chis = [(r / q, kronecker_chi(D, r)) for r in range(1, q + 1) if math.gcd(r, q) == 1]
+        self.plus = [a for a, c in chis if c > 0]
+        self.minus = [a for a, c in chis if c < 0]
+        self.heads = (array("d"), array("d"))
+        self.rows = 0
+        self.moments: list[float] = []
 
-    def size(self, depth: int = -1) -> int:
-        # doubles held, after growing to depth
-        return len(self.classes) * (max(self.depth, depth) + 1)
+    def size(self, rows: int = 0, order: int = -1) -> int:
+        # doubles held (r/q, logs, moments), after growing to rows and order
+        count = len(self.plus) + len(self.minus)
+        return count * (max(self.rows, rows) + 1) + max(len(self.moments), order + 1)
 
-    def covers(self, depth: int) -> bool:
-        return depth <= self.depth
+    def covers(self, rows: int, order: int = -1) -> bool:
+        return rows <= self.rows and order < len(self.moments)
 
-    def grow(self, depth: int) -> None:
-        if self.depth < depth:
-            for _, a, logs in self.classes:
-                logs.extend([math.log(a + n) for n in range(self.depth + 1, depth + 1)])
-            self.depth = depth
+    def grow(self, rows: int, order: int = -1) -> None:
+        for logs, tops in zip(self.heads, (self.plus, self.minus)):
+            for n in range(self.rows, rows):
+                logs.extend([math.log(a + n) for a in tops])
+        self.rows = max(self.rows, rows)
+        if len(self.moments) <= order:
+            from .moments import exact_moments
+
+            self.moments = exact_moments(self.modulus, order)
 
 
-# The tables of the moduli dirichlet_l has seen, least recently used first,
-# keyed by (table class, D); their sizes sum to at most MAX_TABLE_ENTRIES.
+# The tables of the moduli seen, least recently used first, keyed by D;
+# their sizes sum to at most MAX_TABLE_ENTRIES.
 _tables: dict = {}
 _table_lock = threading.Lock()
 
 
-def _cached_table(kind, D: int, need: int, *grow_args):
-    # kind's table of D, grown by grow_args, need <= MAX_TABLE_ENTRIES
-    # being the size of a fresh one; older tables are dropped, least
-    # recently used first, until everything fits.
-    key = (kind, D)
+def _cached_table(D: int, need: int, *grow_args) -> _Table:
+    # The table of D, grown by grow_args, need <= MAX_TABLE_ENTRIES being
+    # the size of a fresh one; older tables are dropped, least recently
+    # used first, until everything fits.
     with _table_lock:
-        table = _tables.get(key)
+        table = _tables.get(D)
         if table is not None and table.covers(*grow_args):
-            if next(reversed(_tables)) != key:
-                _tables[key] = _tables.pop(key)  # now the most recently used
+            if next(reversed(_tables)) != D:
+                _tables[D] = _tables.pop(D)  # now the most recently used
             return table
-        table = _tables.pop(key, None)
+        table = _tables.pop(D, None)
         if table is not None and table.size(*grow_args) > MAX_TABLE_ENTRIES:
             table = None  # what it holds beyond this call does not fit too
         room = MAX_TABLE_ENTRIES - (need if table is None else table.size(*grow_args))
@@ -386,9 +386,9 @@ def _cached_table(kind, D: int, need: int, *grow_args):
                 break
             del _tables[oldest]
         if table is None:
-            table = kind(D)
+            table = _Table(D)
         table.grow(*grow_args)
-        _tables[key] = table
+        _tables[D] = table
         return table
 
 
@@ -431,21 +431,24 @@ def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int] | None:
     return moments.head_and_order(s, shift + 12)
 
 
-def _class_sum(s: complex, classes: list, shift: int) -> tuple[list, list]:
-    # The real and imaginary parts of q^s L(s, chi), one Hurwitz sum per class.
+def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
+    # Iterators over the real and imaginary parts of q^s L(s, chi), for
+    # fsum: one Hurwitz sum per class, each sign block's powers
+    # (a + n)^-s for n <= N taken in one pass, class i's in column i.
     neg_s = -s
     one_minus_s = 1.0 - s
     weights = _em_weights(s)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for c, a, logs in classes:
-        lx = logs[shift]
-        reg = _hurwitz_regular(neg_s, weights, islice(logs, shift), a + shift, lx)
-        pole = -lx * _phi_expm1_ratio(one_minus_s * lx)
-        t = reg + pole
-        re_parts.append(c * t.real)
-        im_parts.append(c * t.imag)
-    return re_parts, im_parts
+    plus, minus = [], []
+    for sums, tops, logs in zip((plus, minus), (table.plus, table.minus), table.heads):
+        count = len(tops)
+        powers = list(map(cmath.exp, map(neg_s.__mul__, logs[: count * (shift + 1)])))
+        for i, a in enumerate(tops):
+            lx = logs[count * shift + i]
+            reg = _hurwitz_regular(weights, powers[i::count], a + shift)
+            pole = -lx * _phi_expm1_ratio(one_minus_s * lx)
+            sums.append(reg + pole)
+    return (chain(map(_REAL, plus), map(neg, map(_REAL, minus))),
+            chain(map(_IMAG, plus), map(neg, map(_IMAG, minus))))
 
 
 def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
@@ -484,12 +487,12 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     on the per-class path at every s, so those values do not move.  On
     0 < Re s < 1, |Im s| <= 50 the moment path is taken for every
     phi(q) >= 57 and for none below 47.  Values are a pure function of (s, D) whatever the cache
-    holds.  Only work that depends on s is done per call: the classes,
-    their logs log(a_r + n) and the exact moments are kept per modulus
-    (see MAX_TABLE_ENTRIES), plus about 200 bytes per class for the
-    class records.  Raises DomainError, before any work, when |s|
-    exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
-    or a term, |D|^-s times the sum included, could pass
+    holds.  Only work that depends on s is done per call: the offsets
+    a_r, their logs log(a_r + n) and the exact moments are kept in one
+    table per modulus, which both paths read (see MAX_TABLE_ENTRIES).
+    Raises DomainError, before any work, when |s| exceeds MAX_ABS_S, the
+    call's table would exceed MAX_TABLE_ENTRIES, or a term, |D|^-s times
+    the sum included, could pass
     exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
@@ -507,26 +510,25 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     spread = math.log(count) + max(0.0, -sigma) * log_q
     _require_log_term(s, max(sigma * log_q, (1.0 - sigma) * log_x) + spread)
     plan = _moment_plan(s, count, shift)
-    need = count * (shift + 1) if plan is None else count * (plan[0] + 1) + plan[1] + 1
+    rows, order = (shift + 1, -1) if plan is None else plan
+    need = count * (rows + 1) + order + 1
     if need > MAX_TABLE_ENTRIES:
-        what = "phi(|D|) * (N + 1)" if plan is None else "phi(|D|) * (M + 1) + J + 1"
         raise DomainError(
-            f"dirichlet_l: {what} = {need} exceeds MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} "
-            f"(D = {D}, N = {shift}, plan = {plan})"
+            f"dirichlet_l: phi(|D|) * (rows + 1) + len(moments) = {need} exceeds "
+            f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift}, plan = {plan})"
         )
     if plan is None:
         # inside _phi_expm1_ratio a class also meets x^((s-1)/2)
         _require_log_term(s, 0.5 * (sigma - 1.0) * log_x + spread)
-        re_parts, im_parts = _class_sum(s, _cached_table(_ClassTable, D, need, shift).classes, shift)
+        re_parts, im_parts = _class_sum(s, _cached_table(D, need, rows), shift)
     else:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
         # (the head) and X^(1-s) (the jets, X = M + 1/2 + N).
         from . import moments
 
-        head, order = plan
-        largest = max(sigma * log_q, (1.0 - sigma) * math.log(head + 0.5 + shift))
+        largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + shift))
         _require_log_term(s, largest + math.log(moments.GROWTH_BOUND) + spread)
-        table = _cached_table(moments.MomentTable, D, need, head, order)
-        re_parts, im_parts = moments.moment_sum(s, table, head, order, shift)
+        table = _cached_table(D, need, rows, order)
+        re_parts, im_parts = moments.moment_sum(s, table, rows, order, shift)
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
     return cmath.exp(-s * math.log(q)) * total

@@ -7,9 +7,11 @@ With q = |D|, a_r = r/q, x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
 
 the Taylor expansion of each zeta_H(s, a_r + M) about x (Arb's
 acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
-M and J are stated in kernel.dirichlet_l.  kernel imports this module
-only when a call takes this path, so a process that never evaluates a
-large modulus does not compile it.
+M and J are stated in kernel.dirichlet_l.  The head logs log(a_r + n)
+are those of the modulus's one table in kernel, which the per-class path
+reads too; exact_moments adds the moments mu_j to it.  kernel imports
+this module only when a call takes this path, so a process that never
+evaluates a large modulus does not compile it.
 """
 
 from __future__ import annotations
@@ -17,60 +19,24 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from array import array
 from itertools import chain
 from operator import mul, neg
 
-from .kernel import _EM_COEF, _IMAG, _REAL, _em_weights, _moment_head, kronecker_chi
+from .arith import kronecker_chi
+from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _em_weights, _moment_head
 
 # The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
 TAIL_BOUND = 2.0**-56
 GROWTH_BOUND = 2.0**8
 
 
-class MomentTable:
-    """The s-independent data of the moment path for one modulus q = |D|.
+def exact_moments(D: int, order: int) -> list[float]:
+    """mu_j = sum_r chi(r) (r/q - 1/2)^j for j = 0..order, q = |D|.
 
-    plus and minus hold r/q for the classes with chi(r) = +1 and -1, and
-    heads[0], heads[1] the logs log(r/q + n) of each, for n < rows, one
-    block of classes per n.  moments[j] = mu_j = sum_r chi(r) (r/q - 1/2)^j
-    for j < len(moments), each the exact integer sum
-    2 sum_{r<q/2} chi(r) (2r - q)^j divided by (2q)^j, rounded once; it is
-    0 for j of the other parity than chi(-1) = (-1)^j.
+    Each is the exact integer sum 2 sum_{r<q/2} chi(r) (2r - q)^j divided
+    by (2q)^j, rounded once; chi(q - r) = chi(-1) chi(r) pairs r with
+    q - r, so it is 0 for j of the other parity than chi(-1) = (-1)^j.
     """
-
-    __slots__ = ("modulus", "count", "plus", "minus", "heads", "rows", "moments")
-
-    def __init__(self, D: int) -> None:
-        q = abs(D)
-        self.modulus = D
-        chis = [(r, kronecker_chi(D, r)) for r in range(1, q) if math.gcd(r, q) == 1]
-        self.count = len(chis)
-        self.plus = [r / q for r, c in chis if c > 0]
-        self.minus = [r / q for r, c in chis if c < 0]
-        self.heads = (array("d"), array("d"))
-        self.rows = 0
-        self.moments: list[float] = []
-
-    def size(self, rows: int = 0, order: int = -1) -> int:
-        # doubles held (r/q, logs, moments), after growing to rows and order
-        return self.count * (max(self.rows, rows) + 1) + max(len(self.moments), order + 1)
-
-    def covers(self, rows: int, order: int) -> bool:
-        return rows <= self.rows and order < len(self.moments)
-
-    def grow(self, rows: int, order: int) -> None:
-        for logs, tops in zip(self.heads, (self.plus, self.minus)):
-            for n in range(self.rows, rows):
-                logs.extend([math.log(a + n) for a in tops])
-        self.rows = max(self.rows, rows)
-        if len(self.moments) <= order:
-            self.moments = _exact_moments(self.modulus, order)
-
-
-def _exact_moments(D: int, order: int) -> list[float]:
-    # mu_j for j = 0..order.  chi(q - r) = chi(-1) chi(r) pairs r with q - r,
-    # so only r < q/2 and j with (-1)^j = chi(-1) are summed.
     q = abs(D)
     half = [(r, kronecker_chi(D, r)) for r in range(1, (q + 1) // 2) if math.gcd(r, q) == 1]
     first = 1 if D < 0 else 0
@@ -132,7 +98,7 @@ def _real_power(p: float, z: complex) -> complex:
     return p ** z.real * cmath.exp(complex(0.0, z.imag * math.log(p)))
 
 
-def moment_sum(s: complex, table: MomentTable, head: int, order: int, shift: int) -> tuple:
+def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> tuple:
     """Iterators over the real and imaginary parts of q^s L(s, chi), for fsum.
 
     They are the head sum_c chi_c sum_{n<head} (a_c + n)^-s, and for each

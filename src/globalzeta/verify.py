@@ -13,9 +13,10 @@ import cmath
 import math
 from typing import NamedTuple
 
+from .arith import POLE_EXCLUSION_RADIUS, _as_complex
 from .errors import DomainError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, field_spec_string, log_covolume, truncated_euler_product
-from .kernel import POLE_EXCLUSION_RADIUS, _as_complex, _require_finite, _require_log_term
+from .kernel import _require_finite, _require_log_term
 from .zeta import completed_zeta, pole_distance, zeta
 
 STATUS_OK = "ok"
@@ -98,19 +99,21 @@ def check_point(field: FieldDescriptor, s, tolerance: float) -> FunctionalEquati
 def _check_nodes(
     field: FieldDescriptor, nodes: list[complex], tolerance: float
 ) -> list[FunctionalEquationReport]:
-    # Each distinct point is evaluated once, keyed by its exact bits.
+    # Each distinct point is evaluated once, keyed by its value and the
+    # signs of its parts (as kernel._em_weights is; 0.0 == -0.0).
     # Off the real axis Z(conj s) is served as conj Z(s), which the
     # kernel returns bit for bit (pinned in tests/test_zeta.py); on the
     # real axis Z(x - 0i) equals Z(x + 0i), not its conjugate, so nothing
     # folds there.  At most two values per node.
     if not tolerance > 0:
         raise DomainError("check_point: tolerance must be positive")
-    memo: dict[tuple[str, str], complex] = {}
+    memo: dict[tuple[complex, float, float], complex] = {}
 
     def value(s: complex) -> complex:
-        key = (s.real.hex(), s.imag.hex())
+        sign_re, sign_im = math.copysign(1.0, s.real), math.copysign(1.0, s.imag)
+        key = (s, sign_re, sign_im)
         if key not in memo:
-            conj = (key[0], (-s.imag).hex())
+            conj = (s.conjugate(), sign_re, -sign_im)
             if s.imag != 0 and conj in memo:
                 memo[key] = memo[conj].conjugate()
             else:

@@ -29,10 +29,10 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple
 
+from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex
 from .errors import PoleError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
-from .kernel import (_LOG_2PI, _LOG_PI, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _log_gamma_impl,
-                     _require_finite, _require_log_term, dirichlet_l, riemann_zeta)
+from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, _require_finite, _require_log_term, dirichlet_l, riemann_zeta
 
 #: Inside this radius of a cancelled Gamma pole the completed value is
 #: computed by deflation and the record is flagged.

@@ -25,8 +25,8 @@ from globalzeta import (
     sweep,
 )
 from globalzeta.cli import parse_and_dispatch
+from globalzeta.arith import KroneckerCharacter
 from globalzeta.kernel import (
-    KroneckerCharacter,
     dirichlet_l,
     log_gamma,
     riemann_zeta,

@@ -27,7 +27,7 @@ from globalzeta import (
     log_gamma,
     riemann_zeta,
 )
-from globalzeta import kernel, moments
+from globalzeta import arith, kernel, moments
 from globalzeta.kernel import hurwitz_shift_gap
 
 import oracles
@@ -157,6 +157,36 @@ class TestHurwitzZeta:
         if abs(s - 1) < 0.01:
             return
         assert hurwitz_shift_gap(s, a) < 1e-12
+
+
+def test_em_weights_interleaved_with_another_thread(monkeypatch):
+    # _em_weights keeps the weights of the last s.  A patched _EM_COEF
+    # runs _em_weights at another point t in a second thread partway
+    # through the loop at s.  Both calls, and the calls after them, must
+    # return the weights computed alone.
+    import threading
+
+    s, t, u = 0.5 + 14j, 0.3 + 7j, 2.5 + 0j
+    alone = {z: kernel._em_weights(z) for z in (s, t, u)}  # u's are kept last
+    coef, seen = kernel._EM_COEF, []
+
+    class Interleaved:
+        done = False
+
+        def __iter__(self):
+            for k, c in enumerate(coef):
+                if k == len(coef) // 2 and not self.done:
+                    self.done = True
+                    other = threading.Thread(target=lambda: seen.append(kernel._em_weights(t)))
+                    other.start()
+                    other.join(timeout=60)
+                yield c
+
+    monkeypatch.setattr(kernel, "_EM_COEF", Interleaved())
+    assert kernel._em_weights(s) == alone[s]
+    assert seen == [alone[t]]
+    assert kernel._em_weights(t) == alone[t]
+    assert kernel._em_weights(s) == alone[s]
 
 
 class TestRiemannZeta:
@@ -309,26 +339,26 @@ class TestDirichletL:
         kernel._tables.clear()
         reused = [dirichlet_l(s, chi) for chi, s in steps[:2]]
         (key_a, table_a), = kernel._tables.items()
-        assert key_a == (moments.MomentTable, a.modulus)
+        assert key_a == a.modulus
         monkeypatch.setattr(kernel, "MAX_TABLE_ENTRIES", table_a.size())
         a_heads = weakref.ref(table_a.heads[0])
         del table_a
         reused.append(dirichlet_l(steps[2][1], b))
-        assert list(kernel._tables) == [(moments.MomentTable, b.modulus)]
+        assert list(kernel._tables) == [b.modulus]
         assert a_heads() is None
         reused.append(dirichlet_l(steps[3][1], a))
-        assert list(kernel._tables) == [(moments.MomentTable, m) for m in (b.modulus, a.modulus)]
+        assert list(kernel._tables) == [b.modulus, a.modulus]
         assert reused == fresh
 
     def test_class_path_table_grows_with_shift(self, monkeypatch):
-        # the per-class table of a small modulus keeps log(a + n) for n up
-        # to the largest shift count N it has needed
+        # on the per-class path the table of a small modulus keeps
+        # log(a + n) for n up to the largest shift count N it has needed
         chi = KroneckerCharacter(-7)
         monkeypatch.setattr(kernel, "_tables", {})
         for s, depth in ((0.5 + 3j, 20), (0.5 + 45j, 46), (0.5 + 3j, 46)):
             dirichlet_l(s, chi)
             (key, table), = kernel._tables.items()
-            assert key == (kernel._ClassTable, -7) and table.depth == depth
+            assert key == -7 and table.rows - 1 == depth
 
     # float.hex of dirichlet_l at the commit before the moment path existed;
     # these moduli stay on the per-class path, whose values must not move
@@ -451,6 +481,44 @@ class TestDirichletL:
         assert all(value == alone[i] for i, value in results)
         assert sum(t.size() for t in kernel._tables.values()) <= 4000
 
+    def test_table_grown_and_evicted_under_a_paused_call(self, monkeypatch):
+        # Thread A holds the table of D = -7 and waits in _em_weights, which
+        # the per-class path calls after _cached_table returns and before
+        # it reads the table.  Meanwhile the main thread grows that table
+        # and then evicts it under a limit that holds one table.  A's value
+        # must equal the one computed alone.
+        import threading
+
+        chi, s = KroneckerCharacter(-7), 0.5 + 3j
+        monkeypatch.setattr(kernel, "_tables", {})
+        alone = dirichlet_l(s, chi)
+        kernel._tables.clear()
+        em_weights, paused, resume = kernel._em_weights, threading.Event(), threading.Event()
+
+        def pausing(z):
+            if threading.current_thread() is thread_a:
+                paused.set()
+                resume.wait(timeout=60)
+            return em_weights(z)
+
+        monkeypatch.setattr(kernel, "_em_weights", pausing)
+        result = []
+        thread_a = threading.Thread(target=lambda: result.append(dirichlet_l(s, chi)))
+        thread_a.start()
+        try:
+            assert paused.wait(timeout=60)
+            table = kernel._tables[-7]
+            rows = table.rows
+            dirichlet_l(0.5 + 45j, chi)
+            assert kernel._tables[-7] is table and table.rows > rows
+            monkeypatch.setattr(kernel, "MAX_TABLE_ENTRIES", table.size())
+            dirichlet_l(s, KroneckerCharacter(-8))
+            assert list(kernel._tables) == [-8]
+        finally:
+            resume.set()
+            thread_a.join(timeout=60)
+        assert not thread_a.is_alive() and result == [alone]
+
     def test_moment_path_regular_at_one_minus_j(self):
         # s = -n = 1 - j meets the pole of zeta_H(s + j, x): the folded pole
         # term keeps that jet finite.  Where L(-n, chi) does not vanish it
@@ -469,7 +537,7 @@ class TestDirichletL:
 
 def plan_of(s, D):
     s = complex(s)
-    return kernel._moment_plan(s, kernel._totient(abs(D)), kernel._em_shift_count(s))
+    return kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_shift_count(s))
 
 
 class TestCostLimits:
@@ -489,26 +557,27 @@ class TestCostLimits:
 
     def test_table_size_limit(self, monkeypatch):
         # Just over MAX_TABLE_ENTRIES = 2**18 = 262144 on each path.  A
-        # per-class table holds phi(|D|) * (N + 1) entries: 28 * 9363 =
-        # 262164 for D = 29 at |s| just under N = 9362.  A moment table
-        # holds phi(|D|) * (M + 1) + J + 1: 131058 * 2 + 39 + 1 = 262156
+        # table holds phi(|D|) * (rows + 1) + len(moments) entries.  The
+        # per-class path takes rows = N + 1 and no moments: 28 * 9363 =
+        # 262164 for D = 29 at |s| just under N = 9361.  The moment path
+        # takes rows = M and J + 1 moments: 131058 * 2 + 39 + 1 = 262156
         # for D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
         # D = -12487 at s = 0.5 + 213i.
         assert kernel.MAX_TABLE_ENTRIES == 2**18
         monkeypatch.setattr(kernel, "_tables", {})
         cases = (
-            (29, 0.5 + 9361.9j, None, 262164),
+            (29, 0.5 + 9360.9j, None, 262164),
             (-131059, 2.0, (1, 39), 262156),
             (-12487, 0.5 + 213j, (20, 37), 262244),
         )
         for D, s, plan, need in cases:
             assert plan_of(s, D) == plan
-            count = kernel._totient(abs(D))
+            count = arith._totient(abs(D))
             if plan is None:
-                assert count * (kernel._em_shift_count(complex(s)) + 1) == need
+                assert count * (kernel._em_shift_count(complex(s)) + 2) == need
             else:
                 assert count * (plan[0] + 1) + plan[1] + 1 == need
-            what = "phi(|D|) * (N + 1)" if plan is None else "phi(|D|) * (M + 1) + J + 1"
+            what = "phi(|D|) * (rows + 1) + len(moments)"
             with pytest.raises(DomainError, match=re.escape(f"{what} = {need} exceeds MAX_TABLE_ENTRIES")):
                 dirichlet_l(s, KroneckerCharacter(D))
         assert kernel._tables == {}
@@ -555,12 +624,12 @@ class TestCostLimits:
     def test_factorization_limit(self):
         from globalzeta.ffield import factor_prime_power
 
-        over = kernel.MAX_FACTOR_INPUT + 1
+        over = arith.MAX_FACTOR_INPUT + 1
         for n in (over, -over):
-            for helper in (kernel._factorization, kernel._is_squarefree):
+            for helper in (arith._factorization, arith._is_squarefree):
                 with pytest.raises(DomainError, match="MAX_FACTOR_INPUT"):
                     helper(n)
-        for helper in (kernel._totient, factor_prime_power):
+        for helper in (arith._totient, factor_prime_power):
             with pytest.raises(DomainError, match="MAX_FACTOR_INPUT"):
                 helper(over)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import pytest
 
 from globalzeta import KroneckerCharacter, dirichlet_l
-from globalzeta import kernel
+from globalzeta import arith, kernel
 
 with open(os.path.join(os.path.dirname(__file__), "oracle_grid.json")) as fh:
     POINTS = json.load(fh)["points"]
@@ -36,7 +36,7 @@ def evaluated(kind: str) -> list:
             s, D = complex(*point["s"]), point["D"]
             value = complex(*point["value"])
             error = abs(dirichlet_l(s, KroneckerCharacter(D)) - value) / abs(value)
-            plan = kernel._moment_plan(s, kernel._totient(abs(D)), kernel._em_shift_count(s))
+            plan = kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_shift_count(s))
             out.append((point, s, D, error, plan is not None))
     return out
 
