@@ -5,8 +5,7 @@ squarefree and fundamental-discriminant tests, Euler's totient, the
 Kronecker symbol and KroneckerCharacter, plus the argument check
 _as_complex and POLE_EXCLUSION_RADIUS that every evaluator shares.
 fields and ffield import only this module, so building a field or
-listing its places never compiles the special-function kernel;
-kernel re-imports these names.
+listing its places never compiles the special-function kernel.
 """
 
 from __future__ import annotations

@@ -342,6 +342,8 @@ def splitting_type(field: NumberFieldDescriptor, p: int) -> str:
 
 def places_above(field: NumberFieldDescriptor, p: int) -> list[Place]:
     """The places of a number field lying above the rational prime p."""
+    if not isinstance(field, NumberFieldDescriptor):
+        raise DomainError("places_above: field must be a number field")
     _require_prime(p, "places_above")
     return _number_field_places(field, [p], p * p)
 
@@ -389,9 +391,20 @@ def _inverse_factors(s: complex, qvs: list[int]) -> list[complex]:
 
 
 def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
-    """The local factor (1 - q_v^-s)^-1 of the Euler product at one place."""
+    """The local factor (1 - q_v^-s)^-1 of the Euler product at one place.
+
+    A number field's place must be in places_above(field, p), q_v = p or
+    p^2.  A function field's place is checked by kind only: membership has
+    no cheap test short of listing the monic irreducibles of its degree.
+    """
     s = _as_complex(s)
-    if isinstance(field, FunctionFieldDescriptor) == (place.kind == "rational_prime"):
+    if isinstance(field, FunctionFieldDescriptor):
+        belongs = place.kind != "rational_prime"
+    else:
+        root = math.isqrt(max(place.qv, 0))
+        p = root if root * root == place.qv else place.qv
+        belongs = ffield.factor_prime_power(p) == (p, 1) and place in places_above(field, p)
+    if not belongs:
         raise DomainError("local_euler_factor: place does not belong to the field")
     return _inverse_factors(s, [place.qv])[0]
 

@@ -260,12 +260,6 @@ def hurwitz_zeta(s, a: float) -> complex:
         raise DomainError(f"hurwitz_zeta: a must lie in (0, 1], got {a!r}")
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError(f"hurwitz_zeta: {s!r} is within {POLE_EXCLUSION_RADIUS} of the pole s=1")
-    return _hurwitz_unrestricted(s, a)
-
-
-def _hurwitz_unrestricted(s: complex, a: float) -> complex:
-    # hurwitz_zeta without its checks; the public contract keeps a in
-    # (0, 1], but the shift-identity probe needs a+1.
     shift = _em_shift_count(s)
     x = a + shift
     log_x = math.log(x)
@@ -277,29 +271,6 @@ def _hurwitz_unrestricted(s: complex, a: float) -> complex:
     regular = _hurwitz_regular(_em_weights(s), list(map(cmath.exp, map((-s).__mul__, logs))), x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
-
-
-def hurwitz_shift_gap(s, a: float) -> float:
-    """Relative gap in the shift identity zeta_H(s,a) = a^-s + zeta_H(s,a+1).
-
-    Moving the argument up by the shift identity is exactly what the
-    Euler-Maclaurin main sum does internally, so this residual is the
-    natural self-consistency probe of the evaluator.
-    """
-    s = _as_complex(s)
-    a = float(a)
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"hurwitz_shift_gap: a must lie in (0, 1], got {a!r}")
-    # both sums' largest parts, before either runs: a^-s and (a + 1 + N)^(1-s)
-    x = a + 1.0 + _em_shift_count(s)
-    _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * math.log(x)))
-    lhs = hurwitz_zeta(s, a)
-    head = cmath.exp(-s * math.log(a))
-    shifted = _hurwitz_unrestricted(s, a + 1.0)
-    # scale by the identity's largest term: zeta_H itself has zeros, so
-    # a residual relative to the value alone would blow up at them
-    scale = max(abs(lhs), abs(head), abs(shifted), 1e-300)
-    return abs(lhs - (head + shifted)) / scale
 
 
 def riemann_zeta(s) -> complex:
@@ -327,7 +298,8 @@ class _Table:
     and heads[0], heads[1] the logs log(r/q + n) of each, for n < rows,
     one block of classes per n.  moments[j] = mu_j = sum_r chi(r)
     (r/q - 1/2)^j for j < len(moments), filled for the moment path only
-    (moments.exact_moments).
+    by moments.exact_moments, which reads the classes and chi(r) from
+    plus and minus.
     """
 
     __slots__ = ("modulus", "plus", "minus", "heads", "rows", "moments")
@@ -358,7 +330,7 @@ class _Table:
         if len(self.moments) <= order:
             from .moments import exact_moments
 
-            self.moments = exact_moments(self.modulus, order)
+            self.moments = exact_moments(self, order)
 
 
 # The tables of the moduli seen, least recently used first, keyed by D;
@@ -486,14 +458,13 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     measured crossover: it keeps every |D| <= 40, the paper's own sweep,
     on the per-class path at every s, so those values do not move.  On
     0 < Re s < 1, |Im s| <= 50 the moment path is taken for every
-    phi(q) >= 57 and for none below 47.  Values are a pure function of (s, D) whatever the cache
-    holds.  Only work that depends on s is done per call: the offsets
-    a_r, their logs log(a_r + n) and the exact moments are kept in one
-    table per modulus, which both paths read (see MAX_TABLE_ENTRIES).
-    Raises DomainError, before any work, when |s| exceeds MAX_ABS_S, the
-    call's table would exceed MAX_TABLE_ENTRIES, or a term, |D|^-s times
-    the sum included, could pass
-    exp(MAX_LOG_TERM).
+    phi(q) >= 57 and for none below 47.  Values are a pure function of
+    (s, D) whatever the cache holds.  Only work that depends on s is done
+    per call: the offsets a_r, their logs log(a_r + n) and the exact
+    moments are kept in one table per modulus, which both paths read (see
+    MAX_TABLE_ENTRIES).  Raises DomainError, before any work, when |s|
+    exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
+    or a term, |D|^-s times the sum included, could pass exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     D = chi.modulus

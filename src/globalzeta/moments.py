@@ -9,9 +9,10 @@ the Taylor expansion of each zeta_H(s, a_r + M) about x (Arb's
 acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
 M and J are stated in kernel.dirichlet_l.  The head logs log(a_r + n)
 are those of the modulus's one table in kernel, which the per-class path
-reads too; exact_moments adds the moments mu_j to it.  kernel imports
-this module only when a call takes this path, so a process that never
-evaluates a large modulus does not compile it.
+reads too; exact_moments adds the moments mu_j to it, computed from the
+classes r and chi(r) the table lists.  kernel imports this module only
+when a call takes this path, so a process that never evaluates a large
+modulus does not compile it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from itertools import chain
 from operator import mul, neg
 
-from .arith import kronecker_chi
 from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _em_weights, _moment_head
 
 # The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
@@ -30,18 +30,20 @@ TAIL_BOUND = 2.0**-56
 GROWTH_BOUND = 2.0**8
 
 
-def exact_moments(D: int, order: int) -> list[float]:
+def exact_moments(table: _Table, order: int) -> list[float]:
     """mu_j = sum_r chi(r) (r/q - 1/2)^j for j = 0..order, q = |D|.
 
-    Each is the exact integer sum 2 sum_{r<q/2} chi(r) (2r - q)^j divided
-    by (2q)^j, rounded once; chi(q - r) = chi(-1) chi(r) pairs r with
-    q - r, so it is 0 for j of the other parity than chi(-1) = (-1)^j.
+    The classes r and chi(r) come from table.plus and table.minus:
+    r = round(a q) exactly, and a < 1/2 exactly when r < q/2 (q >= 3).
+    Each mu_j is the exact integer sum 2 sum_{r<q/2} chi(r) (2r - q)^j
+    divided by (2q)^j, rounded once; chi(q - r) = chi(-1) chi(r) pairs r
+    with q - r, so it is 0 for j of the other parity than chi(-1) = (-1)^j.
     """
-    q = abs(D)
-    half = [(r, kronecker_chi(D, r)) for r in range(1, (q + 1) // 2) if math.gcd(r, q) == 1]
-    first = 1 if D < 0 else 0
-    powers = [c * (2 * r - q) ** first for r, c in half]
-    squares = [(2 * r - q) ** 2 for r, _ in half]
+    q = abs(table.modulus)
+    half = [(2 * round(a * q) - q, c) for tops, c in ((table.plus, 1), (table.minus, -1)) for a in tops if a < 0.5]
+    first = 1 if table.modulus < 0 else 0
+    powers = [c * d**first for d, c in half]
+    squares = [d * d for d, _ in half]
     moments = [0.0] * (order + 1)
     for j in range(first, order + 1, 2):
         moments[j] = 2 * sum(powers) / (2 * q) ** j

@@ -139,6 +139,19 @@ def l_at_negative(n: int, D: int) -> Fraction:
     return -generalized_bernoulli(n + 1, D) / (n + 1)
 
 
+def character_moments(D: int, J: int) -> list[Fraction]:
+    """mu_j = sum_{r=1..q} chi_D(r) (r/q - 1/2)^j for j = 0..J, q = |D| > 1,
+    exact: each is sum_r chi_D(r) (2r - q)^j over (2q)^j."""
+    q = abs(D)
+    offsets = [2 * r - q for r in range(1, q + 1)]
+    terms = [euler_kronecker(D, r) for r in range(1, q + 1)]  # chi_D(r) (2r - q)^j at j = 0
+    moments = []
+    for j in range(J + 1):
+        moments.append(Fraction(sum(terms), (2 * q) ** j))
+        terms = [t * d for t, d in zip(terms, offsets)]
+    return moments
+
+
 # ---------------------------------------------------------------------------
 # Gamma by quadrature
 # ---------------------------------------------------------------------------

@@ -267,6 +267,11 @@ class TestEnumeratePlaces:
                 with pytest.raises(DomainError, match="not prime"):
                     places_above(field, n)
 
+    def test_places_above_requires_number_field(self):
+        for field in (make_rational_function_field(5), make_curve_function_field(5, [1, 3, 5])):
+            with pytest.raises(DomainError, match="places_above: field must be a number field"):
+                places_above(field, 5)
+
     def test_gaussian_example(self):
         places = enumerate_places(make_quadratic(-1), 10)
         assert sorted(p.qv for p in places) == [2, 5, 5, 9]
@@ -417,6 +422,27 @@ class TestLocalEulerFactor:
         prime_place = places_above(make_rationals(), 2)[0]
         with pytest.raises(DomainError):
             local_euler_factor(make_rational_function_field(5), prime_place, 2)
+
+    def test_places_of_the_field_only(self):
+        # In Q(sqrt 5) (D = 5) 11 splits, 7 is inert and 5 ramifies: each
+        # of their places is accepted, with its own q_v.
+        k = make_quadratic(5)
+        s = 2.0 + 1.5j
+        for p, qvs in ((11, [11, 11]), (7, [49]), (5, [5])):
+            places = places_above(k, p)
+            assert [place.qv for place in places] == qvs
+            for place in places:
+                expected = 1.0 / (1.0 - cmath.exp(-s * math.log(place.qv)))
+                assert abs(local_euler_factor(k, place, s) - expected) < 1e-14
+        foreign = [
+            places_above(make_rationals(), 7)[0],  # q_v = 7, but k's place above 7 has q_v = 49
+            places_above(make_rationals(), 11)[0],  # "11", where k has "11#1" and "11#2"
+            places_above(make_quadratic(-1), 5)[0],  # "5#1", where k has the ramified "5"
+            *(fields_mod.Place(qv, "rational_prime", str(qv)) for qv in (1, 6, 36)),  # no prime below
+        ]
+        for place in foreign:
+            with pytest.raises(DomainError, match="place does not belong to the field"):
+                local_euler_factor(k, place, 2)
 
     def test_quadratic_local_factorization_identity(self):
         # product over places above p == (1-p^-s)^-1 (1-chi(p) p^-s)^-1

@@ -28,7 +28,6 @@ from globalzeta import (
     riemann_zeta,
 )
 from globalzeta import arith, kernel, moments
-from globalzeta.kernel import hurwitz_shift_gap
 
 import oracles
 
@@ -43,6 +42,17 @@ FIXTURE_DISCRIMINANTS = (1, -4, 5, -3, 8, -8, 12, -20, -7, 13)
 
 def rel_err(value, reference):
     return abs(value - reference) / abs(reference)
+
+
+def duplication_gap(s, a):
+    # Relative gap in zeta_H(s, a/2) + zeta_H(s, (a+1)/2) = 2^s zeta_H(s, a),
+    # every argument in (0, 1].  Scaled by the identity's largest term:
+    # zeta_H itself has zeros, so a residual relative to the value alone
+    # would blow up at them.
+    s = complex(s)
+    low, high = hurwitz_zeta(s, 0.5 * a), hurwitz_zeta(s, 0.5 * (a + 1.0))
+    doubled = cmath.exp(s * math.log(2.0)) * hurwitz_zeta(s, a)
+    return abs(low + high - doubled) / max(abs(low), abs(high), abs(doubled), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,7 @@ class TestHurwitzZeta:
         # zeta_H(2, 2) = zeta(2) - 1
         shifted = hurwitz_zeta(2, 1.0) - 1.0
         assert abs(shifted - 0.6449340668) < 1e-10
-        assert hurwitz_shift_gap(2, 1.0) < 1e-13
+        assert duplication_gap(2, 1.0) < 1e-13
 
     def test_negative_integer_against_bernoulli(self):
         assert rel_err(hurwitz_zeta(-1, 1.0), float(oracles.hurwitz_at_negative_integer(1, Fraction(1)))) < 1e-11
@@ -141,10 +151,10 @@ class TestHurwitzZeta:
             with pytest.raises(DomainError):
                 hurwitz_zeta(2, bad_a)
 
-    def test_shift_gap_at_zero_of_the_function(self):
+    def test_duplication_at_zero_of_the_function(self):
         # zeta_H(0, 1/2) = 0 exactly; the gap must be scaled by the
         # identity's terms, not by the vanishing value
-        assert hurwitz_shift_gap(0, 0.5) < 1e-13
+        assert duplication_gap(0, 0.5) < 1e-13
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -152,11 +162,11 @@ class TestHurwitzZeta:
         im=st.floats(-30.0, 30.0),
         a=st.floats(0.05, 1.0),
     )
-    def test_shift_identity_random(self, re, im, a):
+    def test_duplication_identity_random(self, re, im, a):
         s = complex(re, im)
         if abs(s - 1) < 0.01:
             return
-        assert hurwitz_shift_gap(s, a) < 1e-12
+        assert duplication_gap(s, a) < 1e-12
 
 
 def test_em_weights_interleaved_with_another_thread(monkeypatch):
@@ -416,6 +426,13 @@ class TestDirichletL:
             for s in (0.1 + 0j, 0.5 + 14j, 0.9 + 50j, -0.9 + 50j, 2.5 + 60j):
                 assert plan_of(s, D) is None, (D, s)
 
+    def test_exact_moments_match_the_fraction_oracle(self):
+        # mu_j from the table's classes, rounded once, bit for bit
+        for D in range(-600, 601):
+            if D != 1 and is_fundamental_discriminant(D):
+                expected = [float(mu) for mu in oracles.character_moments(D, 45)]
+                assert moments.exact_moments(kernel._Table(D), 45) == expected, D
+
     def test_large_modulus_takes_moment_path(self):
         head, order = plan_of(0.5 + 30j, -2351)
         assert 1 <= head <= 5 and order < 80
@@ -549,7 +566,6 @@ class TestCostLimits:
         for evaluate in (
             lambda: riemann_zeta(self.OVER_S),
             lambda: hurwitz_zeta(self.OVER_S, 0.5),
-            lambda: hurwitz_shift_gap(self.OVER_S, 0.5),
             lambda: dirichlet_l(self.OVER_S, KroneckerCharacter(-4)),
         ):
             with pytest.raises(DomainError, match="MAX_ABS_S"):
@@ -597,11 +613,11 @@ class TestCostLimits:
     def test_log_term_limit(self):
         # Each evaluator at the edge of MAX_LOG_TERM: finite just inside,
         # DomainError just outside.  The parts that reach the edge are the
-        # pole term x^(1-s) at x = 1 + 142 (Riemann zeta) and x = 2 + 142
-        # (second sum of the shift gap); a^-s at a = 1e-6; for D = -4,
-        # (1 + 115)^(1-s) * 4^-s * phi(4), with phi(4) = 2; for D = -3, the
-        # pole ratio's (1 + 256)^((s-1)/2) * phi(3), with phi(3) = 2; for
-        # D = -2351, on the moment path, 2351^s * phi(2351) * GROWTH_BOUND.
+        # pole term x^(1-s) at x = 1 + 142 (Riemann zeta); a^-s at a = 1e-6;
+        # for D = -4, (1 + 115)^(1-s) * 4^-s * phi(4), with phi(4) = 2; for
+        # D = -3, the pole ratio's (1 + 256)^((s-1)/2) * phi(3), with
+        # phi(3) = 2; for D = -2351, on the moment path, 2351^s * phi(2351)
+        # * GROWTH_BOUND.
         top = kernel.MAX_LOG_TERM
         assert 707 < top < math.log(1.8e308)
         chi4, chi3, chi2351 = KroneckerCharacter(-4), KroneckerCharacter(-3), KroneckerCharacter(-2351)
@@ -609,7 +625,6 @@ class TestCostLimits:
         assert plan_of(moment_edge, -2351) is not None
         edges = (
             (riemann_zeta, 1.0 - top / math.log(143.0), -1),
-            (lambda s: hurwitz_shift_gap(s, 1.0), 1.0 - top / math.log(144.0), -1),
             (lambda s: hurwitz_zeta(s, 1e-6), top / math.log(1e6), 1),
             (lambda s: dirichlet_l(s, chi4), 1.0 - (top + math.log(2.0)) / math.log(4.0 * 116.0), -1),
             (lambda s: dirichlet_l(s, chi3), 1.0 + 2.0 * (top - math.log(2.0)) / math.log(257.0), 1),
