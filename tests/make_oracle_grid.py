@@ -1,5 +1,5 @@
-"""Write tests/oracle_grid.json: L(s, chi_D) at fixed points, each with an
-independent oracle value and the error a reference kernel makes there.
+"""Write tests/oracle_grid.json: L(s, chi_D) and zeta(s) at fixed points, each
+with an independent oracle value and the error a reference kernel makes there.
 
     python3 tests/make_oracle_grid.py [--src DIR] [--jobs N] [--out PATH]
 
@@ -13,19 +13,28 @@ The oracle values do not use the package:
 * strip: |D|^-s sum_r chi(r) zeta_H(s, r/|D|) in mpmath at 30 digits,
   on a fixed strip grid and at every L-value that the golden sweeps
   of tests/test_cli.py ask for (s and 1 - s at each node).  Values at
-  Im s < 0 are the conjugates of those at conj(s): chi_D is real.
+  Im s < 0 are the conjugates of those at conj(s): chi_D is real;
+* zeta: the Riemann zeta (stored with D = 1) by mpmath.zeta at 30
+  digits, at the nodes of the golden number-field sweeps (s and 1 - s),
+  on Re s in [-10, 0) off the integers with |Im s| <= 50, and at offsets
+  1e-6 to 1e-2 from the negative integers -1 .. -8.
 
 Each point also stores ``reference_error``: the relative error of
-``dirichlet_l`` imported from ``--src`` (default: this checkout's src/).
-Run it against the commit whose errors the gate should hold later
-changes to; tests/test_oracle_grid.py asserts that the current kernel's
-error is at most max(reference_error, kappa) at every point.  Needs
-mpmath; the strip points take 0.5-8 s each, so use --jobs 2 or more.
+``dirichlet_l`` (``riemann_zeta`` for zeta points) imported from
+``--src`` (default: this checkout's src/).  Run it against the commit
+whose errors the gate should hold later changes to;
+tests/test_oracle_grid.py asserts that the current kernel's error is at
+most max(reference_error, kappa) at every point.  A point already in
+``--out`` keeps its value and reference_error, so a grid extended later
+records only its new points against ``--src``; ``--fresh`` recomputes
+every point.  Needs mpmath; the strip points take 0.5-8 s each, so use
+--jobs 2 or more.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -57,6 +66,12 @@ GOLDEN_SWEEPS = (
     (-1299, (0.1, 0.9, 4), (0.0, 33.0, 3)),
     (1001, (0.1, 0.9, 3), (0.0, 48.0, 4)),
 )
+# every golden sweep of a number field evaluates zeta at its nodes
+ZETA_SWEEPS = GOLDEN_SWEEPS + ((1, (-5.0, -3.0, 5), (0.0, 0.0, 1)),)
+ZETA_LEFT_RE = (-9.5, -8.75, -7.3, -6.5, -5.2, -4.5, -3.7, -2.5, -1.5, -0.8, -0.25)
+ZETA_LEFT_IM = (0.0, 3.0, -7.5, 14.0, -22.0, 30.0, 50.0)
+ZETA_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+ZETA_DIRECTIONS = (1.0, -1.0, cmath.rect(1.0, math.pi / 3.0))
 
 
 def _squarefree(n: int) -> bool:
@@ -114,6 +129,11 @@ def strip_value(job: tuple[int, complex]) -> complex:
     return value.conjugate() if flip else value
 
 
+def zeta_value(s: complex) -> complex:
+    mpmath.mp.dps = DPS
+    return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
 def grid_points() -> list[tuple[str, int, complex]]:
     small = [D for n in range(2, SMALL_LIMIT + 1) for D in (-n, n) if fundamental(D)]
     l1_set = sorted(set(small) | set(SPREAD) | set(STRIP_DISCRIMINANTS), key=lambda d: (abs(d), d))
@@ -135,6 +155,16 @@ def grid_points() -> list[tuple[str, int, complex]]:
                 s = complex(x, y)
                 seen.update({(D, s), (D, 1.0 - s)})
     points += [("strip", D, s) for D, s in sorted(seen, key=lambda p: (abs(p[0]), p[0], p[1].real, p[1].imag))]
+    zeros = set()
+    for _, re_axis, im_axis in ZETA_SWEEPS:
+        for x in _axis(*re_axis):
+            for y in _axis(*im_axis):
+                zeros.update({complex(x, y), 1.0 - complex(x, y)})
+    zeros.update(complex(x, y) for x in ZETA_LEFT_RE for y in ZETA_LEFT_IM)
+    zeros.update(m + r * u for m in range(-1, -9, -1) for r in ZETA_OFFSETS for u in ZETA_DIRECTIONS)
+    # zeta vanishes at the even negative integers, where no relative error exists
+    zeros = {s for s in zeros if not (s.imag == 0 and s.real.is_integer() and s.real < 0 and s.real % 2 == 0)}
+    points += [("zeta", 1, s) for s in sorted(zeros, key=lambda s: (s.real, s.imag))]
     return points
 
 
@@ -143,25 +173,35 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"))
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--out", default=os.path.join(HERE, "oracle_grid.json"))
+    parser.add_argument("--fresh", action="store_true", help="recompute the points already in --out")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from globalzeta import KroneckerCharacter, dirichlet_l
+    from globalzeta import KroneckerCharacter, dirichlet_l, riemann_zeta
 
+    kept = {}
+    if not args.fresh and os.path.exists(args.out):
+        with open(args.out) as fh:
+            kept = {(row["kind"], row["D"], *row["s"]): row for row in json.load(fh)["points"]}
     points = grid_points()
     for D in {D for _, D, _ in points}:
         KroneckerCharacter(D)  # every D is fundamental, before any long work
-    strip_jobs = [(D, s) for kind, D, s in points if kind == "strip"]
+    strip_jobs = [(D, s) for kind, D, s in points if kind == "strip" and (kind, D, s.real, s.imag) not in kept]
     with Pool(args.jobs) as pool:
         strip_values = iter(pool.map(strip_value, strip_jobs, chunksize=1))
     rows = []
     for kind, D, s in points:
+        if (kind, D, s.real, s.imag) in kept:
+            rows.append(kept[kind, D, s.real, s.imag])
+            continue
         if kind == "l1":
             value = l1_value(D)
         elif kind == "negint":
             value = complex(float(oracles.l_at_negative(int(-s.real), D)))
+        elif kind == "zeta":
+            value = zeta_value(s)
         else:
             value = next(strip_values)
-        computed = dirichlet_l(s, KroneckerCharacter(D))
+        computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
         rows.append({
             "kind": kind,
             "D": D,

@@ -1,10 +1,10 @@
-"""The oracle grid: L(s, chi_D) against independent oracle values.
+"""The oracle grid: L(s, chi_D) and zeta(s) against independent oracle values.
 
 tests/oracle_grid.json holds each point's oracle value and the relative
 error a reference kernel made there (see make_oracle_grid.py, which
 wrote it).  The kernel must stay within max(reference error, kappa),
 kappa = 2^-50 (1 + |s| log|D|) being the relative error that rounding
-log|D| alone puts into |D|^-s.
+log|D| alone puts into |D|^-s (2^-50 for zeta, stored with D = 1).
 """
 
 import json
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from globalzeta import KroneckerCharacter, dirichlet_l
+from globalzeta import KroneckerCharacter, dirichlet_l, riemann_zeta
 from globalzeta import arith, kernel
 
 with open(os.path.join(os.path.dirname(__file__), "oracle_grid.json")) as fh:
@@ -42,8 +42,8 @@ def evaluated(kind: str) -> list:
 
 
 def test_grid_covers_each_kind():
-    counts = {kind: sum(p["kind"] == kind for p in POINTS) for kind in KINDS}
-    assert counts["l1"] >= 300 and counts["negint"] >= 900 and counts["strip"] >= 200
+    counts = {kind: sum(p["kind"] == kind for p in POINTS) for kind in (*KINDS, "zeta")}
+    assert counts["l1"] >= 300 and counts["negint"] >= 900 and counts["strip"] >= 200 and counts["zeta"] >= 250
     assert min(p["D"] for p in POINTS) <= -3999 and max(p["D"] for p in POINTS) >= 3997
 
 
@@ -54,6 +54,17 @@ def test_no_worse_than_reference(kind):
         for point, s, D, error, _ in evaluated(kind)
         if not error <= max(point["reference_error"], kappa(s, D))
     ]
+    assert worse == []
+
+
+def test_zeta_no_worse_than_reference():
+    worse = []
+    for point in POINTS:
+        if point["kind"] == "zeta":
+            s, value = complex(*point["s"]), complex(*point["value"])
+            error = abs(riemann_zeta(s) - value) / abs(value)
+            if not error <= max(point["reference_error"], kappa(s, 1)):
+                worse.append((s, error, point["reference_error"]))
     assert worse == []
 
 
