@@ -394,12 +394,14 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     """The local factor (1 - q_v^-s)^-1 of the Euler product at one place.
 
     A number field's place must be in places_above(field, p), q_v = p or
-    p^2.  A function field's place is checked by kind only: membership has
-    no cheap test short of listing the monic irreducibles of its degree.
+    p^2.  A function field's place must have q_v = q^d, d >= 1, and d the degree
+    of a monic_irreducible's label; membership beyond that is not checked.
     """
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor):
-        belongs = place.kind != "rational_prime"
+        d = round(math.log(place.qv, field.q)) if place.qv > 1 else 0
+        belongs = field.q**d == place.qv > 1 and (place.kind == "infinite" or (  # leading term T^d
+            place.kind == "monic_irreducible" and place.label.partition("+")[0] == ("T" if d == 1 else f"T^{d}")))
     else:
         root = math.isqrt(max(place.qv, 0))
         p = root if root * root == place.qv else place.qv

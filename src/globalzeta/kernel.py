@@ -14,7 +14,7 @@ actually met (the continuation to Re s < 0 pays a documented
 cancellation cost, see hurwitz_zeta).  Out-of-domain inputs raise
 DomainError / PoleError rather than letting NaNs or infinities escape.
 
-Cost is bounded up front.  An Euler-Maclaurin sum takes max(20, ceil|s|)
+Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
 dirichlet_l has two paths, chosen per call by a cost estimate from
 phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
@@ -47,8 +47,8 @@ from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _toti
 from .errors import DomainError, PoleError
 
 #: Largest |s| the Hurwitz, Riemann and Dirichlet evaluators accept.  One
-#: Euler-Maclaurin sum costs max(20, ceil|s|) complex exponentials, so
-#: this caps a single Hurwitz sum at about 5 ms.
+#: Euler-Maclaurin sum costs N <= max(20, ceil|s|) complex exponentials
+#: (hurwitz_zeta), so this caps a single Hurwitz sum at about 5 ms.
 MAX_ABS_S = 1e4
 
 #: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
@@ -58,9 +58,9 @@ MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 #: Largest number of doubles in the tables, summed over the moduli kept
 #: (2 MiB here).  A table holds phi(|D|) * (rows + 1) + len(moments): the
 #: class offsets, rows rows of logs and the moments.  The per-class path
-#: and the Riemann zeta (phi = 1) need N + 1 rows for shift count N and no
-#: moments; the moment path needs M rows for head length M and J + 1
-#: moments for order J.
+#: and the Riemann zeta (phi = 1) need N + 1 rows for shift count
+#: N <= max(20, ceil|s|) and no moments; the moment path needs M rows for
+#: head length M and J + 1 moments for order J.
 MAX_TABLE_ENTRIES = 2**18
 
 _LOG_PI = math.log(math.pi)
@@ -145,7 +145,7 @@ def gamma_pole_distance(s: complex) -> float:
 
 def _log_gamma_impl(s: complex) -> complex:
     # No pole-radius guard; callers are responsible for staying off the poles.
-    if s.imag < 0.0:
+    if math.copysign(1.0, s.imag) < 0.0:  # -0.0 too, so that conj s gives the conjugate
         return _log_gamma_impl(s.conjugate()).conjugate()
     if s.real >= 0.5:
         return _lanczos_log_gamma(s)
@@ -176,7 +176,7 @@ def _em_shift_count(s: complex) -> int:
             f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
             "the Euler-Maclaurin shift count grows with |s|"
         )
-    return max(20, math.ceil(abs(s)))
+    return _em_weights(s)[0]
 
 
 def _require_log_term(s: complex, log_term: float) -> None:
@@ -199,25 +199,29 @@ def _require_finite(s: complex, value: complex) -> complex:
     return value
 
 
-# The weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
-_last_weights: tuple = (None, ())
+# The shift count and weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
+_last_weights: tuple = (None, 0, ())
 
 
-def _em_weights(s: complex) -> tuple[complex, ...]:
-    # B_2k/(2k)! * s(s+1)...(s+2k-2) for k = 1..K: the factors of the
-    # Euler-Maclaurin correction terms that depend on s only, computed
-    # once for zeta(s) and L(s, chi) of one evaluation.
+def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
+    # The shift count N (see hurwitz_zeta) and the weights B_2k/(2k)! *
+    # s(s+1)...(s+2k-2), k = 1..K, of the Euler-Maclaurin sums at s,
+    # computed once for zeta(s) and L(s, chi) of one evaluation.
     global _last_weights
     key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
-    last, weights = _last_weights
+    last, shift, weights = _last_weights
     if key != last:
         terms, poch = [], s
         for k, coef in enumerate(_EM_COEF, start=1):
             terms.append(coef * poch)
-            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+            poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
         weights = tuple(terms)
-        _last_weights = (key, weights)
-    return weights
+        shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
+        if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
+            log_n = (math.log(2.0**52 * abs(even) / rate) - 24.0 * _LOG_2PI) / rate if even else -math.inf
+            shift = min(shift, math.ceil(math.exp(min(log_n, 30.0))))
+        _last_weights = (key, shift, weights)
+    return shift, weights
 
 
 def _hurwitz_regular(weights: tuple[complex, ...], powers: list, x: float) -> complex:
@@ -244,13 +248,14 @@ def _hurwitz_regular(weights: tuple[complex, ...], powers: list, x: float) -> co
 def hurwitz_zeta(s, a: float) -> complex:
     """Analytically continued Hurwitz zeta zeta_H(s, a) for 0 < a <= 1.
 
-    Euler-Maclaurin with shift count max(20, ceil|s|) and 12 Bernoulli
-    correction terms.  Relative accuracy is 1e-12 or better for
-    Re s >= 0, |s| <= 50.  The continuation to Re s < 0 is exact in
-    structure, but in binary64 the summation cancels against partial
-    terms of size (a+N)^|Re s|, so absolute accuracy there is roughly
-    1e-16 * (a+N)^|Re s|: ample around the negative-integer anchor
-    points (Re s >= -4) the engine uses, degrading beyond.  Raises
+    Euler-Maclaurin with 12 Bernoulli terms and the least shift count N
+    whose remainder bound 4 |(s)_24| / (2 pi)^24 * N^-(sigma+23) / (sigma+23)
+    (arXiv:1309.2877, Thm. 1) is at most 2^-50, capped at max(20, ceil|s|),
+    also for Re s <= -23; at s = -n, n <= 23, N = 0, the sum being exact.
+    Relative accuracy is 1e-12 or better for Re s >= 0, |s| <= 50.  Re s < 0
+    is exact in structure, but in binary64 the summation cancels against
+    partial terms of size (a+N)^|Re s|, so absolute accuracy there is about
+    1e-16 * (a+N)^|Re s|: ample to Re s of about -10, degrading beyond.  Raises
     DomainError, before any work, for |s| > MAX_ABS_S or when a^-s or
     the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
     """
@@ -268,7 +273,7 @@ def hurwitz_zeta(s, a: float) -> complex:
     # log(a + n) for n <= N; for a = 1, the Riemann zeta, the table of D = 1 keeps them
     logs = (_cached_table(1, shift + 2, shift + 1).heads[0][: shift + 1] if a == 1.0
             else [math.log(a + n) for n in range(shift + 1)])
-    regular = _hurwitz_regular(_em_weights(s), list(map(cmath.exp, map((-s).__mul__, logs))), x)
+    regular = _hurwitz_regular(_em_weights(s)[1], list(map(cmath.exp, map((-s).__mul__, logs))), x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
 
@@ -409,7 +414,7 @@ def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
     # (a + n)^-s for n <= N taken in one pass, class i's in column i.
     neg_s = -s
     one_minus_s = 1.0 - s
-    weights = _em_weights(s)
+    weights = _em_weights(s)[1]
     plus, minus = [], []
     for sums, tops, logs in zip((plus, minus), (table.plus, table.minus), table.heads):
         count = len(tops)
@@ -427,8 +432,8 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     """L(s, chi_D) = |D|^-s * sum_r chi(r) zeta_H(s, r/|D|), continued.
 
     Entire for D != 1; the principal case D = 1 degenerates to the
-    Riemann zeta and keeps its PoleError near s = 1.  Write q = |D|,
-    a_r = r/q and N = max(20, ceil|s|).  One of two paths evaluates it:
+    Riemann zeta and keeps its PoleError near s = 1.  Write q = |D|, a_r = r/q
+    and N for hurwitz_zeta's shift count at s.  One of two paths evaluates it:
 
     * Per class: one Euler-Maclaurin Hurwitz sum of N terms for each of
       the phi(q) classes r coprime to q, their pole terms x^(1-s)/(s-1)
@@ -458,7 +463,7 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     measured crossover: it keeps every |D| <= 40, the paper's own sweep,
     on the per-class path at every s, so those values do not move.  On
     0 < Re s < 1, |Im s| <= 50 the moment path is taken for every
-    phi(q) >= 57 and for none below 47.  Values are a pure function of
+    phi(q) >= 78 and for none below 52.  Values are a pure function of
     (s, D) whatever the cache holds.  Only work that depends on s is done
     per call: the offsets a_r, their logs log(a_r + n) and the exact
     moments are kept in one table per modulus, which both paths read (see
@@ -476,7 +481,8 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     # Both paths meet the part (1/q)^-s and a pole term x^(1-s) with
     # x >= 1 + N; the phi(q) parts are summed and the sum is scaled by
     # q^-s.  Checked before the plan, so that a point far left of the
-    # strip is refused before any search for M and J.
+    # strip is refused before any search for M and J.  (A class's x^((s-1)/2)
+    # stays below that: N >= 9 only for Re s < 79, and 9^((sigma-1)/2) < 3^sigma.)
     sigma, log_q, log_x = s.real, math.log(q), math.log(1.0 + shift)
     spread = math.log(count) + max(0.0, -sigma) * log_q
     _require_log_term(s, max(sigma * log_q, (1.0 - sigma) * log_x) + spread)
@@ -489,8 +495,6 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
             f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift}, plan = {plan})"
         )
     if plan is None:
-        # inside _phi_expm1_ratio a class also meets x^((s-1)/2)
-        _require_log_term(s, 0.5 * (sigma - 1.0) * log_x + spread)
         re_parts, im_parts = _class_sum(s, _cached_table(D, need, rows), shift)
     else:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s

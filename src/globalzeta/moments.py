@@ -112,10 +112,9 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     neg_s = -s
     plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
                    for logs, tops in zip(table.heads, (table.plus, table.minus)))
-    if s.imag == 0.0 and s.real.is_integer() and -2 * len(_EM_COEF) <= s.real <= 0.0:
-        # At s = -n every jet that counts has s + j = -m with m < 2K, where
-        # Euler-Maclaurin with K terms is exact at any shift: take none, so
-        # its sums stay as small as the values they add up to.
+    if s == -2 * len(_EM_COEF):
+        # every jet that counts has s + j = -m, m < 2K, exact at any shift:
+        # take none, as the shift count of s = -n does for n < 2K
         shift = 0
     x = head + 0.5
     big_x = x + shift
@@ -141,7 +140,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
         x_sj = x_s * big_x**-j
         em = 0.5
         xp = 1.0 / big_x
-        for w in _em_weights(s + j):
+        for w in _em_weights(s + j)[1]:
             em += w * xp
             xp *= inv_x2
         jets.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))

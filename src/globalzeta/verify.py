@@ -101,10 +101,9 @@ def _check_nodes(
 ) -> list[FunctionalEquationReport]:
     # Each distinct point is evaluated once, keyed by its value and the
     # signs of its parts (as kernel._em_weights is; 0.0 == -0.0).
-    # Off the real axis Z(conj s) is served as conj Z(s), which the
-    # kernel returns bit for bit (pinned in tests/test_zeta.py); on the
-    # real axis Z(x - 0i) equals Z(x + 0i), not its conjugate, so nothing
-    # folds there.  At most two values per node.
+    # Z(conj s) is served as conj Z(s), which completed_zeta returns bit
+    # for bit, on the real axis too, where Z(x - 0i) is conj Z(x + 0i)
+    # (both pinned in tests/test_zeta.py).  At most two values per node.
     if not tolerance > 0:
         raise DomainError("check_point: tolerance must be positive")
     memo: dict[tuple[complex, float, float], complex] = {}
@@ -114,7 +113,7 @@ def _check_nodes(
         key = (s, sign_re, sign_im)
         if key not in memo:
             conj = (s.conjugate(), sign_re, -sign_im)
-            if s.imag != 0 and conj in memo:
+            if conj in memo:
                 memo[key] = memo[conj].conjugate()
             else:
                 memo[key] = completed_zeta(field, s).completed_value

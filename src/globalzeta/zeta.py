@@ -159,7 +159,8 @@ def gamma_factor(field: FieldDescriptor, s) -> complex:
     if field.r2:
         acc += field.r2 * ((1.0 - s) * _LOG_2PI + _log_gamma_impl(s))
     _require_log_term(s, acc.real)
-    return cmath.exp(acc)
+    value = cmath.exp(acc)
+    return value if s.imag else complex(value.real, s.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,9 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     MAX_LOG_TERM instead of returning inf or nan.
     """
     s = _as_complex(s)
+    if not s.imag and math.copysign(1.0, s.imag) < 0.0:  # Z(x - 0i) = conj Z(x + 0i) bit for bit
+        rec = completed_zeta(field, s.conjugate())  # its three values are fields 1..3
+        return rec._replace(s=s, **{name: getattr(rec, name).conjugate() for name in rec._fields[1:4]})
     dist = _require_off_poles(field, s)
     m = _nearest_gamma_pole(field, s) if isinstance(field, NumberFieldDescriptor) else 0
     cliff = m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS
@@ -231,5 +235,7 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
         g, z = gamma_factor(field, s), zeta(field, s)
     # inf or nan in either factor leaves the product non-finite too
     completed = _require_finite(s, g * z)
+    if not s.imag and isinstance(field, NumberFieldDescriptor):  # real values, Im +0.0
+        z, completed = complex(z.real, 0.0), complex(completed.real, 0.0)
     return EvaluationRecord(s=s, zeta_value=z, gamma_factor_value=g, completed_value=completed,
                             pole_distance=dist, precision_cliff=cliff)

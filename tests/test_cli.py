@@ -38,6 +38,14 @@ class TestExitCodes:
         assert payload["reports"][0]["status"] == "ok"
         assert payload["reports"][0]["residual"] <= 1e-10
 
+    @pytest.mark.parametrize("field, s", [("Q(sqrt=5)", "10,0"), ("Q(sqrt=13)", "6,0")])
+    def test_check_at_a_negative_integer_anchor_is_ok(self, field, s):
+        # Z(1 - s) needs L(-9, chi_5) and L(-5, chi_13), whose per-class
+        # sums are exact with no shift (both failed at N = 20)
+        code, out = parse_and_dispatch(["check", "--field", field, f"--s={s}"])
+        assert code == 0
+        assert json.loads(out)["reports"][0]["status"] == "ok"
+
     def test_failed_report_is_one(self):
         code, out = parse_and_dispatch(
             ["check", "--field", "Q", "--s", "0.3", "--tol", "1e-18"]
@@ -332,6 +340,13 @@ class TestCommands:
         assert payload["precision_cliff"] is False
         assert payload["field"] == "Q"
 
+    def test_eval_real_point_is_real(self):
+        code, out = parse_and_dispatch(["eval", "--field", "Q", "--s=-0.5"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["zeta_im"] == payload["gamma_im"] == payload["completed_im"] == 0
+        assert '"completed_im":0,' in out
+
     def test_eval_complex_point(self):
         code, out = parse_and_dispatch(
             ["eval", "--field", "Q(sqrt=-1)", "--s", "0.5,3.25", "--format", "json"]
@@ -418,7 +433,10 @@ GOLDEN_PLACES = {
 
 
 # sha256 of one command per kind of report, in both formats, recorded
-# before the CLI's serializers were merged into one.  The cases cover
+# before the CLI's serializers were merged into one.  Those of the commands
+# that evaluate a number field were re-recorded when the Euler-Maclaurin
+# shift count came from its remainder bound and real points got real
+# values (CHANGES.md lists each with its largest value change).  The cases cover
 # ok, skipped (null/empty cells) and failed check rows, failed sweep
 # rows, a precision_cliff eval record with a negative zero, a curve
 # field, and the places and euler-check layouts.
@@ -428,57 +446,57 @@ GOLDEN_COMMANDS = {
         "135755af7fbdd8d31dc2b0e0845c8c945385b271ef291c227acf4f45629a2479",
     ),
     ("eval", "Q(sqrt=-1)", "--s", "0.5,3.25"): (
-        "e8f70dca147af45b479639339554a70c0bb68bcba0d29a9e703027372329203d",
-        "6c1b9c7831e01d343c7c6d2a6777eda81785c47293eee5a33ce016819b53e843",
+        "48de234ca8e06b6d08b49fabbbb06d8f446ee541fce5613167084d052e86e296",
+        "d364ad91f6d885bd78b2cd6ad3deb116c6a3ee7a081d1694b40144ffd4849406",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-3.005"): (
-        "fbe37897ab9e1fa7e138d016543e618cc07a06723322649e3e9bc2f7d9055354",
-        "59ed9b014f32ed560eb3b98f719aa2c30b283ad0a29ada7ff1f6b80c63421073",
+        "6b9ec84cfe5f4bfcb9ca2f5a7a6330fe36944a6a53f8ffa3fa3c325823a6f55c",
+        "434867d0c32c3d7c3105e42b2391eefbd1fdcca1e72baee017561b397f4f5a35",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-4.005"): (
-        "7fb08a47612dfe18418fc30f1d9a797f9d45b622d2f693262dff91aff5c0ebc6",
-        "b6fa9df1addbf1ba34cfcd2850c39207e6317c9010422434041a2eeea030c98f",
+        "9c78d44c8ebe779b74fde2626775c14c6bdc6af6aecfc161b38e4ea324a1df38",
+        "e5a0a71cbeb0e98b251b4034f656eadebcfd351c390801ee1e0653f5eeed4c6b",
     ),
     ("eval", "curve?q=5&L=1,3,5", "--s", "0.5,3"): (
         "3dbdffb83068621465dfc59e7b3a1a9fd1220b0ec4ed207dd7226226be64dfe1",
         "1f6b4fdfa9dd579b62a079d95cb0dba88f15528649efe6be5934699faeccad49",
     ),
     ("check", "Q", "--s", "2"): (
-        "3e15fa0cfd5a93e6ddfd39d187c414f9e45078a8e924cbc508c6431e595deae8",
-        "d52d2c3425c449fe8b03f72ce58b66b7fe1820fa3d0276121fd00085af9c6eeb",
+        "8058af31da41c0355dd524811bb59521d40641b115557b8cd63f1ab2187f0ede",
+        "5929c5bf10dba8643c475365263d2281941b98616dc080f30f612dfe50352c0d",
     ),
     ("check", "Q", "--s", "1"): (
         "4e09e5d2b8750ce3396f8b0e6ee8f1f38e8c7573d546794a316f4e6ac8f0183b",
         "4732961bde5ad44daa41e7e947cb03e8c2841085595acdc266069970db6fe686",
     ),
     ("check", "Q", "--s", "0.3", "--tol", "1e-18"): (
-        "b5e989f32ac3c84541d71617098c31f43b7c6fb4226bb1906c3803535e11539a",
-        "b128e21bc8feaa1f7599c4f89648d6470be8e866e41b1fd3c2862d946def2820",
+        "194cce7f02fb7acdde02a1e31b9f4fa1fce81d2dca8fd0374b15c65e28e2e2a7",
+        "cf9323b1198537b34a3e66a658554be2c0700e21cc731b3bf1d77f6a7a4cb100",
     ),
     # Re-recorded when dirichlet_l took the moment path for these moduli
     # (tests/oracle_grid.json holds every L-value they use to the old
     # kernel's error); the largest change of an lhs or rhs is 2.3e-14,
     # 1.3e-14 and 3.9e-14 relative for |D| = 163, 1299 and 1001.
     ("sweep", "Q(sqrt=-163)", "--grid", "0.1:0.9:5,0:10:5"): (
-        "a3f742f99c70114bb711fdf7a3d28079a260fec6a64de3868f8fd7e8290e8caa",
-        "e32f0b1b5a43527ac70e18a7a5539d9d410d83e940a0777d258690a47c4d2493",
+        "a89c4a9d67f62b14a3ad4b01e3bfffb59881aaec8b0bb5e53fa4102d11a0af22",
+        "ed65477b253db5c36864d1f48280df87b9480457780c7c93fa742162316d5dd3",
     ),
     ("sweep", "Q(sqrt=-1299)", "--grid", "0.1:0.9:4,0:33:3"): (
-        "9b56594c6fb0cab61a7db433d391529d48f8655f83da088b78bcc6efd07c189a",
-        "17ac39a02f212990735f9b241e9f27526806d531024af0c2c8bd5f027513f1c2",
+        "aeed093790739a6f2b1fc6dcaf1f2001ad919a60a1cccf11fb48ca6104f8a833",
+        "f7ec07c44d2203e671f9959902ebc2c42a2ccfc53d18f2b07c9faa944b483081",
     ),
     # Im 0..48: the Euler-Maclaurin shift count is 20, 20, 33 and 49 across the nodes
     ("sweep", "Q(sqrt=1001)", "--grid", "0.1:0.9:3,0:48:4"): (
-        "80da25a1da0c29c3b6624ee32d92b1b288d67b35c60bf6c11272922dffb7c1b3",
-        "261efe71c1fd7d2ec25bb8ec708f4e30400126dea16451e30108a687bc85f11b",
+        "955c288f9cfe8dc6efd80a8209daee047968a934232037c2e33479a334329131",
+        "1c1c60f3b507dfd95cb5dbe0319bc2bf404b101cdc59eab9e5de1cae55c89402",
     ),
     ("sweep", "Fq(T)?q=5", "--grid", "0:1:3,0:4:3"): (
         "e03f01ce98b9b1bd31956f64d87b82b39784eaf1d1bc65d2142d957e2fdc082a",
         "3cae6e358fa2f31c957a61f0aff263dbb2fc5210acaaaafe88cee615a2cef74d",
     ),
     ("sweep", "Q", "--grid=-5:-3:5,0:0:1"): (
-        "bd5cccb5d966c0bc51c511b94e3baf640f401ced427ee8275eae9361c3fc7e43",
-        "1eace92f18ffc994f5da3481b562ec280c9e986c9feb30d442a4c0980ed9f509",
+        "6b7c4dcaab94778fe3c852b24db2b9d68bd4718a69b6a11c986451f475bba6c6",
+        "ad806174155b6ab39c896146608eb1a55a4de8b369a32874ef87f8d990365345",
     ),
     ("places", "Q(sqrt=-1)", "--bound", "1000"): (
         "73db2393b5df482c72e906161c447da7187f954f3ac02f84633408626a8dd681",
@@ -525,28 +543,28 @@ GOLDEN_COMMANDS = {
         "114d47e3cb6b4aaa57808dc6b2631928294988b04c1977c7672d4634c02e2cde",
     ),
     ("euler-check", "Q(sqrt=10)", "--s", "2.5,3.25", "--bound", "95000"): (
-        "3c72f1f38087161345d10e55d49f3a2b4a07ce4ffd97c254ee9a43354d243263",
-        "5678225a51b034f6c5549d06f2cfbaf34e6b88ec91ee7ef2ceba948e95ba33b1",
+        "898d948c7fcac9b84cf21302712f481e7ecbee730f03becb5a239108ad75dab7",
+        "e982c69d0263bdf44bef86779ec3ca58dcaa93ea95f8317611f1b553f281ea53",
     ),
     # Recorded before the deflated path was built from the list of
     # L-factors: odd m where only L(s, chi_-7) vanishes; even m in the
     # finite-difference zone where only zeta vanishes, and where both
     # factors of Q(sqrt 13) vanish; a point off the real axis.
     ("eval", "Q(sqrt=-7)", "--s=-3.004"): (
-        "f978abca4cbe4ea3e241e78a774000aa93fda8a0e98112db4b06fc24f3627eab",
-        "58293c7d6f3df983825e285d26ac8f4ffd3b217deebbc720d0d8f265b06a9283",
+        "8318ea80ed8f824fc92a96740b1509b8cae09917ae9899356daf67dc3ee33dbe",
+        "5888ca94a0b1f53304f5807ae49672cd39bf8f19113d87552ed4f44200c06f6b",
     ),
     ("eval", "Q(sqrt=-7)", "--s=-2.000003"): (
-        "e91278d8b026f3287d2c2404b400871705d4ecbfabc42fd8032afba5dd9944c2",
-        "6656ee1db6c5c319e9515b313c86c96e36c6aef3b7bada716be646cf3d8f31e9",
+        "558a2a83979c44f4112727ef2838bd5b9390b989abc78640f74ed1ee33a57814",
+        "e69a6936335d4fa3d22800b2fa34651e822ece6f6669599d2413503643aa2e94",
     ),
     ("eval", "Q(sqrt=13)", "--s=-2.000004"): (
-        "23de2dfddf4ed180aa6b3f3525cf8335462b1a6d5d098c4f2b4810b4c3985cb5",
-        "426bb6eced889617af7c27d716b8fff8f6909140fea7571c6861eb153f1ca324",
+        "1929e3d274673dce1bd03fddd343ff09153b01816a6c6bee75fbaebb714df3c3",
+        "7421279c247a951ceabcca41d4cda5182368f34f26d7d0775ea2e59acd13c66a",
     ),
     ("eval", "Q(sqrt=-3)", "--s=-1,0.000002"): (
-        "a48eb32ce8b6ba4913799cd62b360505f1b49055211abb332298814a5caa78e9",
-        "bb508aa2254011af9b99f6510f98c5c37d08c3c9e49ff242b98a6d7c1c9ba849",
+        "11f2a0c1fce036fc8db583e300602a0cc8fb9956c8acdd5781282b88a29e1b23",
+        "664b4f28bdee3a9c3a53121ccd8b199627531ed17c15c9979deba276b8906744",
     ),
     # Recorded before GF(p^k) lost its q x q add and mul tables: every
     # place of degree <= d over GF(q) for q = 2^4, 3^3, 2^5, 7^2, 5^3, 2^8

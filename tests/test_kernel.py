@@ -365,48 +365,49 @@ class TestDirichletL:
         # log(a + n) for n up to the largest shift count N it has needed
         chi = KroneckerCharacter(-7)
         monkeypatch.setattr(kernel, "_tables", {})
-        for s, depth in ((0.5 + 3j, 20), (0.5 + 45j, 46), (0.5 + 3j, 46)):
+        for s, depth in ((0.5 + 3j, 7), (0.5 + 45j, 32), (0.5 + 3j, 32)):
             dirichlet_l(s, chi)
             (key, table), = kernel._tables.items()
             assert key == -7 and table.rows - 1 == depth
 
-    # float.hex of dirichlet_l at the commit before the moment path existed;
-    # these moduli stay on the per-class path, whose values must not move
+    # float.hex of dirichlet_l on the per-class path, re-recorded when the
+    # shift count came from the Euler-Maclaurin remainder bound (the
+    # largest change was 1.7e-14 relative); these moduli stay on that path
     PINNED_POINTS = (0.1 + 0j, 0.5 + 14j, 0.9 + 33j, 0.3 - 48j, 2.5 + 7j)
     PINNED = {
         -3: (
-            ("0x1.754ebed895bbep-2", "0x0.0p+0"),
-            ("0x1.6241b6d82c0a6p+1", "-0x1.33902d60011bdp+0"),
-            ("0x1.4f631d2970818p+0", "-0x1.35bf4364705bfp+0"),
-            ("-0x1.8836c373dc134p+0", "-0x1.c1531471d6037p+0"),
-            ("0x1.e3df900b29c12p-1", "-0x1.7c0a16a601d22p-3"),
+            ("0x1.754ebed895b68p-2", "0x0.0p+0"),
+            ("0x1.6241b6d82c0a6p+1", "-0x1.33902d60011bcp+0"),
+            ("0x1.4f631d2970817p+0", "-0x1.35bf4364705bfp+0"),
+            ("-0x1.8836c373dc10fp+0", "-0x1.c1531471d6006p+0"),
+            ("0x1.e3df900b29c13p-1", "-0x1.7c0a16a601d21p-3"),
         ),
         -7: (
-            ("0x1.0aa799d3a3812p+0", "0x0.0p+0"),
-            ("0x1.f82db0adb799fp+0", "-0x1.cff355328d950p-4"),
-            ("0x1.abc4243acb38ap-1", "0x1.9e38874f1d438p-3"),
-            ("0x1.a28411fbf7d0cp+1", "-0x1.e1befa79b957ap+0"),
+            ("0x1.0aa799d3a37ffp+0", "0x0.0p+0"),
+            ("0x1.f82db0adb79a4p+0", "-0x1.cff355328d9b0p-4"),
+            ("0x1.abc4243acb38cp-1", "0x1.9e38874f1d41ep-3"),
+            ("0x1.a28411fbf7d27p+1", "-0x1.e1befa79b9567p+0"),
             ("0x1.ed852780fd6c8p-1", "0x1.c467cf1661944p-3"),
         ),
         13: (
-            ("0x1.cbee8172fa6c8p-4", "0x0.0p+0"),
-            ("0x1.a03463ebed84fp+1", "-0x1.a04b477924628p+0"),
-            ("0x1.c9057e5c33d43p+0", "0x1.43adf49f519abp-2"),
-            ("-0x1.afffc6228fce1p+0", "-0x1.3c75d00c9f5cep-1"),
+            ("0x1.cbee8172fa56dp-4", "0x0.0p+0"),
+            ("0x1.a03463ebed84ep+1", "-0x1.a04b477924627p+0"),
+            ("0x1.c9057e5c33d40p+0", "0x1.43adf49f519a9p-2"),
+            ("-0x1.afffc6228fd15p+0", "-0x1.3c75d00c9f5fep-1"),
             ("0x1.de293c97ad0f7p-1", "-0x1.dfe1292bcfd74p-3"),
         ),
         37: (
-            ("0x1.be9e094b4f619p-3", "0x0.0p+0"),
-            ("0x1.a6dff4491eafcp-3", "-0x1.816911c4e723ap+1"),
-            ("0x1.9f67a947d5869p+0", "-0x1.5fb9786799139p-1"),
-            ("-0x1.02a9dc0ab732fp+1", "0x1.6a111a1335bf6p-2"),
+            ("0x1.be9e094b4f7eep-3", "0x0.0p+0"),
+            ("0x1.a6dff4491eb08p-3", "-0x1.816911c4e7238p+1"),
+            ("0x1.9f67a947d5868p+0", "-0x1.5fb978679913ap-1"),
+            ("-0x1.02a9dc0ab732bp+1", "0x1.6a111a1335d7ep-2"),
             ("0x1.df0d6d91b43bap-1", "-0x1.f3cf5c333304cp-3"),
         ),
         -40: (
-            ("0x1.cfad978329bfbp+0", "0x0.0p+0"),
-            ("0x1.5b5b64982a410p+1", "0x1.ba37a9e444bf5p-1"),
-            ("0x1.0092a55fb7c6ep-1", "-0x1.6a7b6498ceef8p-2"),
-            ("0x1.323c9069d7959p+0", "0x1.d3f667c60cf10p+1"),
+            ("0x1.cfad978329c01p+0", "0x0.0p+0"),
+            ("0x1.5b5b64982a412p+1", "0x1.ba37a9e444bf8p-1"),
+            ("0x1.0092a55fb7c6cp-1", "-0x1.6a7b6498ceef9p-2"),
+            ("0x1.323c9069d78fbp+0", "0x1.d3f667c60cf13p+1"),
             ("0x1.fa2a07f069b23p-1", "0x1.dcb1e77d95408p-5"),
         ),
     }
@@ -499,9 +500,10 @@ class TestDirichletL:
         assert sum(t.size() for t in kernel._tables.values()) <= 4000
 
     def test_table_grown_and_evicted_under_a_paused_call(self, monkeypatch):
-        # Thread A holds the table of D = -7 and waits in _em_weights, which
-        # the per-class path calls after _cached_table returns and before
-        # it reads the table.  Meanwhile the main thread grows that table
+        # Thread A holds the table of D = -7 and waits in its second
+        # _em_weights call (the first gives the shift count), which the
+        # per-class path makes after _cached_table returns and before it
+        # reads the table.  Meanwhile the main thread grows that table
         # and then evicts it under a limit that holds one table.  A's value
         # must equal the one computed alone.
         import threading
@@ -510,12 +512,14 @@ class TestDirichletL:
         monkeypatch.setattr(kernel, "_tables", {})
         alone = dirichlet_l(s, chi)
         kernel._tables.clear()
-        em_weights, paused, resume = kernel._em_weights, threading.Event(), threading.Event()
+        em_weights, paused, resume, calls = kernel._em_weights, threading.Event(), threading.Event(), []
 
         def pausing(z):
             if threading.current_thread() is thread_a:
-                paused.set()
-                resume.wait(timeout=60)
+                calls.append(z)
+                if len(calls) == 2:
+                    paused.set()
+                    resume.wait(timeout=60)
             return em_weights(z)
 
         monkeypatch.setattr(kernel, "_em_weights", pausing)
@@ -575,14 +579,15 @@ class TestCostLimits:
         # Just over MAX_TABLE_ENTRIES = 2**18 = 262144 on each path.  A
         # table holds phi(|D|) * (rows + 1) + len(moments) entries.  The
         # per-class path takes rows = N + 1 and no moments: 28 * 9363 =
-        # 262164 for D = 29 at |s| just under N = 9361.  The moment path
+        # 262164 for D = 29 at |s| just under N = 9361, left of the strip,
+        # where the shift count is max(20, ceil|s|).  The moment path
         # takes rows = M and J + 1 moments: 131058 * 2 + 39 + 1 = 262156
         # for D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
         # D = -12487 at s = 0.5 + 213i.
         assert kernel.MAX_TABLE_ENTRIES == 2**18
         monkeypatch.setattr(kernel, "_tables", {})
         cases = (
-            (29, 0.5 + 9360.9j, None, 262164),
+            (29, -10 + 9360.9j, None, 262164),
             (-131059, 2.0, (1, 39), 262156),
             (-12487, 0.5 + 213j, (20, 37), 262244),
         )
@@ -615,19 +620,22 @@ class TestCostLimits:
         # DomainError just outside.  The parts that reach the edge are the
         # pole term x^(1-s) at x = 1 + 142 (Riemann zeta); a^-s at a = 1e-6;
         # for D = -4, (1 + 115)^(1-s) * 4^-s * phi(4), with phi(4) = 2; for
-        # D = -3, the pole ratio's (1 + 256)^((s-1)/2) * phi(3), with
-        # phi(3) = 2; for D = -2351, on the moment path, 2351^s * phi(2351)
+        # D = -3 on the per-class path, 3^s * phi(3), with phi(3) = 2 (a
+        # class's pole ratio (1 + N)^((s-1)/2) stays far below: N = 2
+        # there); for D = -2351, on the moment path, 2351^s * phi(2351)
         # * GROWTH_BOUND.
         top = kernel.MAX_LOG_TERM
         assert 707 < top < math.log(1.8e308)
         chi4, chi3, chi2351 = KroneckerCharacter(-4), KroneckerCharacter(-3), KroneckerCharacter(-2351)
         moment_edge = (top - math.log(2350.0 * moments.GROWTH_BOUND)) / math.log(2351.0)
         assert plan_of(moment_edge, -2351) is not None
+        class_edge = (top - math.log(2.0)) / math.log(3.0)
+        assert plan_of(class_edge, -3) is None and kernel._em_shift_count(complex(class_edge)) == 2
         edges = (
             (riemann_zeta, 1.0 - top / math.log(143.0), -1),
             (lambda s: hurwitz_zeta(s, 1e-6), top / math.log(1e6), 1),
             (lambda s: dirichlet_l(s, chi4), 1.0 - (top + math.log(2.0)) / math.log(4.0 * 116.0), -1),
-            (lambda s: dirichlet_l(s, chi3), 1.0 + 2.0 * (top - math.log(2.0)) / math.log(257.0), 1),
+            (lambda s: dirichlet_l(s, chi3), class_edge, 1),
             (lambda s: dirichlet_l(s, chi2351), moment_edge, 1),
         )
         for evaluate, edge, outward in edges:
@@ -664,3 +672,96 @@ class TestCostLimits:
         assert MAX_GRID_NODES == 10**5
         with pytest.raises(DomainError, match="MAX_GRID_NODES"):
             sweep(make_rationals(), GridSpec(0.1, 0.9, 317, 0.0, 10.0, 316), 1e-9)
+
+
+def em_bound(s: complex, x: float) -> float:
+    # Johansson's Euler-Maclaurin remainder bound (arXiv:1309.2877, Thm. 1)
+    # for K = 12 Bernoulli terms at x = a + N, from |(s)_24| as a product
+    # of moduli rather than the kernel's complex product
+    rate = s.real + 23.0
+    poch = math.prod(abs(s + k) for k in range(24))
+    return 0.0 if poch == 0 else 4.0 * poch / (2.0 * math.pi) ** 24 * x**-rate / rate
+
+
+class TestShiftCount:
+    # N(s), the shift count of every Euler-Maclaurin sum at s: the least N
+    # with em_bound(s, N) <= 2^-50, at most max(20, ceil|s|)
+    BUDGET = 2.0**-50
+    GRID = [complex(x, y) for x in (-10.0, -7.5, -3.3, -1.0, 0.0, 0.1, 0.5, 0.9, 1.5, 3.0)
+            for y in (0.0, 0.5, -3.0, 10.0, 33.0, -50.0, 120.0, 400.0, -400.0)]
+
+    @staticmethod
+    def cap(s: complex) -> int:
+        return max(20, math.ceil(abs(s)))
+
+    def test_least_count_meeting_the_bound(self):
+        for s in self.GRID:
+            n = kernel._em_shift_count(s)
+            assert 0 <= n <= self.cap(s), s
+            if n < self.cap(s):
+                assert em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
+            if n > 1:
+                assert em_bound(s, n - 1) > self.BUDGET * (1 - 1e-9), s
+
+    def test_strip_counts(self):
+        counts = [kernel._em_shift_count(s) for s in (0.5, 0.5 + 10j, 0.1 + 20j, 0.9 + 30j, 0.5 + 50j)]
+        assert counts == [6, 11, 17, 21, 35]
+
+    @pytest.mark.parametrize("a", [1.0, 1.0 / 3.0, 1.0 / 40.0])
+    def test_sum_moves_within_the_bound(self, monkeypatch, a):
+        # zeta_H at N(s) and at N(s) + 8 differ by at most the bound at
+        # N(s) plus the rounding of their parts, wherever the bound decides
+        # N(s) (at the cap the rounding of terms of size x^-Re(s) rules)
+        weights = kernel._em_weights
+        eps = 2.0**-52
+        decided = [s for s in self.GRID if kernel._em_shift_count(s) < self.cap(s)]
+        assert len(decided) >= 60
+        for s in decided:
+            n = kernel._em_shift_count(s)
+            at_n = hurwitz_zeta(s, a)
+            monkeypatch.setattr(kernel, "_em_weights", lambda z: (n + 8, weights(z)[1]))
+            at_n8 = hurwitz_zeta(s, a)
+            monkeypatch.setattr(kernel, "_em_weights", weights)
+            x = a + n + 8
+            parts = sum((a + k) ** -s.real for k in range(n + 9))
+            parts += x ** (1.0 - s.real) / abs(s - 1.0) + x ** -s.real * sum(
+                abs(w) * x ** (1 - 2 * k) for k, w in enumerate(weights(s)[1], start=1))
+            assert abs(at_n - at_n8) <= em_bound(s, a + n) + 64 * eps * parts, (s, a)
+
+    def test_moment_jets_within_the_budget(self):
+        # each jet zeta_H(s + j, x) of the moment path, weighted by its
+        # share |(s)_j / j!| 2^-j of the series, meets the budget at
+        # X = M + 1/2 + N wherever the bound decides N(s)
+        checked = 0
+        for D in (-2351, 997, -131, 1001, -3851):
+            count = arith._totient(abs(D))
+            for s in self.GRID:
+                n = kernel._em_shift_count(s)
+                plan = kernel._moment_plan(s, count, n)
+                if plan is None or n == self.cap(s):
+                    continue
+                head, order = plan
+                weight = 1.0
+                for j in range(1, order + 1):
+                    weight *= abs(s + (j - 1)) / (2 * j)
+                    assert weight * em_bound(s + j, head + 0.5 + n) <= self.BUDGET, (D, s, j)
+                checked += 1
+        assert checked >= 100
+
+    def test_negative_integers(self):
+        # (s)_24 = 0 at s = -n, n <= 23: no shift, the sum is exact; at
+        # s = -24 the count is the cap, and the moment path alone still
+        # takes no shift, where each of its jets s + j is exact
+        assert [kernel._em_shift_count(complex(-n)) for n in range(24)] == [0] * 24
+        assert kernel._em_shift_count(complex(-24)) == 24
+        assert plan_of(-24, -2351) is not None
+        exact = float(oracles.l_at_negative(24, -2351))
+        assert abs(dirichlet_l(-24, KroneckerCharacter(-2351)) - exact) <= 1e-8 * abs(exact)
+
+    @pytest.mark.parametrize("n, D", [(9, 5), (5, 13), (5, 33), (5, 41)])
+    def test_class_path_negative_integer_anchors(self, n, D):
+        # each class's sum is exact with no shift (about 1e-5 to 0.27 off
+        # at N = 20, where its parts cancel)
+        assert plan_of(-n, D) is None
+        exact = float(oracles.l_at_negative(n, D))
+        assert abs(dirichlet_l(-n, KroneckerCharacter(D)) - exact) <= 1e-12 * abs(exact)

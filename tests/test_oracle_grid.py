@@ -4,7 +4,17 @@ tests/oracle_grid.json holds each point's oracle value and the relative
 error a reference kernel made there (see make_oracle_grid.py, which
 wrote it).  The kernel must stay within max(reference error, kappa),
 kappa = 2^-50 (1 + |s| log|D|) being the relative error that rounding
-log|D| alone puts into |D|^-s (2^-50 for zeta, stored with D = 1).
+log|D| alone puts into |D|^-s.
+
+The zeta points (stored with D = 1, where that kappa is 2^-50) are held
+to max(2 reference error, 2^-50 (1 + |s|)) each, and to a geometric mean
+of error / reference error of at most 1.  Their errors on and near the
+strip are the rounding of the sum's parts, and a different shift count
+moves it by up to that much at a fixed s: zeta(0.1 + 32i) is 1.3e-15 off
+at the reference kernel's N = 33 and 3e-15 to 8.5e-15 off at every N
+from 19 to 32.  Left of the strip the rounding grows with the parts,
+(a + N)^-Re(s): zeta(-5.01) is 1.7e-9 off at N = 20 and 2.6e-9 to 1.5e-5
+at every other N up to 21.
 """
 
 import json
@@ -58,14 +68,16 @@ def test_no_worse_than_reference(kind):
 
 
 def test_zeta_no_worse_than_reference():
-    worse = []
+    worse, log_ratios = [], []
     for point in POINTS:
         if point["kind"] == "zeta":
-            s, value = complex(*point["s"]), complex(*point["value"])
+            s, value, reference = complex(*point["s"]), complex(*point["value"]), point["reference_error"]
             error = abs(riemann_zeta(s) - value) / abs(value)
-            if not error <= max(point["reference_error"], kappa(s, 1)):
-                worse.append((s, error, point["reference_error"]))
+            if not error <= max(2.0 * reference, 2.0**-50 * (1.0 + abs(s))):
+                worse.append((s, error, reference))
+            log_ratios.append(math.log(max(error, 2.0**-53) / max(reference, 2.0**-53)))
     assert worse == []
+    assert sum(log_ratios) <= 0.0
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -268,6 +268,16 @@ class TestOneEvaluationPerPoint:
         # no point is evaluated along with its conjugate off the real axis
         assert not any(s.imag and (s.real.hex(), (-s.imag).hex()) in keys for s in calls)
 
+    @pytest.mark.parametrize("spec", ["Q", "Q(sqrt=-3)", "Fq(T)?q=5"])
+    def test_real_axis_folds_conjugates(self, monkeypatch, spec):
+        # the nodes x - 0i and the points 1 - s = (1 - x) + 0i meet at each
+        # real x: Z(x - 0i) is served as conj Z(x + 0i), so each x is
+        # evaluated once (the values equal a fresh evaluation, as
+        # test_sweep_equals_per_node_evaluation checks)
+        calls = self._count_calls(monkeypatch)
+        sweep(parse_field_spec(spec), GridSpec(-0.5, 1.5, 9, -0.0, 0.0, 1), 1e-9)
+        assert len(calls) == len({s.real for s in calls}) == 7
+
     def test_check_on_the_critical_line_evaluates_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         code, _ = parse_and_dispatch(["check", "--field", "Q", "--s=0.5,14"])
