@@ -399,8 +399,8 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     """
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor):
-        d = round(math.log(place.qv, field.q)) if place.qv > 1 else 0
-        belongs = field.q**d == place.qv > 1 and (place.kind == "infinite" or (  # leading term T^d
+        d = round(math.log(place.qv, field.q)) if place.qv > 1 else 0  # q_v = q^d; a label leads with T^d
+        belongs = field.q**d == place.qv > 1 and (place.kind == "infinite" or (
             place.kind == "monic_irreducible" and place.label.partition("+")[0] == ("T" if d == 1 else f"T^{d}")))
     else:
         root = math.isqrt(max(place.qv, 0))

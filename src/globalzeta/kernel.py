@@ -199,23 +199,26 @@ def _require_finite(s: complex, value: complex) -> complex:
     return value
 
 
+def _em_terms(s: complex) -> tuple:
+    # (weights, (s)_2K), the weights B_2k/(2k)! (s)_{2k-1}, k = 1..K, of the Euler-Maclaurin tail
+    terms, poch = [], s
+    for k, coef in enumerate(_EM_COEF, start=1):
+        terms.append(coef * poch)
+        poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
+    return tuple(terms), even
+
+
 # The shift count and weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
 _last_weights: tuple = (None, 0, ())
 
 
 def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
-    # The shift count N (see hurwitz_zeta) and the weights B_2k/(2k)! *
-    # s(s+1)...(s+2k-2), k = 1..K, of the Euler-Maclaurin sums at s,
-    # computed once for zeta(s) and L(s, chi) of one evaluation.
+    # (N, weights) of s (see hurwitz_zeta), once for zeta(s) and L(s, chi) of one evaluation
     global _last_weights
     key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
     last, shift, weights = _last_weights
     if key != last:
-        terms, poch = [], s
-        for k, coef in enumerate(_EM_COEF, start=1):
-            terms.append(coef * poch)
-            poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
-        weights = tuple(terms)
+        weights, even = _em_terms(s)
         shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
         if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
             log_n = (math.log(2.0**52 * abs(even) / rate) - 24.0 * _LOG_2PI) / rate if even else -math.inf
@@ -251,11 +254,10 @@ def hurwitz_zeta(s, a: float) -> complex:
     Euler-Maclaurin with 12 Bernoulli terms and the least shift count N
     whose remainder bound 4 |(s)_24| / (2 pi)^24 * N^-(sigma+23) / (sigma+23)
     (arXiv:1309.2877, Thm. 1) is at most 2^-50, capped at max(20, ceil|s|),
-    also for Re s <= -23; at s = -n, n <= 23, N = 0, the sum being exact.
-    Relative accuracy is 1e-12 or better for Re s >= 0, |s| <= 50.  Re s < 0
-    is exact in structure, but in binary64 the summation cancels against
-    partial terms of size (a+N)^|Re s|, so absolute accuracy there is about
-    1e-16 * (a+N)^|Re s|: ample to Re s of about -10, degrading beyond.  Raises
+    also for Re s <= -23; N = 0 at s = -n, n <= 23, where the sum is exact.
+    Relative accuracy is 1e-12 or better for Re s >= 0, |s| <= 50; for
+    Re s < 0 the summation cancels against parts of size (a+N)^|Re s|, so
+    absolute accuracy is about 1e-16 (a+N)^|Re s|, ample to Re s = -10.  Raises
     DomainError, before any work, for |s| > MAX_ABS_S or when a^-s or
     the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
     """
@@ -481,8 +483,8 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     # Both paths meet the part (1/q)^-s and a pole term x^(1-s) with
     # x >= 1 + N; the phi(q) parts are summed and the sum is scaled by
     # q^-s.  Checked before the plan, so that a point far left of the
-    # strip is refused before any search for M and J.  (A class's x^((s-1)/2)
-    # stays below that: N >= 9 only for Re s < 79, and 9^((sigma-1)/2) < 3^sigma.)
+    # strip is refused before any search for M and J (a class's x^((s-1)/2) stays
+    # below it: N >= 9 only for Re s < 79, and 9^((sigma-1)/2) < 3^sigma).
     sigma, log_q, log_x = s.real, math.log(q), math.log(1.0 + shift)
     spread = math.log(count) + max(0.0, -sigma) * log_q
     _require_log_term(s, max(sigma * log_q, (1.0 - sigma) * log_x) + spread)

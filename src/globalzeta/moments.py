@@ -23,7 +23,7 @@ import sys
 from itertools import chain
 from operator import mul, neg
 
-from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _em_weights, _moment_head
+from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _em_terms, _moment_head
 
 # The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
 TAIL_BOUND = 2.0**-56
@@ -112,9 +112,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     neg_s = -s
     plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
                    for logs, tops in zip(table.heads, (table.plus, table.minus)))
-    if s == -2 * len(_EM_COEF):
-        # every jet that counts has s + j = -m, m < 2K, exact at any shift:
-        # take none, as the shift count of s = -n does for n < 2K
+    if s == -2 * len(_EM_COEF):  # each jet that counts is at -m, m < 2K: exact with no shift
         shift = 0
     x = head + 0.5
     big_x = x + shift
@@ -140,7 +138,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
         x_sj = x_s * big_x**-j
         em = 0.5
         xp = 1.0 / big_x
-        for w in _em_weights(s + j)[1]:
+        for w in _em_terms(s + j)[0]:
             em += w * xp
             xp *= inv_x2
         jets.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))

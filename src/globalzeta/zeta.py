@@ -235,7 +235,7 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
         g, z = gamma_factor(field, s), zeta(field, s)
     # inf or nan in either factor leaves the product non-finite too
     completed = _require_finite(s, g * z)
-    if not s.imag and isinstance(field, NumberFieldDescriptor):  # real values, Im +0.0
-        z, completed = complex(z.real, 0.0), complex(completed.real, 0.0)
+    if not s.imag and isinstance(field, NumberFieldDescriptor):
+        completed = complex(completed.real, 0.0)  # a real value, printed with Im 0
     return EvaluationRecord(s=s, zeta_value=z, gamma_factor_value=g, completed_value=completed,
                             pole_distance=dist, precision_cliff=cliff)

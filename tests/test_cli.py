@@ -454,8 +454,8 @@ GOLDEN_COMMANDS = {
         "434867d0c32c3d7c3105e42b2391eefbd1fdcca1e72baee017561b397f4f5a35",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-4.005"): (
-        "9c78d44c8ebe779b74fde2626775c14c6bdc6af6aecfc161b38e4ea324a1df38",
-        "e5a0a71cbeb0e98b251b4034f656eadebcfd351c390801ee1e0653f5eeed4c6b",
+        "6baf137e528fafbf1321186dc910ee2553bbf3563695bef1f59a863df7fcd42b",
+        "76f8a6b60101d08061f7286f821b52b12c3a4c9bf110edde5f2d9a55d734e4cf",
     ),
     ("eval", "curve?q=5&L=1,3,5", "--s", "0.5,3"): (
         "3dbdffb83068621465dfc59e7b3a1a9fd1220b0ec4ed207dd7226226be64dfe1",
@@ -551,16 +551,16 @@ GOLDEN_COMMANDS = {
     # finite-difference zone where only zeta vanishes, and where both
     # factors of Q(sqrt 13) vanish; a point off the real axis.
     ("eval", "Q(sqrt=-7)", "--s=-3.004"): (
-        "8318ea80ed8f824fc92a96740b1509b8cae09917ae9899356daf67dc3ee33dbe",
-        "5888ca94a0b1f53304f5807ae49672cd39bf8f19113d87552ed4f44200c06f6b",
+        "876fe46a6ab85d7c63d394f401fea31f713a244982ec4363b624cfaeffb47b5c",
+        "47f5bc37138cb097f6bb63b3b975beaf2c0e56ae64054a6548ce86aa493ecee4",
     ),
     ("eval", "Q(sqrt=-7)", "--s=-2.000003"): (
-        "558a2a83979c44f4112727ef2838bd5b9390b989abc78640f74ed1ee33a57814",
-        "e69a6936335d4fa3d22800b2fa34651e822ece6f6669599d2413503643aa2e94",
+        "300fde129655d58ff0768d06590df4d91245631572a01609e0719e5eb02a5f07",
+        "338ebc17e908ab4c88846d8157680490196b294c952275acb35f6b77e212915b",
     ),
     ("eval", "Q(sqrt=13)", "--s=-2.000004"): (
-        "1929e3d274673dce1bd03fddd343ff09153b01816a6c6bee75fbaebb714df3c3",
-        "7421279c247a951ceabcca41d4cda5182368f34f26d7d0775ea2e59acd13c66a",
+        "854b9b8718a78e40bb506a1087410a408f4e8f9365ad8250d26ca4a2e360a354",
+        "815a268bafa03f38ea072cf790d57350c565e251e6e70ae674f79c039fd30bc2",
     ),
     ("eval", "Q(sqrt=-3)", "--s=-1,0.000002"): (
         "11f2a0c1fce036fc8db583e300602a0cc8fb9956c8acdd5781282b88a29e1b23",

@@ -372,7 +372,7 @@ class TestDirichletL:
 
     # float.hex of dirichlet_l on the per-class path, re-recorded when the
     # shift count came from the Euler-Maclaurin remainder bound (the
-    # largest change was 1.7e-14 relative); these moduli stay on that path
+    # largest change was 6.0e-14 relative); these moduli stay on that path
     PINNED_POINTS = (0.1 + 0j, 0.5 + 14j, 0.9 + 33j, 0.3 - 48j, 2.5 + 7j)
     PINNED = {
         -3: (

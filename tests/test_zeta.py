@@ -341,14 +341,14 @@ for _m in range(-1, -7, -1):
 # 3,000 its moment path on the strip.
 PIN_DIGESTS = {
     "Q": "8c039bef5eb007be91c0653705a4fa08e66c6bdd7c150aaad891f222474be13a",
-    "Q(sqrt=-1)": "72937eb985fb789930ed58c3f2807756192bf4b834dbb932c2a5fd62044a50bd",
-    "Q(sqrt=-3)": "6bd0e1b553851f464a7b7130eb5a678b168f6a18def99776a114d45ee4dd8142",
-    "Q(sqrt=5)": "a816ed7627ada2111354f5abd36f0fa920a8d4de84da80e026bed486d3a7fb8d",
-    "Q(sqrt=10)": "610c0bcc0bfd718b570661bcf00136c02d8fd5da57d3edd3a6299b7be01e60ef",
-    "Q(sqrt=-131)": "ff455a237030754bc41f62002f3155d4008f3273ded518159a1c65c24ce1d910",
-    "Q(sqrt=129)": "eb01827c1adca3b0eb4231172b5d9735594f1a3b8a575f3860778b88f014ab3b",
-    "Q(sqrt=-2999)": "3a6226f3b4902ccab61e7b56bade2393852e63de28c617a427f2fb684749bd32",
-    "Q(sqrt=3001)": "f257130bb785cc51e3c273f831928eb984975f9bb9d5435390f071c2ef893dab",
+    "Q(sqrt=-1)": "b92ae0f9a74a5e7afe8849be010efc80fead748a983ee0f413105961ce899ca3",
+    "Q(sqrt=-3)": "38dfbb82438f25078843aeec58ce49e2e2c355c5c80efe022c0d960a4653e7aa",
+    "Q(sqrt=5)": "9dae9bae27b6439a489025b2ff85410763fac734cc43b576c27aac38e85708b8",
+    "Q(sqrt=10)": "7b4955587c36ea384bb4d8a38551168c5a58ee26b3c4aa47c6f7d0b6d9432b46",
+    "Q(sqrt=-131)": "c9e3adf9ef2f625494d257892a520811d67d38dcefc198ff767cec0a851d6c1f",
+    "Q(sqrt=129)": "7ef03f9fcd250fc4bb6d2a33ff9d3d0a0eb94581f01a7abdc7dd6957d92c0935",
+    "Q(sqrt=-2999)": "860715939f25ff44f0497271e89b6e0fd8d495044723742a63d6d25c30326aa5",
+    "Q(sqrt=3001)": "1911435f497c8bf8b5accd8c289df3afc943efe68981aaf828819553531d6a76",
     "Fq(T)?q=5": "0bb2259d115655e483fe0e94d7cb83c27c81784df6fd63a38b3caa3814047bf7",
     "curve?q=5&L=1,3,5": "af3e7692defb0dd1206f7b5b370fe58e046b911c4e96356dc6198bbbbe148e74",
 }
