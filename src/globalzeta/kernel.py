@@ -27,10 +27,10 @@ table of D = 1.  Their sizes, in doubles, sum to at most
 MAX_TABLE_ENTRIES (2 MiB); the least recently used tables are dropped to
 make room, and a call whose own table would pass the limit raises
 DomainError before any table is built or grown.
-zeta(s) and L(s, chi) at one s share its Euler-Maclaurin weights.  Each
-evaluator also bounds the size of its terms before any work: past
-exp(MAX_LOG_TERM) they would overflow binary64, so it raises DomainError
-instead (for the Riemann zeta, at Re s below about -141.6).
+zeta(s) and L(s, chi) at one s share its Euler-Maclaurin shift count and
+weights.  Each evaluator also bounds the size of its terms before any
+work: past exp(MAX_LOG_TERM) they would overflow binary64, so it raises
+DomainError instead (for the Riemann zeta, at Re s below about -141.6).
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ def hurwitz_zeta(s, a: float) -> complex:
     (arXiv:1309.2877, Thm. 1) is at most 2^-50, capped at max(20, ceil|s|),
     also for Re s <= -23; N = 0 at s = -n, n <= 23, where the sum is exact.
     Relative accuracy is 1e-12 or better for Re s >= 0, |s| <= 50; for
-    Re s < 0 the summation cancels against parts of size (a+N)^|Re s|, so
-    absolute accuracy is about 1e-16 (a+N)^|Re s|, ample to Re s = -10.  Raises
+    Re s < 0 the absolute error is about (a+N)^|Re s| |s| log(a+N) 2^-53,
+    the rounding of the parts that the sum cancels against.  Raises
     DomainError, before any work, for |s| > MAX_ABS_S or when a^-s or
     the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
     """
