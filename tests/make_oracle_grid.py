@@ -17,10 +17,17 @@ The oracle values do not use the package:
 * zeta: the Riemann zeta (stored with D = 1) by mpmath.zeta at 30
   digits, at the nodes of the golden number-field sweeps (s and 1 - s),
   on Re s in [-10, 0) off the integers with |Im s| <= 50, and at offsets
-  1e-6 to 1e-2 from the negative integers -1 .. -8.
+  1e-6 to 1e-2 from the negative integers -1 .. -8;
+* cliff: zeta_k(s) / (s - m)^r for the number field of discriminant D
+  (Q for D = 1), m a negative integer where r trivial zeros of zeta_k
+  cancel Gamma poles, at offsets s - m up to 1e-2 (inside
+  GAMMA_CANCEL_RADIUS).  Each L-factor that vanishes at m is divided by
+  (s - m) in mpmath at 50 digits, so the cancellation in its sum costs
+  nothing at 30; at s = m the quotient is its derivative there.
 
 Each point also stores ``reference_error``: the relative error of
-``dirichlet_l`` (``riemann_zeta`` for zeta points) imported from
+``dirichlet_l`` (``riemann_zeta`` for zeta points,
+``completed_zeta(field, s).zeta_value`` for cliff points) imported from
 ``--src`` (default: this checkout's src/).  Run it against the commit
 whose errors the gate should hold later changes to;
 tests/test_oracle_grid.py asserts that the current kernel's error is at
@@ -72,6 +79,12 @@ ZETA_LEFT_RE = (-9.5, -8.75, -7.3, -6.5, -5.2, -4.5, -3.7, -2.5, -1.5, -0.8, -0.
 ZETA_LEFT_IM = (0.0, 3.0, -7.5, 14.0, -22.0, 30.0, 50.0)
 ZETA_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 ZETA_DIRECTIONS = (1.0, -1.0, cmath.rect(1.0, math.pi / 3.0))
+# (D, lowest cancelled pole) of the cliff fields: Q, Q(sqrt -1), Q(sqrt -3),
+# Q(sqrt 5), Q(sqrt 2), Q(sqrt -7) and Q(sqrt -163), the last on the moment path
+CLIFF_FIELDS = ((1, -8), (-4, -4), (-3, -4), (5, -6), (8, -6), (-7, -4), (-163, -4))
+CLIFF_OFFSETS = (0.0, 1e-7, -3e-6, 1e-5, -3e-5, 1e-4, 1e-3, -5e-3, 9.9e-3,
+                 2e-6j, 0.004j, -0.004j, cmath.rect(0.007, math.pi / 3.0))
+CLIFF_DPS = 50
 
 
 def _squarefree(n: int) -> bool:
@@ -134,6 +147,38 @@ def zeta_value(s: complex) -> complex:
     return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
 
 
+def cancelled_poles(D: int, lowest: int) -> list[int]:
+    # a real field's Gamma poles are the even m, an imaginary one's every m
+    return list(range(-1 if D < 0 else -2, lowest - 1, -1 if D < 0 else -2))
+
+
+def _l_over_zero(D: int, s: complex, m: int):
+    # L(s, chi_D), or L(s, chi_D) / (s - m) where it has a trivial zero at m
+    # (D = 1: the Riemann zeta, zero at even m; D < 0 at odd m, D > 0 at even m)
+    z = mpmath.mpc(s.real, s.imag)
+    f = abs(D)
+    terms = [(1, mpmath.mpf(1))] if D == 1 else [
+        (c, mpmath.mpf(r) / f) for r in range(1, f) for c in (oracles.euler_kronecker(D, r),) if c
+    ]
+    if m % 2 != int(D < 0):
+        return mpmath.power(f, -z) * mpmath.fsum(c * mpmath.zeta(z, a) for c, a in terms)
+    h = z - m
+    if h:
+        return mpmath.power(f, -z) * mpmath.fsum(c * mpmath.zeta(z, a) for c, a in terms) / h
+    # the derivative of f^-s sum c zeta_H(s, a) at its zero: the sum vanishes
+    return mpmath.power(f, -m) * mpmath.fsum(c * mpmath.zeta(m, a, 1) for c, a in terms)
+
+
+def cliff_value(job: tuple[int, complex]) -> complex:
+    D, s = job
+    mpmath.mp.dps = CLIFF_DPS
+    m = round(s.real)
+    value = _l_over_zero(1, s, m)
+    if D != 1:
+        value *= _l_over_zero(D, s, m)
+    return complex(value)
+
+
 def grid_points() -> list[tuple[str, int, complex]]:
     small = [D for n in range(2, SMALL_LIMIT + 1) for D in (-n, n) if fundamental(D)]
     l1_set = sorted(set(small) | set(SPREAD) | set(STRIP_DISCRIMINANTS), key=lambda d: (abs(d), d))
@@ -165,6 +210,8 @@ def grid_points() -> list[tuple[str, int, complex]]:
     # zeta vanishes at the even negative integers, where no relative error exists
     zeros = {s for s in zeros if not (s.imag == 0 and s.real.is_integer() and s.real < 0 and s.real % 2 == 0)}
     points += [("zeta", 1, s) for s in sorted(zeros, key=lambda s: (s.real, s.imag))]
+    points += [("cliff", D, m + h) for D, lowest in CLIFF_FIELDS for m in cancelled_poles(D, lowest)
+               for h in CLIFF_OFFSETS]
     return points
 
 
@@ -176,7 +223,8 @@ def main() -> int:
     parser.add_argument("--fresh", action="store_true", help="recompute the points already in --out")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from globalzeta import KroneckerCharacter, dirichlet_l, riemann_zeta
+    from globalzeta import (KroneckerCharacter, completed_zeta, dirichlet_l, make_quadratic, make_rationals,
+                            riemann_zeta)
 
     kept = {}
     if not args.fresh and os.path.exists(args.out):
@@ -185,9 +233,12 @@ def main() -> int:
     points = grid_points()
     for D in {D for _, D, _ in points}:
         KroneckerCharacter(D)  # every D is fundamental, before any long work
-    strip_jobs = [(D, s) for kind, D, s in points if kind == "strip" and (kind, D, s.real, s.imag) not in kept]
+    def jobs(kind: str) -> list[tuple[int, complex]]:
+        return [(D, s) for k, D, s in points if k == kind and (k, D, s.real, s.imag) not in kept]
+
     with Pool(args.jobs) as pool:
-        strip_values = iter(pool.map(strip_value, strip_jobs, chunksize=1))
+        strip_values = iter(pool.map(strip_value, jobs("strip"), chunksize=1))
+        cliff_values = iter(pool.map(cliff_value, jobs("cliff"), chunksize=4))
     rows = []
     for kind, D, s in points:
         if (kind, D, s.real, s.imag) in kept:
@@ -199,9 +250,15 @@ def main() -> int:
             value = complex(float(oracles.l_at_negative(int(-s.real), D)))
         elif kind == "zeta":
             value = zeta_value(s)
+        elif kind == "cliff":
+            value = next(cliff_values)
         else:
             value = next(strip_values)
-        computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
+        if kind == "cliff":
+            field = make_rationals() if D == 1 else make_quadratic(D // 4 if D % 4 == 0 else D)
+            computed = completed_zeta(field, s).zeta_value
+        else:
+            computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
         rows.append({
             "kind": kind,
             "D": D,

@@ -52,8 +52,9 @@ def evaluated(kind: str) -> list:
 
 
 def test_grid_covers_each_kind():
-    counts = {kind: sum(p["kind"] == kind for p in POINTS) for kind in (*KINDS, "zeta")}
+    counts = {kind: sum(p["kind"] == kind for p in POINTS) for kind in (*KINDS, "zeta", "cliff")}
     assert counts["l1"] >= 300 and counts["negint"] >= 900 and counts["strip"] >= 200 and counts["zeta"] >= 250
+    assert counts["cliff"] >= 300
     assert min(p["D"] for p in POINTS) <= -3999 and max(p["D"] for p in POINTS) >= 3997
 
 
