@@ -15,10 +15,10 @@ fields).  The Gamma poles at negative integers m are cancelled by
 trivial zeros of the L-factors: zeta(s) vanishes at even m, L(s, chi_D)
 at even m for D > 0 and at odd m for D < 0.  Within GAMMA_CANCEL_RADIUS
 of such an m the record flags precision_cliff and reports deflated
-factors: the Gamma part times (s - m) per cancelled pole, through the
-recurrence, and each vanishing L-factor divided by (s - m), from
-finite-difference derivatives at m inside _DERIVATIVE_ZONE.  Their
-product is still the completed value bit for bit.
+factors: the Gamma part times (s - m)^r, r the order of the cancelled
+pole, through the recurrence, and zeta_k(s) / (s - m)^r as a contour
+mean of zeta_k on a circle around m.  Their product is still the
+completed value bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .errors import PoleError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
 from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, _require_finite, _require_log_term, dirichlet_l, riemann_zeta
 
-#: Inside this radius of a cancelled Gamma pole the completed value is
-#: computed by deflation and the record is flagged.
+#: Inside this radius of a cancelled Gamma pole the record is flagged and
+#: its factors deflated; s stays 0.115 from every contour node.
 GAMMA_CANCEL_RADIUS = 1e-2
-#: Inside this radius a vanishing L-factor is divided by (s - m) in Taylor form.
-_DERIVATIVE_ZONE = 1e-5
-_STENCIL_H = 0.02
+#: The deflated zeta_k's contour around the pole: its radius and node count.
+_CONTOUR_RADIUS = 0.125
+_CONTOUR_NODES = 16
 #: chi_D per discriminant, as KroneckerCharacter validates D by trial division.
 _character = lru_cache(maxsize=256)(KroneckerCharacter)
 
@@ -99,21 +99,15 @@ def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
 
 
 def _l_factors(field: NumberFieldDescriptor) -> list:
-    # (L, parity of the negative integers where L has its trivial zeros)
-    factors = [(riemann_zeta, 0)]
-    if field.discriminant != 1:
-        chi = _character(field.discriminant)
-        factors.append((lambda t: dirichlet_l(t, chi), int(field.discriminant < 0)))
-    return factors
+    if field.discriminant == 1:
+        return [riemann_zeta]
+    chi = _character(field.discriminant)
+    return [riemann_zeta, lambda t: dirichlet_l(t, chi)]
 
 
-def _number_field_zeta(field: NumberFieldDescriptor, s: complex, m: int | None = None) -> complex:
-    # The L-factors at s, each one that vanishes at m divided by (s - m),
-    # multiplied from the first (not from 1.0, which can flip a zero's sign).
-    return reduce(mul, [
-        _vanishing_ratio(f, s, m) if m is not None and m % 2 == parity else f(s)
-        for f, parity in _l_factors(field)
-    ])
+def _number_field_zeta(field: NumberFieldDescriptor, s: complex) -> complex:
+    # The L-factors at s, multiplied from the first (from 1.0 a zero's sign can flip)
+    return reduce(mul, [f(s) for f in _l_factors(field)])
 
 
 def zeta(field: FieldDescriptor, s) -> complex:
@@ -173,33 +167,24 @@ def _gamma_linear_deflated(z: complex, z0: int) -> complex:
     # the vanishing factor (z - z0) cancelled symbolically.
     k_up = -z0 + 1
     num = cmath.exp(_log_gamma_impl(z + k_up))
-    den = complex(1.0)
-    for j in range(k_up):
-        if j != -z0:
-            den *= z + j
-    return num / den
+    return num / reduce(mul, (z + j for j in range(k_up) if j != -z0), complex(1.0))
 
 
-def _stencil_derivatives(f, x0: float, h: float) -> tuple[complex, complex]:
-    # f' by the sixth-order and f'' by the fourth-order central stencil,
-    # from one evaluation of f at each of x0 + j h, j = -3..3
-    xs = (x0 - 3 * h, x0 - 2 * h, x0 - h, x0, x0 + h, x0 + 2 * h, x0 + 3 * h)
-    fm3, fm2, fm1, f0, f1, f2, f3 = map(f, xs)
-    d1 = (45.0 * (f1 - fm1) - 9.0 * (f2 - fm2) + (f3 - fm3)) / (60.0 * h)
-    d2 = (-(f2 + fm2) + 16.0 * (f1 + fm1) - 30.0 * f0) / (12.0 * h * h)
-    return d1, d2
-
-
-def _vanishing_ratio(f, s: complex, m: int) -> complex:
-    # f(s) / (s - m) for f with a simple zero at m.  Away from m the
-    # direct quotient is accurate; inside _DERIVATIVE_ZONE the computed
-    # f(s) is pure cancellation noise, so switch to the Taylor form
-    # f'(m) + (s - m) f''(m)/2 with stencil derivatives.
-    h = s - m
-    if abs(h) >= _DERIVATIVE_ZONE:
-        return f(s) / h
-    d1, d2 = _stencil_derivatives(f, float(m), _STENCIL_H)
-    return d1 + 0.5 * h * d2
+def _deflated_zeta(field: NumberFieldDescriptor, s: complex, m: int) -> complex:
+    # zeta_k(s) / (s - m)^r (r = r1 + r2; a real field's m is even) by
+    # Cauchy's formula: the mean over nodes z on a circle around m of
+    # zeta_k(z) / ((z - m)^(r-1) (z - s)), off by about (|s - m| / radius)^nodes.
+    # A lower node's value is its upper twin's conjugate; summed in twin
+    # pairs, a real s gets Im 0 and conj s the conjugate bit for bit.
+    r = field.r1 + field.r2
+    total = complex(0.0)
+    for k in range(_CONTOUR_NODES // 2):
+        z = m + cmath.rect(_CONTOUR_RADIUS, math.pi * (2 * k + 1) / _CONTOUR_NODES)
+        # scaled first (exactly): the sum overflows only where the mean nearly does
+        value = _number_field_zeta(field, z) / _CONTOUR_NODES
+        total += (value / ((z - m) ** (r - 1) * (z - s))
+                  + value.conjugate() / ((z.conjugate() - m) ** (r - 1) * (z.conjugate() - s)))
+    return total
 
 
 def _deflated_gamma(field: NumberFieldDescriptor, s: complex, m: int) -> complex:
@@ -230,7 +215,7 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     m = _nearest_gamma_pole(field, s) if isinstance(field, NumberFieldDescriptor) else 0
     cliff = m <= -1 and abs(s - m) < GAMMA_CANCEL_RADIUS
     if cliff:
-        g, z = _deflated_gamma(field, s, m), _number_field_zeta(field, s, m)
+        g, z = _deflated_gamma(field, s, m), _deflated_zeta(field, s, m)
     else:
         g, z = gamma_factor(field, s), zeta(field, s)
     # inf or nan in either factor leaves the product non-finite too

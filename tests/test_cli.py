@@ -46,6 +46,16 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["reports"][0]["status"] == "ok"
 
+    @pytest.mark.parametrize("field, s", [("Q(sqrt=-3)", "5"), ("Q", "-3.99999")])
+    def test_check_at_a_cancelled_pole_anchor_is_ok(self, field, s):
+        # Z(-4) and Z(-3.99999) take the deflated zeta_k(s) / (s + 4); its
+        # finite-difference derivatives at -4 left residuals of 6.3e-9 and
+        # 1.4e-6 here, the contour mean 2.8e-11 and 8.8e-11
+        code, out = parse_and_dispatch(["check", "--field", field, f"--s={s}"])
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert report["status"] == "ok" and report["residual"] <= 2e-10
+
     def test_failed_report_is_one(self):
         code, out = parse_and_dispatch(
             ["check", "--field", "Q", "--s", "0.3", "--tol", "1e-18"]
@@ -436,7 +446,9 @@ GOLDEN_PLACES = {
 # before the CLI's serializers were merged into one.  Those of the commands
 # that evaluate a number field were re-recorded when the Euler-Maclaurin
 # shift count came from its remainder bound and real points got real
-# values (CHANGES.md lists each with its largest value change).  The cases cover
+# values, and those with a precision_cliff point when the deflated zeta
+# became a contour mean (CHANGES.md lists each with its largest value
+# change).  The cases cover
 # ok, skipped (null/empty cells) and failed check rows, failed sweep
 # rows, a precision_cliff eval record with a negative zero, a curve
 # field, and the places and euler-check layouts.
@@ -454,8 +466,8 @@ GOLDEN_COMMANDS = {
         "434867d0c32c3d7c3105e42b2391eefbd1fdcca1e72baee017561b397f4f5a35",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-4.005"): (
-        "6baf137e528fafbf1321186dc910ee2553bbf3563695bef1f59a863df7fcd42b",
-        "76f8a6b60101d08061f7286f821b52b12c3a4c9bf110edde5f2d9a55d734e4cf",
+        "22357964611e191f6c09f3accd45799a77a63053508f482a14f6d43d2b304598",
+        "b42ca4ec7eb753f1e561cf1db0b1bf9fa94ac855894590650dd476b3d0b50993",
     ),
     ("eval", "curve?q=5&L=1,3,5", "--s", "0.5,3"): (
         "3dbdffb83068621465dfc59e7b3a1a9fd1220b0ec4ed207dd7226226be64dfe1",
@@ -495,8 +507,8 @@ GOLDEN_COMMANDS = {
         "3cae6e358fa2f31c957a61f0aff263dbb2fc5210acaaaafe88cee615a2cef74d",
     ),
     ("sweep", "Q", "--grid=-5:-3:5,0:0:1"): (
-        "6b7c4dcaab94778fe3c852b24db2b9d68bd4718a69b6a11c986451f475bba6c6",
-        "ad806174155b6ab39c896146608eb1a55a4de8b369a32874ef87f8d990365345",
+        "fe14c473cbb9c6e8a50c115f6ef11c22ca7b46fcc91b81e2902a9768c506b8b8",
+        "6a804c6a16c2fc092b77d1d02335abdb626115967559c86d5364e694272a9040",
     ),
     ("places", "Q(sqrt=-1)", "--bound", "1000"): (
         "73db2393b5df482c72e906161c447da7187f954f3ac02f84633408626a8dd681",
@@ -547,24 +559,24 @@ GOLDEN_COMMANDS = {
         "e982c69d0263bdf44bef86779ec3ca58dcaa93ea95f8317611f1b553f281ea53",
     ),
     # Recorded before the deflated path was built from the list of
-    # L-factors: odd m where only L(s, chi_-7) vanishes; even m in the
-    # finite-difference zone where only zeta vanishes, and where both
-    # factors of Q(sqrt 13) vanish; a point off the real axis.
+    # L-factors: odd m where only L(s, chi_-7) vanishes; even m within
+    # 1e-5 where only zeta vanishes, and where both factors of Q(sqrt 13)
+    # vanish; a point off the real axis.
     ("eval", "Q(sqrt=-7)", "--s=-3.004"): (
-        "876fe46a6ab85d7c63d394f401fea31f713a244982ec4363b624cfaeffb47b5c",
-        "47f5bc37138cb097f6bb63b3b975beaf2c0e56ae64054a6548ce86aa493ecee4",
+        "27b1e4fa992763debe965cfaf4ef3d5ba5143f475248137be5b271b675ef7056",
+        "e92fc01405bbda363878bf4d44f65eeb24c8c4105aac69b8e2db72599adda0cb",
     ),
     ("eval", "Q(sqrt=-7)", "--s=-2.000003"): (
-        "300fde129655d58ff0768d06590df4d91245631572a01609e0719e5eb02a5f07",
-        "338ebc17e908ab4c88846d8157680490196b294c952275acb35f6b77e212915b",
+        "e5ac21e57872c30f4e5fd504eeeb3c0a8e2bdaf130367d5164cc61c98934686b",
+        "9a4fcf5d5fef050df700eab8e0f9f9ec6bdef14db1b32f5952f715d9541fab3c",
     ),
     ("eval", "Q(sqrt=13)", "--s=-2.000004"): (
-        "854b9b8718a78e40bb506a1087410a408f4e8f9365ad8250d26ca4a2e360a354",
-        "815a268bafa03f38ea072cf790d57350c565e251e6e70ae674f79c039fd30bc2",
+        "beab563efc5af89d25c25642d1c1fb897826c936995bb753a22619b1a776f718",
+        "a547aef619867d3646910f325b166f39623d171aaf357e2fcdecbcdd21f5c918",
     ),
     ("eval", "Q(sqrt=-3)", "--s=-1,0.000002"): (
-        "11f2a0c1fce036fc8db583e300602a0cc8fb9956c8acdd5781282b88a29e1b23",
-        "664b4f28bdee3a9c3a53121ccd8b199627531ed17c15c9979deba276b8906744",
+        "e9d2091ea22d122b464f59e0e56e1a47eba78ff7ee3fb016e32be738534178b2",
+        "acf097e4133d36bb2f9232371d6317446d3261cf192af8b12933209055fb9b53",
     ),
     # Recorded before GF(p^k) lost its q x q add and mul tables: every
     # place of degree <= d over GF(q) for q = 2^4, 3^3, 2^5, 7^2, 5^3, 2^8

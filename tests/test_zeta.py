@@ -39,6 +39,8 @@ Q_SQRTM3 = make_quadratic(-3)
 F5 = make_rational_function_field(5)
 CURVE_5_1 = make_curve_function_field(5, [1, 3, 5])
 
+# Catalan's constant G = L(2, chi_-4)
+CATALAN = 0.91596559417721901505
 # zeta(2) * L(2, chi_-4), frozen from dedekind_zeta_qi_series(2.0, 20000)
 ZETA_QI_2_ORACLE, ZETA_QI_2_BOUND = 1.50670300992302, 7.1e-14
 
@@ -228,21 +230,12 @@ class TestCompletedZeta:
 
     def test_gaussian_cancelled_pole_value(self):
         # Z(-1) is finite: the Gamma pole at -1 cancels the trivial zero
-        # of L(chi_-4).  Oracle: even-order Richardson extrapolation of
-        # the plain product from outside the deflation zone.
+        # of L(chi_-4).  Closed form: Z(-1) = Z(2) = 2 pi G / 3 with
+        # Catalan's constant G (the finite-difference deflation was 2.5e-12 off)
         rec = completed_zeta(QI, -1)
         assert rec.precision_cliff
-
-        def plain_avg(h):
-            a = completed_zeta(QI, -1.0 + h).completed_value
-            b = completed_zeta(QI, -1.0 - h).completed_value
-            return 0.5 * (a + b)
-
-        f1, f2, f3 = plain_avg(0.04), plain_avg(0.02), plain_avg(0.01)
-        r1 = (4.0 * f2 - f1) / 3.0
-        r2 = (4.0 * f3 - f2) / 3.0
-        limit = (16.0 * r2 - r1) / 15.0
-        assert abs(rec.completed_value - limit) <= 1e-9 * abs(limit)
+        closed = 2.0 * math.pi * CATALAN / 3.0
+        assert abs(rec.completed_value - closed) <= 1e-13 * closed
 
     def test_cliff_flag_zones(self):
         assert completed_zeta(QI, -1.0 + 0.005).precision_cliff
@@ -266,9 +259,11 @@ class TestCompletedZeta:
                 assert cmath.isfinite(v)
                 assert abs(v) < 10.0
 
-    def test_stencil_evaluates_each_point_once(self, monkeypatch):
-        # inside the finite-difference zone the deflated zeta needs f at
-        # m + j h for j = -3..3, once each; the value is pinned by float.hex
+    def test_contour_evaluates_eight_nodes_once(self, monkeypatch):
+        # inside GAMMA_CANCEL_RADIUS the deflated zeta is a contour mean
+        # over 16 nodes 1/8 from m, of which it evaluates the 8 upper ones
+        # (the lower ones are their conjugates), never s itself; the value
+        # is pinned by float.hex
         calls = []
 
         def counted(s):
@@ -277,19 +272,19 @@ class TestCompletedZeta:
 
         # the package exports the function zeta under the module's name
         monkeypatch.setattr(sys.modules["globalzeta.zeta"], "riemann_zeta", counted)
-        rec = completed_zeta(Q, -4.000003)
+        s = -4.000003
+        rec = completed_zeta(Q, s)
         assert rec.precision_cliff
-        assert len(calls) == len(set(calls)) == 7
-        assert rec.zeta_value.real.hex() == "0x1.059cfdf2cbd70p-7"
+        assert len(calls) == len(set(calls)) == 8 and s not in calls
+        assert all(z.imag > 0 and abs(abs(z + 4) - 0.125) <= 1e-15 for z in calls)
+        assert rec.zeta_value.real.hex() == "0x1.059cfe0ee21e6p-7"
         assert rec.gamma_factor_value.real.hex() == "0x1.3bd3d37ff1f2ep+3"
-        assert rec.completed_value.real.hex() == "0x1.42c0a5023561ap-4"
-        assert rec.completed_value.imag == 0.0
-        # zeta(s)/(s + 4) by mpmath at 40 digits; the value pinned before
-        # the shift count came from the remainder bound, 0x1.059ca91ca740ep-7,
-        # was 5.0e-6 off
+        assert rec.completed_value.real.hex() == "0x1.42c0a524dc091p-4"
+        assert rec.zeta_value.imag == rec.completed_value.imag == 0.0
+        # zeta(s)/(s + 4) by mpmath at 40 digits; the finite-difference
+        # derivatives at -4 gave 0x1.059cfdf2cbd70p-7, 6.3e-9 off (now 8.8e-11)
         exact = 0.00798380284412869
-        assert abs(rec.zeta_value.real - exact) <= 1e-8 * exact
-        assert abs(rec.zeta_value.real - exact) < abs(float.fromhex("0x1.059ca91ca740ep-7") - exact)
+        assert abs(rec.zeta_value.real - exact) <= 1e-9 * exact
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
@@ -324,7 +319,7 @@ class TestPoleModel:
 # ---------------------------------------------------------------------------
 
 # Strip nodes up to |Im s| = 50, the real axis, Re s in [-8, 0), and the
-# deflated and finite-difference zones around -1 .. -6.
+# deflated zone around -1 .. -6, from the poles themselves to 0.005 off.
 PIN_POINTS = [complex(x, y) for x in (0.1, 0.5, 0.9) for y in (0.0, 3.5, 14.134725, -21.0, 50.0)]
 PIN_POINTS += [2.0, 3.5, 1.5, 12.0, -0.5, -7.5, complex(-7.9, 2.0), complex(-3.3, 0.4), complex(-0.2, 1.0),
                complex(-5.5, -7.0)]
@@ -336,19 +331,22 @@ for _m in range(-1, -7, -1):
 # before the evaluation layers shared their per-s and per-field work, and
 # for number fields again when the Euler-Maclaurin shift count came from
 # its remainder bound (values moved by up to 0.031 relative, at the
-# deflated -5.995, toward the oracle: 0.032 -> 1.1e-6 off for Q(sqrt 10)).
+# deflated -5.995, toward the oracle: 0.032 -> 1.1e-6 off for Q(sqrt 10)),
+# and when the deflated zeta became a contour mean (only precision_cliff
+# zeta and completed values moved, by up to 1.2e-6 relative at -6 - 0.004i;
+# no gamma_factor_value moved).
 # |D| <= 40 takes dirichlet_l's per-class path, |D| of about 130 and
 # 3,000 its moment path on the strip.
 PIN_DIGESTS = {
-    "Q": "8c039bef5eb007be91c0653705a4fa08e66c6bdd7c150aaad891f222474be13a",
-    "Q(sqrt=-1)": "b92ae0f9a74a5e7afe8849be010efc80fead748a983ee0f413105961ce899ca3",
-    "Q(sqrt=-3)": "38dfbb82438f25078843aeec58ce49e2e2c355c5c80efe022c0d960a4653e7aa",
-    "Q(sqrt=5)": "9dae9bae27b6439a489025b2ff85410763fac734cc43b576c27aac38e85708b8",
-    "Q(sqrt=10)": "7b4955587c36ea384bb4d8a38551168c5a58ee26b3c4aa47c6f7d0b6d9432b46",
-    "Q(sqrt=-131)": "c9e3adf9ef2f625494d257892a520811d67d38dcefc198ff767cec0a851d6c1f",
-    "Q(sqrt=129)": "7ef03f9fcd250fc4bb6d2a33ff9d3d0a0eb94581f01a7abdc7dd6957d92c0935",
-    "Q(sqrt=-2999)": "860715939f25ff44f0497271e89b6e0fd8d495044723742a63d6d25c30326aa5",
-    "Q(sqrt=3001)": "1911435f497c8bf8b5accd8c289df3afc943efe68981aaf828819553531d6a76",
+    "Q": "0337d8cc5b34f52d28a2300009c0ce3a6dc0ec5d4275588cf31d6f1fb74529c3",
+    "Q(sqrt=-1)": "6fb4b7cc87b5088500af5de902c777fcf76fe1f81649aeef86606af7aa5765e9",
+    "Q(sqrt=-3)": "7feb9060b83be99d111fe322d725042f61e92aa7995e2735dad9271808c6cbd1",
+    "Q(sqrt=5)": "ce0cbbc229c1ec2db9db711972b070c14a3db942486c5be2f4b0089c0e051916",
+    "Q(sqrt=10)": "12a590b15be2ab631e26884fc38a7bcfc28f1e51f25979a16ffe5f5d08c12e00",
+    "Q(sqrt=-131)": "9ec5aab8f440f817203f796f8a2fb71b79b6101e7903c124072a348e902cee69",
+    "Q(sqrt=129)": "b10e60a2aa50fb054babea90db87cca8ef341e134b1d2b818a69662734fb40cf",
+    "Q(sqrt=-2999)": "df2090bcbb3a77381d109e5876d3a5675156efc4dc34eda8af01bbc4c12959fb",
+    "Q(sqrt=3001)": "e195a6b573752e05b0100d2fd5d6216a1567749ea6888a32f6a3e0ecaa781e81",
     "Fq(T)?q=5": "0bb2259d115655e483fe0e94d7cb83c27c81784df6fd63a38b3caa3814047bf7",
     "curve?q=5&L=1,3,5": "af3e7692defb0dd1206f7b5b370fe58e046b911c4e96356dc6198bbbbe148e74",
 }
@@ -377,6 +375,7 @@ PERIOD_5 = 2.0 * math.pi / math.log(5.0)
 # (function, field spec, s, exception, message), recorded before the
 # evaluation layers shared their checks: poles, Gamma poles, non-finite
 # s, MAX_ABS_S and MAX_LOG_TERM, called directly and through check_point.
+# The deflated zeta at -150 and -160 is refused at its first contour node.
 ERROR_CASES = [
     (completed_zeta, "Q", 1e-4, PoleError,
      '(0.0001+0j) is within 0.001 of a pole of the completed zeta'),
@@ -453,15 +452,15 @@ ERROR_CASES = [
     (check_point, "Q", 500, DomainError,
      'at s = (-499+0j) the terms reach exp(3107.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Q(sqrt=-1)", -150, DomainError,
-     'at s = (-150.06+0j) the terms reach exp(758.9), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+     'at s = (-149.87740183994958+0.02438629025201603j) the terms reach exp(757.0), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (zeta, "Q(sqrt=-1)", -150, DomainError,
      'at s = (-150+0j) the terms reach exp(757.6), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (gamma_factor, "Q(sqrt=-1)", -150, PoleError,
      'gamma_factor: (-150+0j) is within 0.001 of the Gamma pole at -150'),
     (check_point, "Q(sqrt=-1)", -150, DomainError,
-     'at s = (-150.06+0j) the terms reach exp(758.9), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+     'at s = (-149.87740183994958+0.02438629025201603j) the terms reach exp(757.0), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Q", -160, DomainError,
-     'at s = (-160.06+0j) the terms reach exp(819.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+     'at s = (-159.87740183994958+0.02438629025201603j) the terms reach exp(817.5), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (zeta, "Q", -160, DomainError,
      'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (gamma_factor, "Q", -160, PoleError,
@@ -469,7 +468,7 @@ ERROR_CASES = [
     (riemann_zeta, "Q", -160, DomainError,
      'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (check_point, "Q", -160, DomainError,
-     'at s = (-160.06+0j) the terms reach exp(819.4), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
+     'at s = (-159.87740183994958+0.02438629025201603j) the terms reach exp(817.5), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Fq(T)?q=5", -500, DomainError,
      'at s = (-500+0j) the terms reach exp(804.7), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (zeta, "Fq(T)?q=5", -500, DomainError,
@@ -487,6 +486,26 @@ def test_errors_unchanged(fn, spec, s, error, message):
         fn(*args)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec", ["Q", "Q(sqrt=-1)", "Q(sqrt=5)", "Q(sqrt=-163)", "Q(sqrt=-2351)", "Q(sqrt=3001)", "Q(sqrt=-3999)"]
+)
+def test_cancelled_pole_refusal_edge(spec):
+    # On and near every cancelled Gamma pole m >= -159 the values are
+    # finite or the evaluation raises DomainError naming MAX_LOG_TERM.
+    # The contour nodes' values times 1 / (z - s) pass DBL_MAX before the
+    # mean does; that must not leak OverflowError, ValueError, inf or nan.
+    field = parse_field_spec(spec)
+    step = 1 if field.r2 else 2
+    for m in range(-step, -160, -step):
+        for s in (m + 0.0, m + 0.005, m - 0.009):
+            try:
+                rec = completed_zeta(field, s)
+            except DomainError as exc:
+                assert "MAX_LOG_TERM" in str(exc), (s, exc)
+            else:
+                assert rec.precision_cliff and all(cmath.isfinite(z) for z in rec[1:4]), s
 
 
 @pytest.mark.parametrize("spec, s", [("Q", 1e-4), ("Q", 1 + 1e-4j), ("Fq(T)?q=5", complex(1.0, 3 * PERIOD_5) + 2e-4),
