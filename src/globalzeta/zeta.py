@@ -16,9 +16,8 @@ trivial zeros of the L-factors: zeta(s) vanishes at even m, L(s, chi_D)
 at even m for D > 0 and at odd m for D < 0.  Within GAMMA_CANCEL_RADIUS
 of such an m the record flags precision_cliff and reports deflated
 factors: the Gamma part times (s - m)^r, r the order of the cancelled
-pole, through the recurrence, and zeta_k(s) / (s - m)^r as a contour
-mean of zeta_k on a circle around m.  Their product is still the
-completed value bit for bit.
+pole, through the recurrence, and zeta_k(s) / (s - m)^r as a contour mean
+on a circle around m.  Their product is the completed value bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +98,8 @@ def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
 
 
 def _l_factors(field: NumberFieldDescriptor) -> list:
-    if field.discriminant == 1:
-        return [riemann_zeta]
-    chi = _character(field.discriminant)
-    return [riemann_zeta, lambda t: dirichlet_l(t, chi)]
+    chi = _character(field.discriminant) if field.discriminant != 1 else None
+    return [riemann_zeta] if chi is None else [riemann_zeta, lambda t: dirichlet_l(t, chi)]
 
 
 def _number_field_zeta(field: NumberFieldDescriptor, s: complex) -> complex:
@@ -167,20 +164,23 @@ def _gamma_linear_deflated(z: complex, z0: int) -> complex:
     # the vanishing factor (z - z0) cancelled symbolically.
     k_up = -z0 + 1
     num = cmath.exp(_log_gamma_impl(z + k_up))
-    return num / reduce(mul, (z + j for j in range(k_up) if j != -z0), complex(1.0))
+    den = complex(1.0)
+    for j in range(k_up):
+        if j != -z0:
+            den *= z + j
+    return num / den
 
 
 def _deflated_zeta(field: NumberFieldDescriptor, s: complex, m: int) -> complex:
-    # zeta_k(s) / (s - m)^r (r = r1 + r2; a real field's m is even) by
-    # Cauchy's formula: the mean over nodes z on a circle around m of
-    # zeta_k(z) / ((z - m)^(r-1) (z - s)), off by about (|s - m| / radius)^nodes.
-    # A lower node's value is its upper twin's conjugate; summed in twin
-    # pairs, a real s gets Im 0 and conj s the conjugate bit for bit.
+    # zeta_k(s) / (s - m)^r, r = r1 + r2 (a real field's m is even), by Cauchy's
+    # formula: the mean over nodes z on a circle around m of zeta_k(z) / ((z - m)^(r-1)
+    # (z - s)), off by about (|s - m| / radius)^nodes.  Values are scaled first (exactly),
+    # so the sum overflows only where the mean nearly does, and paired with the lower
+    # nodes' conjugate ones: a real s gets Im 0, conj s the conjugate bit for bit.
     r = field.r1 + field.r2
     total = complex(0.0)
     for k in range(_CONTOUR_NODES // 2):
         z = m + cmath.rect(_CONTOUR_RADIUS, math.pi * (2 * k + 1) / _CONTOUR_NODES)
-        # scaled first (exactly): the sum overflows only where the mean nearly does
         value = _number_field_zeta(field, z) / _CONTOUR_NODES
         total += (value / ((z - m) ** (r - 1) * (z - s))
                   + value.conjugate() / ((z.conjugate() - m) ** (r - 1) * (z.conjugate() - s)))
