@@ -103,7 +103,7 @@ def _l_factors(field: NumberFieldDescriptor) -> list:
 
 
 def _number_field_zeta(field: NumberFieldDescriptor, s: complex) -> complex:
-    # The L-factors at s, multiplied from the first (from 1.0 a zero's sign can flip)
+    # The L-factors at s, multiplied from the first (not from 1.0, which can flip a zero's sign)
     return reduce(mul, [f(s) for f in _l_factors(field)])
 
 

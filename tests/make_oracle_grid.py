@@ -1,5 +1,6 @@
-"""Write tests/oracle_grid.json: L(s, chi_D) and zeta(s) at fixed points, each
-with an independent oracle value and the error a reference kernel makes there.
+"""Write tests/oracle_grid.json: L(s, chi_D), zeta(s) and the deflated zeta_k
+at fixed points, each with an independent oracle value and the error a
+reference kernel makes there.
 
     python3 tests/make_oracle_grid.py [--src DIR] [--jobs N] [--out PATH]
 
@@ -30,8 +31,9 @@ Each point also stores ``reference_error``: the relative error of
 ``completed_zeta(field, s).zeta_value`` for cliff points) imported from
 ``--src`` (default: this checkout's src/).  Run it against the commit
 whose errors the gate should hold later changes to;
-tests/test_oracle_grid.py asserts that the current kernel's error is at
-most max(reference_error, kappa) at every point.  A point already in
+tests/test_oracle_grid.py holds the current kernel's error at each point
+to a multiple of reference_error or kappa, by a rule per kind (see its
+docstring).  A point already in
 ``--out`` keeps its value and reference_error, so a grid extended later
 records only its new points against ``--src``; ``--fresh`` recomputes
 every point.  Needs mpmath; the strip points take 0.5-8 s each, so use

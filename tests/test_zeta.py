@@ -494,8 +494,8 @@ def test_errors_unchanged(fn, spec, s, error, message):
 def test_cancelled_pole_refusal_edge(spec):
     # On and near every cancelled Gamma pole m >= -159 the values are
     # finite or the evaluation raises DomainError naming MAX_LOG_TERM.
-    # The contour nodes' values times 1 / (z - s) pass DBL_MAX before the
-    # mean does; that must not leak OverflowError, ValueError, inf or nan.
+    # Near that edge a contour node's value, or a term of the mean, leaves
+    # binary64; that must not leak OverflowError, ValueError, inf or nan.
     field = parse_field_spec(spec)
     step = 1 if field.r2 else 2
     for m in range(-step, -160, -step):
