@@ -6,6 +6,7 @@ quadrature, brute-force residue symbols).
 """
 
 import cmath
+import hashlib
 import math
 import random
 import re
@@ -419,6 +420,39 @@ class TestDirichletL:
             assert plan_of(s, D) is None
             value = dirichlet_l(s, chi)
             assert (value.real.hex(), value.imag.hex()) == expected
+
+    @staticmethod
+    def moment_path_points():
+        # 300 seeded (D, s) that dirichlet_l evaluates by moments: 53, -59 and
+        # 22 seeded discriminants of both signs up to |D| = 4000, each at s = -24
+        # and -23 (no Euler-Maclaurin shift) where the path takes them, and
+        # the rest on Re s in [-30, 5] with |Im s| up to 10, 60 or 300
+        rng = random.Random(20)
+        discriminants = [D for D in range(-4000, 4001) if abs(D) >= 53 and is_fundamental_discriminant(D)]
+        chosen = sorted([-59, 53] + rng.sample([D for D in discriminants if D < 0], 11)
+                        + rng.sample([D for D in discriminants if D > 0], 11))
+        points = [(D, complex(n)) for D in chosen for n in (-24, -23) if plan_of(n, D) is not None]
+        while len(points) < 300:
+            D, height = rng.choice(chosen), rng.choice((10.0, 60.0, 300.0))
+            s = complex(rng.uniform(-30.0, 5.0), rng.uniform(-height, height))
+            if plan_of(s, D) is not None:
+                points.append((D, s))
+        return sorted(points, key=lambda p: (p[0], abs(p[1])))  # each table grows once
+
+    # sha256 of the float.hex of the real and imaginary parts of
+    # dirichlet_l, or the DomainError message, at each of moment_path_points
+    MOMENT_PATH_DIGEST = "b42a056400514d997857c7cd72320b22bc2a26bf467b027123e404b9db6bf1f4"
+
+    def test_moment_path_values_pinned(self):
+        parts = []
+        for D, s in self.moment_path_points():
+            try:
+                value = dirichlet_l(s, KroneckerCharacter(D))
+            except DomainError as exc:
+                parts.append(str(exc))
+            else:
+                parts += [value.real.hex(), value.imag.hex()]
+        assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.MOMENT_PATH_DIGEST
 
     def test_small_moduli_keep_class_path(self):
         # every field of the paper's own sweep (|D| <= 40) on its strip
