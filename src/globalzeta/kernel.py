@@ -199,15 +199,6 @@ def _require_finite(s: complex, value: complex) -> complex:
     return value
 
 
-def _em_terms(s: complex) -> tuple:
-    # (weights, (s)_2K), the weights B_2k/(2k)! (s)_{2k-1}, k = 1..K, of the Euler-Maclaurin tail
-    terms, poch = [], s
-    for k, coef in enumerate(_EM_COEF, start=1):
-        terms.append(coef * poch)
-        poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
-    return tuple(terms), even
-
-
 # The shift count and weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
 _last_weights: tuple = (None, 0, ())
 
@@ -218,7 +209,11 @@ def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
     key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
     last, shift, weights = _last_weights
     if key != last:
-        weights, even = _em_terms(s)
+        weights, poch = [], s  # B_2k/(2k)! (s)_{2k-1}, k = 1..K, the Euler-Maclaurin tail's weights
+        for k, coef in enumerate(_EM_COEF, start=1):
+            weights.append(coef * poch)
+            poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
+        weights = tuple(weights)
         shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
         if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
             log_n = (math.log(2.0**52 * abs(even) / rate) - 24.0 * _LOG_2PI) / rate if even else -math.inf

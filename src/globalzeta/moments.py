@@ -10,9 +10,12 @@ acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
 M and J are stated in kernel.dirichlet_l.  The head logs log(a_r + n)
 are those of the modulus's one table in kernel, which the per-class path
 reads too; exact_moments adds the moments mu_j to it, computed from the
-classes r and chi(r) the table lists.  kernel imports this module only
-when a call takes this path, so a process that never evaluates a large
-modulus does not compile it.
+classes r and chi(r) the table lists.  moment_sum does once per call what
+does not depend on j: the head exps, the shift's powers (x + n)^-s split
+into real and imaginary columns, and the Euler-Maclaurin tail's powers
+X^(1-2k); per jet it forms only the weights and sums that involve s + j.
+kernel imports this module only when a call takes this path, so a
+process that never evaluates a large modulus does not compile it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from itertools import chain
 from operator import mul, neg
 
-from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _em_terms, _moment_head
+from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _moment_head
 
 # The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
 TAIL_BOUND = 2.0**-56
@@ -108,6 +111,12 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
       (-1)^j mu_j [(s)_j/j! R_j + (s)_{j-1}/j! X^(1-s-j)],
     where R_j is zeta_H(s + j, x), x = head + 1/2, less its pole term
     X^(1-s-j)/(s+j-1), by Euler-Maclaurin with X = x + shift.
+
+    Per call: the head exps, the real and imaginary parts of
+    (x + n)^-s for n < shift, and X^(1-2k) for k = 1..K.  Per jet: the
+    regular sum of (x + n)^-(s+j) as two fsums of those parts times the
+    float column (x + n)^-j, and the tail weights B_2k/(2k)! (s + j)_(2k-1),
+    each formed in the loop that adds it.
     """
     neg_s = -s
     plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
@@ -120,8 +129,13 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     powers_s = [_real_power(p, neg_s) for p in points]
     inv = [1.0 / p for p in points]
     inv2 = list(map(mul, inv, inv))
+    re, im = list(map(_REAL, powers_s)), list(map(_IMAG, powers_s))
     x_s = _real_power(big_x, neg_s)
     inv_x2 = 1.0 / (big_x * big_x)
+    tail = [1.0 / big_x]  # X^(1-2k), k = 1..K
+    for _ in _EM_COEF[1:]:
+        tail.append(tail[-1] * inv_x2)
+    steps = list(zip(range(1, 2 * len(tail), 2), _EM_COEF[1:], tail[1:]))  # (2k-3, B_2k/(2k)!, X^(1-2k)), k >= 2
     odd = table.modulus < 0
     sign = -1.0 if odd else 1.0
     first = 1 if odd else 2
@@ -133,14 +147,13 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
         pole_coef = coef / j  # (s)_{j-1} / j!
         coef *= (s + (j - 1)) / j  # (s)_j / j!
         mu = sign * moments[j]
-        terms = list(map(mul, powers_s, scaled))
-        regular = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+        regular = complex(math.fsum(map(mul, re, scaled)), math.fsum(map(mul, im, scaled)))
         x_sj = x_s * big_x**-j
-        em = 0.5
-        xp = 1.0 / big_x
-        for w in _em_terms(s + j)[0]:
-            em += w * xp
-            xp *= inv_x2
+        t = poch = s + j
+        em = 0.5 + _EM_COEF[0] * t * tail[0]
+        for k, c, xp in steps:
+            poch = poch * (t + k) * (t + (k + 1))  # (s + j)_(k+2)
+            em += c * poch * xp
         jets.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))
         scaled = list(map(mul, scaled, inv2))
         coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!
