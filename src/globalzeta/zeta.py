@@ -29,7 +29,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
 from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, _require_finite, _require_log_term, dirichlet_l, riemann_zeta
 
@@ -171,17 +171,29 @@ def _gamma_linear_deflated(z: complex, z0: int) -> complex:
     return num / den
 
 
+@lru_cache(maxsize=256)
+def _contour_values(field: NumberFieldDescriptor, m: int) -> tuple:
+    # The upper contour nodes z around m and zeta_k(z) / nodes, shared by every s
+    # near m; a node that raises leaves nothing cached
+    nodes = [m + cmath.rect(_CONTOUR_RADIUS, math.pi * (2 * k + 1) / _CONTOUR_NODES)
+             for k in range(_CONTOUR_NODES // 2)]
+    return tuple((z, _number_field_zeta(field, z) / _CONTOUR_NODES) for z in nodes)
+
+
 def _deflated_zeta(field: NumberFieldDescriptor, s: complex, m: int) -> complex:
     # zeta_k(s) / (s - m)^r, r = r1 + r2 (a real field's m is even), by Cauchy's
     # formula: the mean over nodes z on a circle around m of zeta_k(z) / ((z - m)^(r-1)
     # (z - s)), off by about (|s - m| / radius)^nodes.  Values are scaled first (exactly),
     # so the sum overflows only where the mean nearly does, and paired with the lower
     # nodes' conjugate ones: a real s gets Im 0, conj s the conjugate bit for bit.
+    try:
+        nodes = _contour_values(field, m)
+    except DomainError as exc:
+        raise DomainError(f"at s = {s!r} the contour mean around the cancelled Gamma pole at {m} "
+                          f"fails at a node: {exc}") from exc
     r = field.r1 + field.r2
     total = complex(0.0)
-    for k in range(_CONTOUR_NODES // 2):
-        z = m + cmath.rect(_CONTOUR_RADIUS, math.pi * (2 * k + 1) / _CONTOUR_NODES)
-        value = _number_field_zeta(field, z) / _CONTOUR_NODES
+    for z, value in nodes:
         total += (value / ((z - m) ** (r - 1) * (z - s))
                   + value.conjugate() / ((z.conjugate() - m) ** (r - 1) * (z.conjugate() - s)))
     return total

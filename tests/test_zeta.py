@@ -270,8 +270,11 @@ class TestCompletedZeta:
             calls.append(s)
             return riemann_zeta(s)
 
-        # the package exports the function zeta under the module's name
-        monkeypatch.setattr(sys.modules["globalzeta.zeta"], "riemann_zeta", counted)
+        # the package exports the function zeta under the module's name;
+        # the node values are memoised per (field, m), so start from none
+        zeta_module = sys.modules["globalzeta.zeta"]
+        zeta_module._contour_values.cache_clear()
+        monkeypatch.setattr(zeta_module, "riemann_zeta", counted)
         s = -4.000003
         rec = completed_zeta(Q, s)
         assert rec.precision_cliff
@@ -285,6 +288,8 @@ class TestCompletedZeta:
         # derivatives at -4 gave 0x1.059cfdf2cbd70p-7, 6.3e-9 off (now 8.8e-11)
         exact = 0.00798380284412869
         assert abs(rec.zeta_value.real - exact) <= 1e-9 * exact
+        # a second point near the same m reuses the 8 node values
+        assert completed_zeta(Q, -3.995).precision_cliff and len(calls) == 8
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
@@ -375,7 +380,9 @@ PERIOD_5 = 2.0 * math.pi / math.log(5.0)
 # (function, field spec, s, exception, message), recorded before the
 # evaluation layers shared their checks: poles, Gamma poles, non-finite
 # s, MAX_ABS_S and MAX_LOG_TERM, called directly and through check_point.
-# The deflated zeta at -150 and -160 is refused at its first contour node.
+# The deflated zeta at -150 and -160 is refused at its first contour node;
+# the message names s and m first (re-recorded when the node values were
+# memoised per field and m).
 ERROR_CASES = [
     (completed_zeta, "Q", 1e-4, PoleError,
      '(0.0001+0j) is within 0.001 of a pole of the completed zeta'),
@@ -452,14 +459,17 @@ ERROR_CASES = [
     (check_point, "Q", 500, DomainError,
      'at s = (-499+0j) the terms reach exp(3107.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Q(sqrt=-1)", -150, DomainError,
+     'at s = (-150+0j) the contour mean around the cancelled Gamma pole at -150 fails at a node: '
      'at s = (-149.87740183994958+0.02438629025201603j) the terms reach exp(757.0), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (zeta, "Q(sqrt=-1)", -150, DomainError,
      'at s = (-150+0j) the terms reach exp(757.6), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (gamma_factor, "Q(sqrt=-1)", -150, PoleError,
      'gamma_factor: (-150+0j) is within 0.001 of the Gamma pole at -150'),
     (check_point, "Q(sqrt=-1)", -150, DomainError,
+     'at s = (-150+0j) the contour mean around the cancelled Gamma pole at -150 fails at a node: '
      'at s = (-149.87740183994958+0.02438629025201603j) the terms reach exp(757.0), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Q", -160, DomainError,
+     'at s = (-160+0j) the contour mean around the cancelled Gamma pole at -160 fails at a node: '
      'at s = (-159.87740183994958+0.02438629025201603j) the terms reach exp(817.5), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (zeta, "Q", -160, DomainError,
      'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
@@ -468,6 +478,7 @@ ERROR_CASES = [
     (riemann_zeta, "Q", -160, DomainError,
      'at s = (-160+0j) the terms reach exp(818.1), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (check_point, "Q", -160, DomainError,
+     'at s = (-160+0j) the contour mean around the cancelled Gamma pole at -160 fails at a node: '
      'at s = (-159.87740183994958+0.02438629025201603j) the terms reach exp(817.5), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
     (completed_zeta, "Fq(T)?q=5", -500, DomainError,
      'at s = (-500+0j) the terms reach exp(804.7), past MAX_LOG_TERM = 707.7 (binary64 overflow)'),
