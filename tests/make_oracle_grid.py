@@ -24,12 +24,23 @@ The oracle values do not use the package:
   cancel Gamma poles, at offsets s - m up to 1e-2 (inside
   GAMMA_CANCEL_RADIUS).  Each L-factor that vanishes at m is divided by
   (s - m) in mpmath at 50 digits, so the cancellation in its sum costs
-  nothing at 30; at s = m the quotient is its derivative there.
+  nothing at 30; at s = m the quotient is its derivative there;
+* gamma: log Gamma(z) by mpmath.loggamma at 30 digits (the branch
+  continuous on the plane cut along (-inf, 0], boundary values from
+  above; z with Im z = -0.0 takes the conjugate of its twin's), at every
+  argument that the Gamma factors of the number fields of
+  tests/test_zeta.py's PIN_DIGESTS pass to the kernel's log Gamma at
+  PIN_POINTS, at every one that tests/test_cli.py's GOLDEN_COMMANDS and
+  the acceptance box's sweeps (tests/test_acceptance.py) pass, and on a
+  grid with Re z in [-30, 30] and |Im z| <= 60.  These points are stored
+  with D = 0.
 
 Each point also stores ``reference_error``: the relative error of
 ``dirichlet_l`` (``riemann_zeta`` for zeta points,
-``completed_zeta(field, s).zeta_value`` for cliff points) imported from
-``--src`` (default: this checkout's src/).  Run it against the commit
+``completed_zeta(field, s).zeta_value`` for cliff points; for gamma
+points the absolute error of ``kernel._log_gamma_impl``, which is the
+relative error of Gamma(z) and shows a wrong branch as a multiple of
+2 pi) imported from ``--src`` (default: this checkout's src/).  Run it against the commit
 whose errors the gate should hold later changes to;
 tests/test_oracle_grid.py holds the current kernel's error at each point
 to a multiple of reference_error or kappa, by a rule per kind (see its
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib
 import json
 import math
 import os
@@ -87,6 +99,9 @@ CLIFF_FIELDS = ((1, -8), (-4, -4), (-3, -4), (5, -6), (8, -6), (-7, -4), (-163, 
 CLIFF_OFFSETS = (0.0, 1e-7, -3e-6, 1e-5, -3e-5, 1e-4, 1e-3, -5e-3, 9.9e-3,
                  2e-6j, 0.004j, -0.004j, cmath.rect(0.007, math.pi / 3.0))
 CLIFF_DPS = 50
+# the gamma kind's regular grid: Re z off the poles, both signs of Im z
+GAMMA_RE = tuple(-29.75 + 1.5 * k for k in range(40))
+GAMMA_IM = (0.0, 0.5, -2.0, 7.0, -16.0, 33.0, -60.0, 60.0)
 
 
 def _squarefree(n: int) -> bool:
@@ -181,6 +196,50 @@ def cliff_value(job: tuple[int, complex]) -> complex:
     return complex(value)
 
 
+def gamma_value(z: complex) -> complex:
+    mpmath.mp.dps = DPS
+    if math.copysign(1.0, z.imag) < 0.0:
+        return gamma_value(z.conjugate()).conjugate()
+    return complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+
+
+def gamma_arguments() -> list[complex]:
+    # Every z that globalzeta.zeta passes to the kernel's log Gamma on the
+    # pins, the golden commands and the acceptance box, then the regular grid
+    from globalzeta import completed_zeta, parse_field_spec, sweep
+    from globalzeta.cli import parse_and_dispatch
+    from test_acceptance import STANDARD_GRID
+    from test_cli import GOLDEN_COMMANDS
+    from test_zeta import PIN_DIGESTS, PIN_POINTS
+
+    zeta = importlib.import_module("globalzeta.zeta")
+    seen = []
+    inner = zeta._log_gamma_impl
+
+    def record(z: complex) -> complex:
+        seen.append(z)
+        return inner(z)
+
+    zeta._log_gamma_impl = record
+    try:
+        for spec in PIN_DIGESTS:
+            if spec.startswith("Q"):
+                field = parse_field_spec(spec)
+                for s in PIN_POINTS:
+                    completed_zeta(field, s)
+        for name, field, *rest in GOLDEN_COMMANDS:
+            parse_and_dispatch([name, "--field", field, *rest])
+        for spec in ("Q", "Q(sqrt=-1)", "Q(sqrt=-3)", "Q(sqrt=5)", "Q(sqrt=2)"):
+            field = parse_field_spec(spec)
+            sweep(field, STANDARD_GRID, 1e-9)
+            for s in (2.0, -1.0):
+                completed_zeta(field, s)
+    finally:
+        zeta._log_gamma_impl = inner
+    seen += [complex(x, y) for x in GAMMA_RE for y in GAMMA_IM]
+    return sorted(set(seen), key=lambda z: (z.real, z.imag))
+
+
 def grid_points() -> list[tuple[str, int, complex]]:
     small = [D for n in range(2, SMALL_LIMIT + 1) for D in (-n, n) if fundamental(D)]
     l1_set = sorted(set(small) | set(SPREAD) | set(STRIP_DISCRIMINANTS), key=lambda d: (abs(d), d))
@@ -227,13 +286,14 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from globalzeta import (KroneckerCharacter, completed_zeta, dirichlet_l, make_quadratic, make_rationals,
                             riemann_zeta)
+    from globalzeta.kernel import _log_gamma_impl
 
     kept = {}
     if not args.fresh and os.path.exists(args.out):
         with open(args.out) as fh:
             kept = {(row["kind"], row["D"], *row["s"]): row for row in json.load(fh)["points"]}
-    points = grid_points()
-    for D in {D for _, D, _ in points}:
+    points = grid_points() + [("gamma", 0, z) for z in gamma_arguments()]
+    for D in {D for kind, D, _ in points if kind != "gamma"}:
         KroneckerCharacter(D)  # every D is fundamental, before any long work
     def jobs(kind: str) -> list[tuple[int, complex]]:
         return [(D, s) for k, D, s in points if k == kind and (k, D, s.real, s.imag) not in kept]
@@ -254,19 +314,25 @@ def main() -> int:
             value = zeta_value(s)
         elif kind == "cliff":
             value = next(cliff_values)
+        elif kind == "gamma":
+            value = gamma_value(s)
         else:
             value = next(strip_values)
-        if kind == "cliff":
-            field = make_rationals() if D == 1 else make_quadratic(D // 4 if D % 4 == 0 else D)
-            computed = completed_zeta(field, s).zeta_value
+        if kind == "gamma":
+            error = abs(_log_gamma_impl(s) - value)
         else:
-            computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
+            if kind == "cliff":
+                field = make_rationals() if D == 1 else make_quadratic(D // 4 if D % 4 == 0 else D)
+                computed = completed_zeta(field, s).zeta_value
+            else:
+                computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
+            error = abs(computed - value) / abs(value)
         rows.append({
             "kind": kind,
             "D": D,
             "s": [s.real, s.imag],
             "value": [value.real, value.imag],
-            "reference_error": abs(computed - value) / abs(value),
+            "reference_error": error,
         })
     with open(args.out, "w") as fh:
         fh.write('{"dps": %d, "points": [\n' % DPS)
