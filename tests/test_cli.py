@@ -446,69 +446,70 @@ GOLDEN_PLACES = {
 # before the CLI's serializers were merged into one.  Those of the commands
 # that evaluate a number field were re-recorded when the Euler-Maclaurin
 # shift count came from its remainder bound and real points got real
-# values, and those with a precision_cliff point when the deflated zeta
-# became a contour mean (CHANGES.md lists each with its largest value
-# change).  The cases cover
+# values, those with a precision_cliff point when the deflated zeta
+# became a contour mean, and those that evaluate a number field again when
+# log Gamma became Stirling's series (CHANGES.md lists each with its
+# largest value change).  The cases cover
 # ok, skipped (null/empty cells) and failed check rows, failed sweep
 # rows, a precision_cliff eval record with a negative zero, a curve
 # field, and the places and euler-check layouts.
 GOLDEN_COMMANDS = {
     ("eval", "Q", "--s", "2"): (
-        "681480487f417ebe56f3bd43566a69f9dc52c5ed039cbaeb7043a6dd5af8bf09",
-        "135755af7fbdd8d31dc2b0e0845c8c945385b271ef291c227acf4f45629a2479",
+        "de5f73ee15e3c971fe060e6e4d168f59e2459ba23e663a52e058026ad1a596ab",
+        "ec247e720a1bd31d7c4d84072f38d5056ba3c167f45793a67fffa9e1b0b70e54",
     ),
     ("eval", "Q(sqrt=-1)", "--s", "0.5,3.25"): (
-        "48de234ca8e06b6d08b49fabbbb06d8f446ee541fce5613167084d052e86e296",
-        "d364ad91f6d885bd78b2cd6ad3deb116c6a3ee7a081d1694b40144ffd4849406",
+        "e92be979dd6d6009fea804c1adc951ac0db63664d32810248c83485bf667fdfd",
+        "3bc3e131e1004c4fb0306db72db7939fca3a677a3db579810afe44861e650bc9",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-3.005"): (
-        "6b9ec84cfe5f4bfcb9ca2f5a7a6330fe36944a6a53f8ffa3fa3c325823a6f55c",
-        "434867d0c32c3d7c3105e42b2391eefbd1fdcca1e72baee017561b397f4f5a35",
+        "4319875dd835e926e3564be075ffab867d5292d70bde5f4eac2dcbdd0e941f9b",
+        "71a8a8b04c21289f3e04739b5a892155519850650b8a9e8a89a5d09ec01d4059",
     ),
     ("eval", "Q(sqrt=5)", "--s", "-4.005"): (
-        "22357964611e191f6c09f3accd45799a77a63053508f482a14f6d43d2b304598",
-        "b42ca4ec7eb753f1e561cf1db0b1bf9fa94ac855894590650dd476b3d0b50993",
+        "9c4ea797ac91149286292f9889f09958b306aef89d1bf328f030a7014987f34c",
+        "9a1da05b12c157fc7fbc7d427824ac2d30c36997e3028edb541d5689632e05a5",
     ),
     ("eval", "curve?q=5&L=1,3,5", "--s", "0.5,3"): (
         "3dbdffb83068621465dfc59e7b3a1a9fd1220b0ec4ed207dd7226226be64dfe1",
         "1f6b4fdfa9dd579b62a079d95cb0dba88f15528649efe6be5934699faeccad49",
     ),
     ("check", "Q", "--s", "2"): (
-        "8058af31da41c0355dd524811bb59521d40641b115557b8cd63f1ab2187f0ede",
-        "5929c5bf10dba8643c475365263d2281941b98616dc080f30f612dfe50352c0d",
+        "f5155d5e7d88c4418d6acea899653770e9b9a8e9529b8fe72f71ed49751aa6ca",
+        "ede647c5f2ad41aaa888d54ec2643d6b33361d413c1df0740c1b1c908d9fafc4",
     ),
     ("check", "Q", "--s", "1"): (
         "4e09e5d2b8750ce3396f8b0e6ee8f1f38e8c7573d546794a316f4e6ac8f0183b",
         "4732961bde5ad44daa41e7e947cb03e8c2841085595acdc266069970db6fe686",
     ),
     ("check", "Q", "--s", "0.3", "--tol", "1e-18"): (
-        "194cce7f02fb7acdde02a1e31b9f4fa1fce81d2dca8fd0374b15c65e28e2e2a7",
-        "cf9323b1198537b34a3e66a658554be2c0700e21cc731b3bf1d77f6a7a4cb100",
+        "8b12e458e6ca0661cb746357194aee3cb637f8ed099488068ddc83f71cc1dedb",
+        "4af68e74947a7169956033801b07b869c0fd14a6c72c5370a8332f8bbee943a5",
     ),
     # Re-recorded when dirichlet_l took the moment path for these moduli
     # (tests/oracle_grid.json holds every L-value they use to the old
     # kernel's error); the largest change of an lhs or rhs is 2.3e-14,
     # 1.3e-14 and 3.9e-14 relative for |D| = 163, 1299 and 1001.
     ("sweep", "Q(sqrt=-163)", "--grid", "0.1:0.9:5,0:10:5"): (
-        "a89c4a9d67f62b14a3ad4b01e3bfffb59881aaec8b0bb5e53fa4102d11a0af22",
-        "ed65477b253db5c36864d1f48280df87b9480457780c7c93fa742162316d5dd3",
+        "313c9c832313e4d43691b13c152228f24cdde9aae10bbd5b67060fd3df15a366",
+        "f0ad8f8f51d221ff70c236941cc59f743eee8889b930f97497a8d27a8648beec",
     ),
     ("sweep", "Q(sqrt=-1299)", "--grid", "0.1:0.9:4,0:33:3"): (
-        "aeed093790739a6f2b1fc6dcaf1f2001ad919a60a1cccf11fb48ca6104f8a833",
-        "f7ec07c44d2203e671f9959902ebc2c42a2ccfc53d18f2b07c9faa944b483081",
+        "92ef63ee98f49d73c385db0f1106f42a0e87aca8643051d0f94e887832c450de",
+        "8c3c594be08363f35ccf59a4488dddec89492847dd0387bc7f67c7c0258193e3",
     ),
     # Im 0..48: the Euler-Maclaurin shift count is 20, 20, 33 and 49 across the nodes
     ("sweep", "Q(sqrt=1001)", "--grid", "0.1:0.9:3,0:48:4"): (
-        "955c288f9cfe8dc6efd80a8209daee047968a934232037c2e33479a334329131",
-        "1c1c60f3b507dfd95cb5dbe0319bc2bf404b101cdc59eab9e5de1cae55c89402",
+        "10dc4995321abe685febd1071fd378780f0a4cd37ab68da821898bf2c80b143a",
+        "275949ead488daa9878ee429229ec14e52dc56d6432447aa998aa51d116e65a8",
     ),
     ("sweep", "Fq(T)?q=5", "--grid", "0:1:3,0:4:3"): (
         "e03f01ce98b9b1bd31956f64d87b82b39784eaf1d1bc65d2142d957e2fdc082a",
         "3cae6e358fa2f31c957a61f0aff263dbb2fc5210acaaaafe88cee615a2cef74d",
     ),
     ("sweep", "Q", "--grid=-5:-3:5,0:0:1"): (
-        "fe14c473cbb9c6e8a50c115f6ef11c22ca7b46fcc91b81e2902a9768c506b8b8",
-        "6a804c6a16c2fc092b77d1d02335abdb626115967559c86d5364e694272a9040",
+        "b8bc3333d37c4ac5eb60c5e2a32b581ca0a48efa6325d23389345ff6b737a54e",
+        "f68a5e3e3cc91eb56f1da8ff29c77785aa4d6ec290623d766dee5f2f38c3d5fe",
     ),
     ("places", "Q(sqrt=-1)", "--bound", "1000"): (
         "73db2393b5df482c72e906161c447da7187f954f3ac02f84633408626a8dd681",
@@ -571,12 +572,12 @@ GOLDEN_COMMANDS = {
         "9a4fcf5d5fef050df700eab8e0f9f9ec6bdef14db1b32f5952f715d9541fab3c",
     ),
     ("eval", "Q(sqrt=13)", "--s=-2.000004"): (
-        "beab563efc5af89d25c25642d1c1fb897826c936995bb753a22619b1a776f718",
-        "a547aef619867d3646910f325b166f39623d171aaf357e2fcdecbcdd21f5c918",
+        "84a15c395e089a69968e431af4ede2d766d7e27e9e6f310834a8d08ef44a5515",
+        "7b0b0596a2e882e2ea8bc1dffd490929198a6238955f42d2ee8bac79f4af86c2",
     ),
     ("eval", "Q(sqrt=-3)", "--s=-1,0.000002"): (
-        "e9d2091ea22d122b464f59e0e56e1a47eba78ff7ee3fb016e32be738534178b2",
-        "acf097e4133d36bb2f9232371d6317446d3261cf192af8b12933209055fb9b53",
+        "95433d34b5db55096021f5b4efecd4e1a56e89a167fe6e0e577952390d39d424",
+        "51c6d662a4cbaeb4aa0ac1d1139375307b538bb58facb0a9021a261c15429e66",
     ),
     # Recorded before GF(p^k) lost its q x q add and mul tables: every
     # place of degree <= d over GF(q) for q = 2^4, 3^3, 2^5, 7^2, 5^3, 2^8

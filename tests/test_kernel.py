@@ -105,6 +105,21 @@ class TestLogGamma:
             down = log_gamma(complex(x, -1e-9))
             assert abs(up - down) < 1e-7
 
+    def test_stirling_remainder_bound(self):
+        # DLMF 5.11(ii): after the terms k <= 12 the remainder is at most
+        # sec^26(arg(w)/2) |B_26| / (26 * 25 |w|^25), sec^2(arg(w)/2) being
+        # 2|w| / (|w| + Re w).  The bound falls as |w| or Re w grows, so the
+        # worst w the shift admits has |w| = 8 and Re w = 1/2.
+        bernoulli = oracles.bernoulli_number
+        assert kernel._STIRLING_COEF == tuple(
+            float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(12, 0, -1)
+        )
+        assert bernoulli(26) == Fraction(8553103, 6)
+        r, x = Fraction(kernel._STIRLING_MIN_ABS), Fraction(1, 2)
+        bound = (2 * r / (r + x)) ** 13 * abs(bernoulli(26)) / (26 * 25 * r**25)
+        stated = re.search(r"that is below (\S+)\.", " ".join(log_gamma.__doc__.split())).group(1)
+        assert bound <= Fraction(stated)
+
     def test_reflection_region_value(self):
         # Gamma(-0.5) = -2 sqrt(pi); the branch takes its boundary value
         # from above, so exp recovers the negative real value
