@@ -6,7 +6,8 @@ prints help from it.  Reports go to stdout (or --output) as JSON or CSV
 with numbers printed to 17 significant digits, so identical invocations
 are byte-identical and values round-trip through parsing.  Diagnostics
 go to stderr.  Exit codes: 0 success (skipped nodes included), 1 any
-failed check, 2 usage or parse errors, 141 stdout closed early.
+failed check, 2 usage or parse errors or an unwritable --output, 141
+stdout closed early.
 """
 
 from __future__ import annotations
@@ -296,9 +297,10 @@ def _dispatch(command: str, opts: dict) -> tuple[int, str]:
 def parse_and_dispatch(argv: list[str]) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, serialized output).
 
-    Usage errors print a diagnostic to stderr and return exit code 2;
-    -h returns 0 and the help text.  When --output is given, the report
-    is written to that path and the returned text is empty.
+    Usage errors, and an --output path that cannot be written, print a
+    diagnostic to stderr and return exit code 2; -h returns 0 and the
+    help text.  When --output is given, the report is written to that
+    path and the returned text is empty.
     """
     try:
         command, opts = _parse(argv)
@@ -310,8 +312,12 @@ def parse_and_dispatch(argv: list[str]) -> tuple[int, str]:
         return 2, ""
     output_path = opts.get("output")
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {output_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2, ""
         return code, ""
     return code, text
 

@@ -394,14 +394,12 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     """The local factor (1 - q_v^-s)^-1 of the Euler product at one place.
 
     A number field's place must be in places_above(field, p), q_v = p or
-    p^2.  A function field's place must have q_v = q^d, d >= 1, and d the degree
-    of a monic_irreducible's label; membership beyond that is not checked.
+    p^2.  A function field's place must be one that enumerate_places lists
+    up to its q_v, which refuses q_v > MAX_NORM_BOUND and positive genus.
     """
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor):
-        d = round(math.log(place.qv, field.q)) if place.qv > 1 else 0  # q_v = q^d; a label leads with T^d
-        belongs = field.q**d == place.qv > 1 and (place.kind == "infinite" or (
-            place.kind == "monic_irreducible" and place.label.partition("+")[0] == ("T" if d == 1 else f"T^{d}")))
+        belongs = place.qv >= 2 and place in enumerate_places(field, place.qv)
     else:
         root = math.isqrt(max(place.qv, 0))
         p = root if root * root == place.qv else place.qv

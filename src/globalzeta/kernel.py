@@ -13,9 +13,8 @@ with fsum and exact-rational Bernoulli coefficients so that budget is
 actually met (the continuation to Re s < 0 pays a documented
 cancellation cost, see hurwitz_zeta).  Out-of-domain inputs raise
 DomainError / PoleError rather than letting NaNs or infinities escape.
-log Gamma is Stirling's series over the same Bernoulli numbers, its
-truncation below 2.2e-16; its error, the relative error of Gamma, is
-the rounding of its parts: 4.0e-14 at most for |s| <= 67 (see log_gamma).
+log Gamma is Stirling's series over the same Bernoulli numbers, truncated
+below 2.2e-16; its rounding stays within 4.1e-14 for |s| <= 67 (log_gamma).
 
 Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
@@ -68,9 +67,10 @@ MAX_TABLE_ENTRIES = 2**18
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
-# B_2 .. B_24 as exact (numerator, denominator) pairs; the
-# Euler-Maclaurin tail below uses B_{2k} / (2k)! as float coefficients,
-# each a correctly rounded int division.
+# B_2 .. B_24 as exact (numerator, denominator) pairs.  The
+# Euler-Maclaurin tail below uses B_2k / (2k)!, and Stirling's series for
+# log Gamma B_2k / (2k (2k - 1)), highest k first for Horner's rule, where
+# |w| >= _STIRLING_MIN_ABS (see log_gamma); each a correctly rounded int division.
 _BERNOULLI_EVEN = (
     (1, 6),
     (-1, 30),
@@ -85,18 +85,9 @@ _BERNOULLI_EVEN = (
     (854513, 138),
     (-236364091, 2730),
 )
-_EM_COEF = tuple(
-    n / (d * math.factorial(2 * k))
-    for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1)
-)
-# Stirling's series for log Gamma takes B_2k / (2k (2k - 1)), highest k
-# first for Horner's rule; it is summed where |w| >= _STIRLING_MIN_ABS.
-_STIRLING_COEF = tuple(
-    n / (d * 2 * k * (2 * k - 1))
-    for k, (n, d) in reversed(list(enumerate(_BERNOULLI_EVEN, start=1)))
-)
+_EM_COEF = tuple(n / (d * math.factorial(2 * k)) for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1))
+_STIRLING_COEF = tuple(n / (d * 2 * k * (2 * k - 1)) for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1))[::-1]
 _STIRLING_MIN_ABS = 8.0
-_HALF_LOG_2PI = 0.5 * _LOG_2PI
 
 _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
@@ -117,7 +108,7 @@ def _stirling_log_gamma(w: complex) -> complex:
     tail = 0.0
     for coef in _STIRLING_COEF:
         tail = tail * u + coef
-    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + tail / w - shift
+    return (w - 0.5) * cmath.log(w) - w + 0.5 * _LOG_2PI + tail / w - shift
 
 
 def _log_sin_pi_upper(z: complex) -> complex:
@@ -150,21 +141,18 @@ def _log_gamma_impl(s: complex) -> complex:
 def log_gamma(s) -> complex:
     """Continuous branch of log Gamma(s) on the plane cut along (-inf, 0].
 
-    Real on the positive real axis.  For Re s >= 1/2 it is Stirling's
-    series (w - 1/2) log w - w + log(2 pi)/2 + sum_{k=1..12} B_2k /
-    (2k (2k - 1) w^(2k-1)), with the Bernoulli numbers of the
-    Euler-Maclaurin sums, at w = s + n for the least even n with
-    |w| >= 8, less the logs of the n shift factors s + j; left of it, the
-    reflection formula.  The series' remainder is at most
-    sec^26(arg(w)/2) |B_26| / (26 * 25 |w|^25), B_26 = 8553103/6 (DLMF
-    5.11(ii)).  With sec^2(arg(w)/2) = 2|w| / (|w| + Re w), |w| >= 8
-    and Re w >= 1/2, that is below 2.2e-16.  The error of the value,
-    which is the relative error of exp(log_gamma), is then the rounding
-    of its parts, within 2^-52 times the sum of their sizes at the 513
-    points of tests/oracle_grid.json (|s| <= 67): 4.0e-14 at most, and
-    2.5e-14 at 0.01 from a pole, where the reflection's log sin(pi s)
-    carries most of it.  Raises PoleError within POLE_EXCLUSION_RADIUS
-    of a nonpositive integer.
+    Real on the positive real axis.  For Re s >= 1/2, Stirling's series
+    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=12} B_2k / (2k (2k-1) w^(2k-1))
+    at w = s + n, n the least even shift with |w| >= 8, less the logs of
+    the factors s + j, j < n; left of it, the reflection formula.  The
+    remainder is at most sec^26(arg(w)/2) |B_26| / (650 |w|^25), B_26 =
+    8553103/6 (DLMF 5.11(ii)); with sec^2(arg(w)/2) = 2|w| / (|w| + Re w),
+    |w| >= 8 and Re w >= 1/2, that is below 2.2e-16.  The error, i.e. the
+    relative error of exp(log_gamma), is then the rounding of the parts,
+    within 2^-52 times the sum of their sizes at the 513 points of
+    tests/oracle_grid.json (|s| <= 67): 4.1e-14 at most, 2.6e-14 at 0.01
+    from a pole, where the reflection's log sin(pi s) carries most of it.
+    Raises PoleError within POLE_EXCLUSION_RADIUS of a nonpositive integer.
     """
     s = _as_complex(s)
     if gamma_pole_distance(s) < POLE_EXCLUSION_RADIUS:

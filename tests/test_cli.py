@@ -887,6 +887,15 @@ class TestSerialization:
         payload = json.loads(target.read_text())
         assert payload["reports"][0]["status"] == "ok"
 
+    @pytest.mark.parametrize("target", ["", "missing/report.json"])
+    def test_output_file_unwritable(self, tmp_path, capsys, target):
+        # a directory, or a file in a directory that does not exist
+        path = str(tmp_path / target) if target else str(tmp_path)
+        assert parse_and_dispatch(["eval", "--field", "Q", "--s", "2", "--output", path]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_env_var_unknown_format_is_two(self, monkeypatch, capsys):
         monkeypatch.setenv("GLOBALZETA_FORMAT", "xml")
         assert parse_and_dispatch(["check", "--field", "Q", "--s", "2"]) == (2, "")

@@ -445,29 +445,35 @@ class TestLocalEulerFactor:
                 local_euler_factor(k, place, 2)
 
     def test_function_field_place_norms(self):
-        # Every place of GF(q)(T) that enumerate_places lists is accepted;
-        # q_v must be q^d, d >= 1, with d the degree of a monic
-        # irreducible's label
+        # Every place of GF(q)(T) that enumerate_places lists is accepted,
+        # and only those
         for q in (4, 5):
             k = make_rational_function_field(q)
             for place in enumerate_places(k, q**3):
                 expected = 1.0 / (1.0 - place.qv ** -2.0)
                 assert abs(local_euler_factor(k, place, 2) - expected) < 1e-14
-        k = make_rational_function_field(5)
         foreign = [
-            fields_mod.Place(7, "infinite", "inf"),  # not a power of 5
-            fields_mod.Place(1, "infinite", "inf"),  # 5^0
-            fields_mod.Place(0, "infinite", "inf"),
-            fields_mod.Place(24, "monic_irreducible", "T^2+2"),
-            fields_mod.Place(5, "monic_irreducible", "T^2+2"),  # degree 2 at q_v = 5
-            fields_mod.Place(125, "monic_irreducible", "T^2+2"),
-            fields_mod.Place(25, "monic_irreducible", "T+1"),  # degree 1 at q_v = 25
-            fields_mod.Place(25, "monic_irreducible", "T^x+1"),
-            fields_mod.Place(25, "unknown", "T^2+2"),
+            (5, fields_mod.Place(7, "infinite", "inf")),  # not a power of 5
+            (5, fields_mod.Place(1, "infinite", "inf")),  # 5^0
+            (5, fields_mod.Place(0, "infinite", "inf")),
+            (5, fields_mod.Place(24, "monic_irreducible", "T^2+2")),
+            (5, fields_mod.Place(5, "monic_irreducible", "T^2+2")),  # degree 2 at q_v = 5
+            (5, fields_mod.Place(125, "monic_irreducible", "T^2+2")),
+            (5, fields_mod.Place(25, "monic_irreducible", "T+1")),  # degree 1 at q_v = 25
+            (5, fields_mod.Place(25, "monic_irreducible", "T^x+1")),
+            (5, fields_mod.Place(25, "unknown", "T^2+2")),
+            (2, fields_mod.Place(4, "monic_irreducible", "T^2+1")),  # (T+1)^2, reducible
+            (2, fields_mod.Place(4, "monic_irreducible", "T^2+7")),  # 7 is not in GF(2)
+            (2, fields_mod.Place(4, "infinite", "inf")),  # the infinite place has q_v = q
         ]
-        for place in foreign:
+        for q, place in foreign:
             with pytest.raises(DomainError, match="place does not belong to the field"):
-                local_euler_factor(k, place, 2)
+                local_euler_factor(make_rational_function_field(q), place, 2)
+        # refused before any sieve, as enumerate_places refuses them
+        with pytest.raises(DomainError, match="MAX_NORM_BOUND"):
+            local_euler_factor(make_rational_function_field(2), fields_mod.Place(2**40, "infinite", "inf"), 2)
+        with pytest.raises(DomainError, match="positive-genus"):
+            local_euler_factor(make_curve_function_field(5, [1, 3, 5]), fields_mod.Place(5, "infinite", "inf"), 2)
 
     def test_quadratic_local_factorization_identity(self):
         # product over places above p == (1-p^-s)^-1 (1-chi(p) p^-s)^-1
