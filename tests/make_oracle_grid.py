@@ -40,8 +40,8 @@ Each point also stores ``reference_error``: the relative error of
 ``completed_zeta(field, s).zeta_value`` for cliff points; for gamma
 points the absolute error of ``kernel._log_gamma_impl``, which is the
 relative error of Gamma(z) and shows a wrong branch as a multiple of
-2 pi) imported from ``--src`` (default: this checkout's src/).  Run it against the commit
-whose errors the gate should hold later changes to;
+2 pi) imported from ``--src`` (default: this checkout's src/).  Run it
+against the commit whose errors the gate should hold later changes to;
 tests/test_oracle_grid.py holds the current kernel's error at each point
 to a multiple of reference_error or kappa, by a rule per kind (see its
 docstring).  A point already in
@@ -318,21 +318,19 @@ def main() -> int:
             value = gamma_value(s)
         else:
             value = next(strip_values)
-        if kind == "gamma":
-            error = abs(_log_gamma_impl(s) - value)
+        if kind == "cliff":
+            field = make_rationals() if D == 1 else make_quadratic(D // 4 if D % 4 == 0 else D)
+            computed = completed_zeta(field, s).zeta_value
+        elif kind == "gamma":
+            computed = _log_gamma_impl(s)
         else:
-            if kind == "cliff":
-                field = make_rationals() if D == 1 else make_quadratic(D // 4 if D % 4 == 0 else D)
-                computed = completed_zeta(field, s).zeta_value
-            else:
-                computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
-            error = abs(computed - value) / abs(value)
+            computed = riemann_zeta(s) if kind == "zeta" else dirichlet_l(s, KroneckerCharacter(D))
         rows.append({
             "kind": kind,
             "D": D,
             "s": [s.real, s.imag],
             "value": [value.real, value.imag],
-            "reference_error": error,
+            "reference_error": abs(computed - value) / (1.0 if kind == "gamma" else abs(value)),
         })
     with open(args.out, "w") as fh:
         fh.write('{"dps": %d, "points": [\n' % DPS)
