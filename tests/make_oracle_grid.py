@@ -11,9 +11,12 @@ The oracle values do not use the package:
   -D^(-1/2) sum_{a<D} chi(a) log sin(pi a / D) for D > 0, in mpmath;
 * negint: L(-n, chi_D) = -B_{n+1,chi}/(n+1) exactly (oracles.py), for
   n = 0..5 of the parity where it does not vanish;
-* strip: |D|^-s sum_r chi(r) zeta_H(s, r/|D|) in mpmath at 30 digits,
-  on a fixed strip grid and at every L-value that the golden sweeps
-  of tests/test_cli.py ask for (s and 1 - s at each node).  Values at
+* strip: |D|^-s sum_r chi(r) zeta_H(s, r/|D|) in mpmath at 30 digits
+  (mpmath's dirichlet(s, chi) sum), on a fixed strip grid, at every
+  L-value that the golden sweeps of tests/test_cli.py ask for (s and
+  1 - s at each node), and for every fundamental D with |D| <= 40, the
+  paper's own fields, at Re s in {0.1, 0.3, 0.5, 0.7, 0.9} with a seeded
+  spread of Im s in [0, 50].  Values at
   Im s < 0 are the conjugates of those at conj(s): chi_D is real;
 * zeta: the Riemann zeta (stored with D = 1) by mpmath.zeta at 30
   digits, at the nodes of the golden number-field sweeps (s and 1 - s),
@@ -59,6 +62,7 @@ import importlib
 import json
 import math
 import os
+import random
 import sys
 from multiprocessing import Pool
 
@@ -79,6 +83,12 @@ SPREAD = (-3999, -3851, -3299, -2995, -2351, -1999, -1299, -1003, -763,
 STRIP_DISCRIMINANTS = (-163, 173, 997, 1001, -1299, -2351)
 STRIP_RE = (0.1, 0.5, 0.9, 2.5)
 STRIP_IM = (0.0, 14.0, 33.0, 48.0)
+# the paper's box for its own fields, |D| <= 40: SMALL_STRIP_PER_RE values
+# of Im s in [0, 50] per (D, Re s), drawn from random.Random(SMALL_STRIP_SEED)
+SMALL_STRIP_LIMIT = 40
+SMALL_STRIP_RE = (0.1, 0.3, 0.5, 0.7, 0.9)
+SMALL_STRIP_PER_RE = 4
+SMALL_STRIP_SEED = 22
 
 # the golden sweeps whose L-values go through the moment path: the field's
 # D, the re axis and the im axis as (lo, hi, steps)
@@ -260,6 +270,10 @@ def grid_points() -> list[tuple[str, int, complex]]:
             for y in _axis(*im_axis):
                 s = complex(x, y)
                 seen.update({(D, s), (D, 1.0 - s)})
+    rng = random.Random(SMALL_STRIP_SEED)
+    for D in sorted((D for D in small if abs(D) <= SMALL_STRIP_LIMIT), key=lambda d: (abs(d), d)):
+        for x in SMALL_STRIP_RE:
+            seen.update((D, complex(x, round(rng.uniform(0.0, 50.0), 2))) for _ in range(SMALL_STRIP_PER_RE))
     points += [("strip", D, s) for D, s in sorted(seen, key=lambda p: (abs(p[0]), p[0], p[1].real, p[1].imag))]
     zeros = set()
     for _, re_axis, im_axis in ZETA_SWEEPS:
