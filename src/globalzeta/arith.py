@@ -3,7 +3,8 @@
 Trial-division factorization (bounded by MAX_FACTOR_INPUT), the
 squarefree and fundamental-discriminant tests, Euler's totient, the
 Kronecker symbol and KroneckerCharacter, plus the argument check
-_as_complex and POLE_EXCLUSION_RADIUS that every evaluator shares.
+_as_complex, POLE_EXCLUSION_RADIUS and MAX_ABS_S that every evaluator
+shares.
 fields and ffield import only this module, so building a field or
 listing its places never compiles the special-function kernel.
 """
@@ -17,6 +18,12 @@ from .errors import DomainError
 
 #: Radius around a pole inside which evaluation raises PoleError.
 POLE_EXCLUSION_RADIUS = 1e-3
+
+#: Largest |s| the evaluators accept, for every field.  An Euler-Maclaurin
+#: sum costs N <= max(20, ceil|s|) complex exponentials (kernel.hurwitz_zeta),
+#: about 5 ms at the cap; a function field's q^-s carries a phase error of
+#: about |Im s| 2^-53 from rounding Im(s) log q, no correct digit past 2^53.
+MAX_ABS_S = 1e4
 
 #: Largest |n| factored by trial division (squarefree tests, prime
 #: powers, totients): at most 10^6 divisions, about 0.1 s on one x86 core.

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import ffield
 from .errors import DomainError, SymmetryError, WeilBoundWarning
-from .arith import POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
+from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
@@ -379,6 +379,16 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
     return _number_field_places(field, _primes_up_to(norm_bound), norm_bound)
 
 
+def _require_abs_s(field: FieldDescriptor, s: complex) -> None:
+    # A function field's q^-s is exp(-s log q), whose phase Im(s) log q is
+    # rounded; the kernel refuses such s for number fields.
+    if isinstance(field, FunctionFieldDescriptor) and abs(s) > MAX_ABS_S:
+        raise DomainError(
+            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
+            "the phase of q^-s carries a rounding error of about |Im s| 2^-53"
+        )
+
+
 def _inverse_factors(s: complex, qvs: list[int]) -> list[complex]:
     # (1 - q_v^-s)^-1 for each q_v, with q_v^-s = exp(-s log q_v), in
     # C-level loops; complex.__rsub__ and __rtruediv__ with 1.0 are the
@@ -412,11 +422,13 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
 def truncated_euler_product(field: FieldDescriptor, s, norm_bound: int) -> complex:
     """Product of local factors over all places with q_v <= norm_bound (Re s > 1).
 
-    The factors are multiplied in place order, starting from 1.
+    The factors are multiplied in place order, starting from 1.  Raises
+    DomainError for a function field where |s| > MAX_ABS_S.
     """
     s = _as_complex(s)
     if s.real <= 1.0:
         raise DomainError("truncated_euler_product: requires Re s > 1")
+    _require_abs_s(field, s)
     qvs = list(map(itemgetter(0), enumerate_places(field, norm_bound)))
     return reduce(mul, _inverse_factors(s, qvs), complex(1.0))
 

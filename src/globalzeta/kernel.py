@@ -18,17 +18,19 @@ below 2.2e-16; its rounding stays within 4.1e-14 for |s| <= 67 (log_gamma).
 
 Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
-dirichlet_l has two paths, chosen per call by a cost estimate from
+dirichlet_l has three plans, chosen per call by one cost estimate from
 phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
 moduli, and a Taylor series in the class offsets whose coefficients are
-the character's moments for large ones (globalzeta.moments, imported on
-first use).  What does not depend on s is kept in a cache of tables, one
-per modulus, which both paths read: the class offsets, their logs and,
-for the moment path, the exact moments; the Riemann zeta's logs are the
-table of D = 1.  Their sizes, in doubles, sum to at most
-MAX_TABLE_ENTRIES (2 MiB); the least recently used tables are dropped to
-make room, and a call whose own table would pass the limit raises
-DomainError before any table is built or grown.
+the character's moments (globalzeta.moments, imported on first use),
+either after a short head of about |s|/11 terms, for large moduli, or,
+on the critical strip for mid-size ones, after a long head of N terms,
+where the jets need no shift.  What does not depend on s is kept in a
+cache of tables, one per modulus, which every plan reads: the class
+offsets, their logs and, for the moment series, the exact moments; the
+Riemann zeta's logs are the table of D = 1.  Their sizes, in doubles,
+sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently used tables
+are dropped to make room, and a call whose own table would pass the
+limit raises DomainError before any table is built or grown.
 zeta(s) and L(s, chi) at one s share its Euler-Maclaurin shift count and
 weights.  Each evaluator also bounds the size of its terms before any
 work: past exp(MAX_LOG_TERM) they would overflow binary64, so it raises
@@ -45,13 +47,8 @@ from array import array
 from itertools import chain
 from operator import attrgetter, neg
 
-from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _totient, kronecker_chi
+from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _totient, kronecker_chi
 from .errors import DomainError, PoleError
-
-#: Largest |s| the Hurwitz, Riemann and Dirichlet evaluators accept.  One
-#: Euler-Maclaurin sum costs N <= max(20, ceil|s|) complex exponentials
-#: (hurwitz_zeta), so this caps a single Hurwitz sum at about 5 ms.
-MAX_ABS_S = 1e4
 
 #: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
 #: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
@@ -360,22 +357,30 @@ def _cached_table(D: int, need: int, *grow_args) -> _Table:
         return table
 
 
-# Measured costs in microseconds (CPython 3.11, one x86-64 core): one
-# term (a + n)^-s of a sum (a class's Hurwitz sum has N + 12 of them), and
-# per jet one scaled term of its Euler-Maclaurin sum and its fixed work.
-_COST_TERM = 0.34
-_COST_JET_TERM = 0.38
-_COST_JET = 12.0
+# Measured costs in microseconds (CPython 3.11, one x86-64 core; see
+# dirichlet_l): one term (a + n)^-s of a head or of a class's sum; a
+# class's fixed work (its 12-term tail, two fsums and its pole term); one
+# scaled term of a jet's Euler-Maclaurin sum, with its share of the shift's
+# powers; a jet's fixed work with its share of the search for J; and a
+# moment series' fixed work.
+_COST_TERM = 0.24
+_COST_CLASS = 3.5
+_COST_JET_TERM = 0.16
+_COST_JET = 5.3
+_COST_SERIES = 14.0
 
-# The order J the moment path's tail bound asks for: 38 once |s| > 30,
-# between 30 and 57 below, and never less than 1 - Re s.
+# The order J of the short head's estimate: its tail bound asks for 38 once
+# |s| > 30, between 30 and 57 below, and never less than 1 - Re s.  The
+# long head's asks for 13 to 17 on the critical strip with |Im s| <= 1000,
+# and its jets need no shift there.
 _MOMENT_ORDER = 38
+_LONG_ORDER = 16
 
-# The moment path is taken where its estimate is below 1/_SWITCH_GAIN of
-# the per-class one.  The margin is not a measured crossover (the moment
-# path is faster from about phi = 24-36 on): it keeps every |D| <= 40, the
-# paper's own sweep, on the per-class path and so keeps those values.
-_SWITCH_GAIN = 1.5
+# At s = -n, n <= 23, N = 0 and each class's sum is exact, while a moment
+# series loses up to five digits to cancellation (L(-22, chi_-87) is
+# 1.1e-10 off by moments, 1.8e-15 per class); there the per-class sums
+# are kept up to these phi(|D|), for a short head of one and two terms.
+_EXACT_CLASS_LIMIT = (95, 111)
 
 
 def _moment_head(s: complex) -> int:
@@ -384,19 +389,29 @@ def _moment_head(s: complex) -> int:
     return max(1, round(abs(s) / 11.0))
 
 
-def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int] | None:
-    """(M, J) for the moment path at s, or None where its estimated cost
-    does not gain _SWITCH_GAIN over the per-class path for count =
-    phi(|D|) classes, or no head shorter than a class's sum meets the
-    bounds."""
-    class_cost = count * (shift + 12) * _COST_TERM
-    jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
-    moment_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
-    if _SWITCH_GAIN * moment_cost >= class_cost:
+def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
+    """The plan of dirichlet_l at s for count = phi(|D|) classes and shift
+    count N, the cheapest by an estimate of each plan's cost: None for the
+    per-class sums, else (M, J, T), the moment series with head M, order J
+    and its jets' shift count T.  None also where the search for the
+    plan's M, J and T fails, and at N = 0 for phi(|D|) up to
+    _EXACT_CLASS_LIMIT."""
+    head = _moment_head(s)
+    if shift == 0 and count <= _EXACT_CLASS_LIMIT[head - 1]:
+        return None
+    per_class = count * ((shift + 1) * _COST_TERM + _COST_CLASS)
+    short = (count * head * _COST_TERM + _COST_SERIES
+             + max(_MOMENT_ORDER, 1.0 - s.real) // 2 * (shift * _COST_JET_TERM + _COST_JET))
+    long = (count * shift * _COST_TERM + _COST_SERIES + _LONG_ORDER // 2 * _COST_JET
+            if 0.0 < s.real < 1.0 else math.inf)
+    if per_class <= min(short, long):
         return None
     from . import moments
 
-    return moments.head_and_order(s, shift + 12)
+    if long < short:
+        return moments.long_head(s, shift)
+    plan = moments.head_and_order(s, shift + 12)
+    return None if plan is None else (*plan, shift)
 
 
 def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
@@ -424,40 +439,58 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
 
     Entire for D != 1; the principal case D = 1 degenerates to the
     Riemann zeta and keeps its PoleError near s = 1.  Write q = |D|, a_r = r/q
-    and N for hurwitz_zeta's shift count at s.  One of two paths evaluates it:
+    and N for hurwitz_zeta's shift count at s.  One of three plans
+    evaluates it:
 
     * Per class: one Euler-Maclaurin Hurwitz sum of N terms for each of
       the phi(q) classes r coprime to q, their pole terms x^(1-s)/(s-1)
       recombined through (x^(1-s) - 1)/(s-1), which is regular at s = 1
       because the chi values sum to zero over a period.
     * By moments (Arb's acb_dirichlet_hurwitz_precomp, arXiv:1309.2877):
-      with x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
+      with a head of M terms, x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
         q^s L = sum_r chi(r) sum_{n<M} (a_r + n)^-s
                 + sum_{j<=J} (-1)^j (s)_j/j! zeta_H(s + j, x) mu_j.
       mu_j vanishes unless (-1)^j = chi(-1), and the jets zeta_H(s + j, x)
-      come from one Euler-Maclaurin pass of N terms, each pole term
-      folded into (-1)^j (s)_{j-1}/j! X^(1-s-j) so that s = 1 - j stays
-      regular.  With |mu_j| <= phi(q) 2^-j and
+      come from one Euler-Maclaurin pass of T terms, each pole term
+      folded into (-1)^j (s)_{j-1}/j! X^(1-s-j), X = x + T, so that
+      s = 1 - j stays regular.  With |mu_j| <= phi(q) 2^-j and
       |zeta_H(s + j, x)| <= x^-(sigma+j) + x^(1-sigma-j)/(sigma+j-1),
       the j-th term is at most phi(q) x^-sigma t_j, where
       t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j), and for j >= 1 - sigma
       the terms after j fall at least by max(|s| + j + 1, j + 2) /
       (2x (j + 2)) each.  J is the first j >= 1 - sigma at which that
-      tail bound is below 2^-56 (moments.TAIL_BOUND), and M the smallest head
-      at which the growth sum_{j<=J} t_j, which bounds the cancellation
-      among the terms, is at most 2^8 (moments.GROWTH_BOUND).
+      tail bound is below 2^-56 (moments.TAIL_BOUND), and the growth
+      sum_{j<=J} t_j, which bounds the cancellation among the terms, is
+      at most 2^8 (moments.GROWTH_BOUND).  There are two heads:
+      - short: M the smallest head that meets the growth bound (about
+        |s|/11, at most N + 12), and T = N;
+      - long, on the critical strip 0 < Re s < 1 only: M = N, J about 16
+        there, and T the least count at which every jet j <= J, weighted
+        by |(s)_j| / (j! 2^j), meets the remainder bound 2^-50 of
+        hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24 X^-(sigma+j+23) / (sigma+j+23)
+        (moments.long_head).  On Re s > 0 that bound decides N, so jet 0
+        meets it at X >= N, and each weighted bound is the one before
+        times at most (|s| + j + 24) / (2 (j + 1) X); T is 0 on the strip.
+        Left of it N can be 0 because (s)_24 = 0, which says nothing
+        about the jets s + j.
 
-    The moment path is taken where an estimate of its cost, phi(q) M
-    head terms with M about |s|/11 plus max(38, 1 - sigma)/2 jets of N
-    terms, is below 2/3 of the per-class phi(q) (N + 12) terms, and a
-    head M <= N + 12 meets the growth bound.  The margin of 3/2 is not a
-    measured crossover: it keeps every |D| <= 40, the paper's own sweep,
-    on the per-class path at every s, so those values do not move.  On
-    0 < Re s < 1, |Im s| <= 50 the moment path is taken for every
-    phi(q) >= 78 and for none below 52.  Values are a pure function of
+    The plan is the cheapest by an estimate in microseconds, measured on
+    CPython 3.11 (one x86-64 core): per class phi(q) ((N + 1) 0.24 + 3.5);
+    short phi(q) M 0.24 + 14 + max(38, 1 - sigma)/2 jets of (0.16 N + 5.3);
+    long phi(q) N 0.24 + 14 + 8 jets of 5.3 (kernel._COST_*).  Only the
+    plan chosen searches for its M, J and T, and a failed search falls
+    back to the per-class sums.  At N = 0 (s = -n, n <= 23) each class's
+    sum is exact while a moment series loses up to five digits, so the
+    per-class sums are kept there up to phi(q) = 95, or 111 where the
+    short head has two terms (kernel._EXACT_CLASS_LIMIT).  The long head
+    beats the per-class sums from phi(q) = 16 on, and the short head
+    beats the long one as N grows: on the paper's box, 0.1 <= Re s <= 0.9 and |Im s| <= 50,
+    phi(q) < 16 (every |D| <= 15, and 21, 24, 28) stays per class, and
+    the short head is taken from phi(q) = 22 to 24 at |Im s| = 50, 30 at
+    25, 40 at 10 and 56 to 64 at Im s = 0.  Values are a pure function of
     (s, D) whatever the cache holds.  Only work that depends on s is done
     per call: the offsets a_r, their logs log(a_r + n) and the exact
-    moments are kept in one table per modulus, which both paths read (see
+    moments are kept in one table per modulus, which every plan reads (see
     MAX_TABLE_ENTRIES).  Raises DomainError, before any work, when |s|
     exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
     or a term, |D|^-s times the sum included, could pass exp(MAX_LOG_TERM).
@@ -468,7 +501,8 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         return riemann_zeta(s)
     q = abs(D)
     shift = _em_shift_count(s)
-    count = _totient(q)
+    table = _tables.get(D)
+    count = _totient(q) if table is None else len(table.plus) + len(table.minus)
     # Both paths meet the part (1/q)^-s and a pole term x^(1-s) with
     # x >= 1 + N; the phi(q) parts are summed and the sum is scaled by
     # q^-s.  Checked before the plan, so that a point far left of the
@@ -478,7 +512,7 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     spread = math.log(count) + max(0.0, -sigma) * log_q
     _require_log_term(s, max(sigma * log_q, (1.0 - sigma) * log_x) + spread)
     plan = _moment_plan(s, count, shift)
-    rows, order = (shift + 1, -1) if plan is None else plan
+    rows, order, jet_shift = plan or (shift + 1, -1, 0)
     need = count * (rows + 1) + order + 1
     if need > MAX_TABLE_ENTRIES:
         raise DomainError(
@@ -489,12 +523,12 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         re_parts, im_parts = _class_sum(s, _cached_table(D, need, rows), shift)
     else:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
-        # (the head) and X^(1-s) (the jets, X = M + 1/2 + N).
+        # (the head) and X^(1-s) (the jets, X = M + 1/2 + T).
         from . import moments
 
-        largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + shift))
+        largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + jet_shift))
         _require_log_term(s, largest + math.log(moments.GROWTH_BOUND) + spread)
         table = _cached_table(D, need, rows, order)
-        re_parts, im_parts = moments.moment_sum(s, table, rows, order, shift)
+        re_parts, im_parts = moments.moment_sum(s, table, rows, order, jet_shift)
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
     return cmath.exp(-s * math.log(q)) * total

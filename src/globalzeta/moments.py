@@ -1,4 +1,4 @@
-"""The moment path of dirichlet_l, for large moduli.
+"""The moment series of dirichlet_l, for mid-size and large moduli.
 
 With q = |D|, a_r = r/q, x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
 
@@ -7,15 +7,16 @@ With q = |D|, a_r = r/q, x = M + 1/2 and mu_j = sum_r chi(r) (a_r - 1/2)^j,
 
 the Taylor expansion of each zeta_H(s, a_r + M) about x (Arb's
 acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
-M and J are stated in kernel.dirichlet_l.  The head logs log(a_r + n)
-are those of the modulus's one table in kernel, which the per-class path
-reads too; exact_moments adds the moments mu_j to it, computed from the
+M, J and the jets' shift count are stated in kernel.dirichlet_l:
+head_and_order finds the short head, long_head the long one.  The head
+logs log(a_r + n) are those of the modulus's one table in kernel, which
+the per-class path reads too; exact_moments adds the moments mu_j to it, computed from the
 classes r and chi(r) the table lists.  moment_sum does once per call what
 does not depend on j: the head exps, the shift's powers (x + n)^-s split
 into real and imaginary columns, and the Euler-Maclaurin tail's powers
 X^(1-2k); per jet it forms only the weights and sums that involve s + j.
-kernel imports this module only when a call takes this path, so a
-process that never evaluates a large modulus does not compile it.
+kernel imports this module only when a call takes a moment series, so a
+process that evaluates no modulus with phi(|D|) >= 16 does not compile it.
 """
 
 from __future__ import annotations
@@ -95,6 +96,37 @@ def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
             return None
         order, growth = _order(s, head + 0.5)
     return head, order
+
+
+def long_head(s: complex, shift: int) -> tuple[int, int, int] | None:
+    """(M, J, T) for the head M = shift = N(s) on Re s > 0: J the order
+    the tail bound asks for at x = M + 1/2, and T the least shift count of
+    the jets at which each jet j <= J, weighted by its share
+    |(s)_j| / (j! 2^j), meets the Euler-Maclaurin budget 2^-50 at
+    X = x + T; None where the growth passes GROWTH_BOUND.
+
+    On Re s > 0 the bound decides N(s), so the jet j = 0 meets the budget at
+    X >= N with room (N/X)^(sigma+23), and jet j + 1's weighted bound is
+    jet j's times |s + j + 24| (sigma + j + 23) / (2 (j + 1) X (sigma + j + 24)),
+    at most (|s| + j + 24) / (2 (j + 1) X), a ratio that falls with j.  T is
+    the least count at which the room covers the product of the ratios
+    above 1; it is 0 on the strip.
+    """
+    x = shift + 0.5
+    order, growth = _order(s, x)
+    if growth > GROWTH_BOUND:
+        return None
+    size, rate = abs(s), s.real + 23.0
+    jet_shift = 0
+    while True:
+        big_x = x + jet_shift
+        level, j = (shift / big_x) ** rate, 0
+        while j < order and (ratio := (size + j + 24.0) / (2.0 * (j + 1) * big_x)) > 1.0:
+            level *= ratio
+            j += 1
+        if level <= 1.0:
+            return shift, order, jet_shift
+        jet_shift += 1
 
 
 def _real_power(p: float, z: complex) -> complex:

@@ -104,8 +104,8 @@ def _check_nodes(
     # Z(conj s) is served as conj Z(s), which completed_zeta returns bit
     # for bit, on the real axis too, where Z(x - 0i) is conj Z(x + 0i)
     # (both pinned in tests/test_zeta.py).  At most two values per node.
-    if not tolerance > 0:
-        raise DomainError("check_point: tolerance must be positive")
+    if not 0 < tolerance < math.inf:  # an infinite one would make every verdict ok
+        raise DomainError(f"check_point: tolerance must be positive and finite, got {tolerance!r}")
     memo: dict[tuple[complex, float, float], complex] = {}
 
     def value(s: complex) -> complex:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex
 from .errors import DomainError, PoleError
-from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
+from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor, _require_abs_s
 from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, _require_finite, _require_log_term, dirichlet_l, riemann_zeta
 
 #: Inside this radius of a cancelled Gamma pole the record is flagged and
@@ -111,9 +111,10 @@ def zeta(field: FieldDescriptor, s) -> complex:
     """The meromorphically continued Dedekind zeta of the field.
 
     Raises DomainError naming MAX_LOG_TERM where q^-s or the value
-    itself would leave binary64.
+    itself would leave binary64, and naming MAX_ABS_S where |s| exceeds it.
     """
     s = _as_complex(s)
+    _require_abs_s(field, s)
     _require_off_poles(field, s)
     if isinstance(field, FunctionFieldDescriptor):
         return _require_finite(s, _function_field_zeta(field, s))
@@ -217,9 +218,11 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     the deflated factor pair and precision_cliff=True; elsewhere the
     factors are the literal gamma_factor and zeta values.  A factor or
     product that would leave binary64 raises DomainError naming
-    MAX_LOG_TERM instead of returning inf or nan.
+    MAX_LOG_TERM instead of returning inf or nan; |s| > MAX_ABS_S raises
+    DomainError naming it before any work.
     """
     s = _as_complex(s)
+    _require_abs_s(field, s)
     if not s.imag and math.copysign(1.0, s.imag) < 0.0:  # Z(x - 0i) = conj Z(x + 0i) bit for bit
         rec = completed_zeta(field, s.conjugate())  # its three values are fields 1..3
         return rec._replace(s=s, **{name: getattr(rec, name).conjugate() for name in rec._fields[1:4]})

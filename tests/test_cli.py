@@ -127,6 +127,37 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["eval", "--field", "Fq(T)?q=2", "--s=0.5,1e300"],
+            ["check", "--field", "Fq(T)?q=3", "--s=0.3,1e20"],
+            ["euler-check", "--field", "Fq(T)?q=4", "--s=2,1e300", "--bound", "100"],
+        ],
+        ids=["eval", "check", "euler-check"],
+    )
+    def test_function_field_abs_s_limit_is_two(self, capsys, argv):
+        # the phase Im(s) log q of q^-s has no correct digit at these |s|
+        code, out = parse_and_dispatch(argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert "MAX_ABS_S" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--field", "Q", "--grid=0.1:0.9:2,0:10:1", "--tol=inf"],
+            ["check", "--field", "Q", "--s=0.5,3", "--tol=1e400"],
+        ],
+        ids=["inf", "1e400"],
+    )
+    def test_infinite_tolerance_is_two(self, capsys, argv):
+        # every residual is below an infinite tolerance: each verdict would be ok
+        code, out = parse_and_dispatch(argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert "tolerance must be positive and finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["eval", "--field", "Q", "--s", "500"],
             ["eval", "--field", "Q(sqrt=-1)", "--s=-100"],
             ["eval", "--field", "Fq(T)?q=5", "--s=-450"],

@@ -388,7 +388,9 @@ class TestDirichletL:
 
     # float.hex of dirichlet_l on the per-class path, re-recorded when the
     # shift count came from the Euler-Maclaurin remainder bound (the
-    # largest change was 6.0e-14 relative); these moduli stay on that path
+    # largest change was 6.0e-14 relative); these moduli stay on that path.
+    # D = 37 and -40, which take a moment series on the strip since the
+    # long head exists, are in LONG_HEAD_DIGEST.
     PINNED_POINTS = (0.1 + 0j, 0.5 + 14j, 0.9 + 33j, 0.3 - 48j, 2.5 + 7j)
     PINNED = {
         -3: (
@@ -412,20 +414,6 @@ class TestDirichletL:
             ("-0x1.afffc6228fd15p+0", "-0x1.3c75d00c9f5fep-1"),
             ("0x1.de293c97ad0f7p-1", "-0x1.dfe1292bcfd74p-3"),
         ),
-        37: (
-            ("0x1.be9e094b4f7eep-3", "0x0.0p+0"),
-            ("0x1.a6dff4491eb08p-3", "-0x1.816911c4e7238p+1"),
-            ("0x1.9f67a947d5868p+0", "-0x1.5fb978679913ap-1"),
-            ("-0x1.02a9dc0ab732bp+1", "0x1.6a111a1335d7ep-2"),
-            ("0x1.df0d6d91b43bap-1", "-0x1.f3cf5c333304cp-3"),
-        ),
-        -40: (
-            ("0x1.cfad978329c01p+0", "0x0.0p+0"),
-            ("0x1.5b5b64982a412p+1", "0x1.ba37a9e444bf8p-1"),
-            ("0x1.0092a55fb7c6cp-1", "-0x1.6a7b6498ceef9p-2"),
-            ("0x1.323c9069d78fbp+0", "0x1.d3f667c60cf13p+1"),
-            ("0x1.fa2a07f069b23p-1", "0x1.dcb1e77d95408p-5"),
-        ),
     }
 
     @pytest.mark.parametrize("D", sorted(PINNED))
@@ -438,19 +426,20 @@ class TestDirichletL:
 
     @staticmethod
     def moment_path_points():
-        # 300 seeded (D, s) that dirichlet_l evaluates by moments: 53, -59 and
-        # 22 seeded discriminants of both signs up to |D| = 4000, each at s = -24
-        # and -23 (no Euler-Maclaurin shift) where the path takes them, and
-        # the rest on Re s in [-30, 5] with |Im s| up to 10, 60 or 300
+        # 300 seeded (D, s) that dirichlet_l evaluates by the short head: 53,
+        # -59 and 22 seeded discriminants of both signs up to |D| = 4000, each
+        # at s = -24 and -23 (no Euler-Maclaurin shift) where the path takes
+        # them, and the rest on Re s in [-30, 5] with |Im s| up to 10, 60 or
+        # 300; chosen by margin_plan_of, the rule they were recorded under
         rng = random.Random(20)
         discriminants = [D for D in range(-4000, 4001) if abs(D) >= 53 and is_fundamental_discriminant(D)]
         chosen = sorted([-59, 53] + rng.sample([D for D in discriminants if D < 0], 11)
                         + rng.sample([D for D in discriminants if D > 0], 11))
-        points = [(D, complex(n)) for D in chosen for n in (-24, -23) if plan_of(n, D) is not None]
+        points = [(D, complex(n)) for D in chosen for n in (-24, -23) if margin_plan_of(n, D) is not None]
         while len(points) < 300:
             D, height = rng.choice(chosen), rng.choice((10.0, 60.0, 300.0))
             s = complex(rng.uniform(-30.0, 5.0), rng.uniform(-height, height))
-            if plan_of(s, D) is not None:
+            if margin_plan_of(s, D) is not None:
                 points.append((D, s))
         return sorted(points, key=lambda p: (p[0], abs(p[1])))  # each table grows once
 
@@ -459,8 +448,11 @@ class TestDirichletL:
     MOMENT_PATH_DIGEST = "b42a056400514d997857c7cd72320b22bc2a26bf467b027123e404b9db6bf1f4"
 
     def test_moment_path_values_pinned(self):
+        # each point keeps the short head, (M, J) and the jets' shift N, that
+        # margin_plan_of gave it, so its bits stay
         parts = []
         for D, s in self.moment_path_points():
+            assert plan_of(s, D) == (*margin_plan_of(s, D), kernel._em_shift_count(s)), (D, s)
             try:
                 value = dirichlet_l(s, KroneckerCharacter(D))
             except DomainError as exc:
@@ -469,12 +461,53 @@ class TestDirichletL:
                 parts += [value.real.hex(), value.imag.hex()]
         assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.MOMENT_PATH_DIGEST
 
-    def test_small_moduli_keep_class_path(self):
-        # every field of the paper's own sweep (|D| <= 40) on its strip
+    def test_small_moduli_plans(self):
+        # every field of the paper's own sweep (|D| <= 40), at the five
+        # points where the 3/2 margin kept them all per class: per class
+        # below the crossover phi = 16; above it a moment series on the
+        # critical strip, by the long head where N is least (s = 0.1), and
+        # off the strip the per-class sums or the short head, never the long
         small = [D for D in range(-40, 41) if D != 1 and is_fundamental_discriminant(D)]
+        kinds = set()
         for D in small:
+            count = arith._totient(abs(D))
             for s in (0.1 + 0j, 0.5 + 14j, 0.9 + 50j, -0.9 + 50j, 2.5 + 60j):
-                assert plan_of(s, D) is None, (D, s)
+                kind = plan_kind(s, D)
+                kinds.add(kind)
+                if count < 16:
+                    assert kind == "class", (D, s)
+                elif 0.0 < s.real < 1.0:
+                    assert kind == "long" if s == 0.1 else kind != "class", (D, s)
+                else:
+                    assert kind != "long", (D, s)
+        assert kinds == {"class", "short", "long"}
+
+    @staticmethod
+    def long_head_points():
+        # the five points of PINNED_POINTS for D = 37 and -40, and 150 seeded
+        # (D, s) where the long head runs: a field of the paper's sweep with
+        # phi(|D|) >= 16, Re s in [0.1, 0.9] and |Im s| <= 50
+        points = [(D, complex(s)) for D in (37, -40) for s in TestDirichletL.PINNED_POINTS]
+        fields = [D for D in range(-40, 41) if is_fundamental_discriminant(D) and arith._totient(abs(D)) >= 16]
+        rng = random.Random(22)
+        while len(points) < 160:
+            D, s = rng.choice(fields), complex(rng.uniform(0.1, 0.9), rng.uniform(-50.0, 50.0))
+            if plan_kind(s, D) == "long":
+                points.append((D, s))
+        return points
+
+    # sha256 of the float.hex of the real and imaginary parts of
+    # dirichlet_l at each of long_head_points, recorded once the strip
+    # points of the oracle grid for |D| <= 40 passed (the largest change
+    # from the per-class values was 3.1e-14 relative, D = 37 at 0.3 - 48i)
+    LONG_HEAD_DIGEST = "db81a20eb3b476992225a4a3530763113f2c298a17cf35c47f0554733f97ab92"
+
+    def test_long_head_values_pinned(self):
+        parts = []
+        for D, s in self.long_head_points():
+            value = dirichlet_l(s, KroneckerCharacter(D))
+            parts += [value.real.hex(), value.imag.hex()]
+        assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.LONG_HEAD_DIGEST
 
     def test_exact_moments_match_the_fraction_oracle(self):
         # mu_j from the table's classes, rounded once, bit for bit
@@ -484,8 +517,8 @@ class TestDirichletL:
                 assert moments.exact_moments(kernel._Table(D), 45) == expected, D
 
     def test_large_modulus_takes_moment_path(self):
-        head, order = plan_of(0.5 + 30j, -2351)
-        assert 1 <= head <= 5 and order < 80
+        head, order, jet_shift = plan_of(0.5 + 30j, -2351)
+        assert 1 <= head <= 5 and order < 80 and jet_shift == kernel._em_shift_count(0.5 + 30j)
 
     def test_cache_state_does_not_change_values(self, monkeypatch):
         # a rotation of three moduli (moment, moment, per-class), twice,
@@ -610,6 +643,27 @@ def plan_of(s, D):
     return kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_shift_count(s))
 
 
+def plan_kind(s, D):
+    # the short head's jets take the shift count N, the long head's fewer
+    plan = plan_of(s, D)
+    if plan is None:
+        return "class"
+    return "short" if plan[2] == kernel._em_shift_count(complex(s)) else "long"
+
+
+def margin_plan_of(s, D):
+    # The rule MOMENT_PATH_DIGEST was recorded under: the short head's (M, J)
+    # where its estimate, with the costs then measured (0.34 us a term, per
+    # jet 0.38 us a shift term and 12 us), was below 2/3 of phi(|D|) (N + 12)
+    # terms, else None
+    s = complex(s)
+    count, shift = arith._totient(abs(D)), kernel._em_shift_count(s)
+    jets = max(38, 1.0 - s.real) // 2
+    if 1.5 * (count * kernel._moment_head(s) * 0.34 + jets * (shift * 0.38 + 12.0)) >= count * (shift + 12) * 0.34:
+        return None
+    return moments.head_and_order(s, shift + 12)
+
+
 class TestCostLimits:
     # Inputs just over each limit; the checks run before any loop or table.
     OVER_S = complex(0.5, kernel.MAX_ABS_S)
@@ -625,28 +679,25 @@ class TestCostLimits:
                 evaluate()
 
     def test_table_size_limit(self, monkeypatch):
-        # Just over MAX_TABLE_ENTRIES = 2**18 = 262144 on each path.  A
-        # table holds phi(|D|) * (rows + 1) + len(moments) entries.  The
-        # per-class path takes rows = N + 1 and no moments: 28 * 9363 =
-        # 262164 for D = 29 at |s| just under N = 9361, left of the strip,
-        # where the shift count is max(20, ceil|s|).  The moment path
+        # Just over MAX_TABLE_ENTRIES = 2**18 = 262144.  A table holds
+        # phi(|D|) * (rows + 1) + len(moments) entries.  The short head
         # takes rows = M and J + 1 moments: 131058 * 2 + 39 + 1 = 262156
         # for D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
-        # D = -12487 at s = 0.5 + 213i.
+        # D = -12487 at s = 0.5 + 213i.  The per-class sums and the long
+        # head (rows N + 1 and N) are chosen only below phi(|D|) = 27 and
+        # 14 where N passes 9000, so they stay under the limit: D = 29 at
+        # -10 + 9360.9i, 28 * 9363 = 262164 per class, takes the short head.
         assert kernel.MAX_TABLE_ENTRIES == 2**18
         monkeypatch.setattr(kernel, "_tables", {})
+        assert plan_of(-10 + 9360.9j, 29) == (857, 38, 9361)
         cases = (
-            (29, -10 + 9360.9j, None, 262164),
-            (-131059, 2.0, (1, 39), 262156),
-            (-12487, 0.5 + 213j, (20, 37), 262244),
+            (-131059, 2.0, (1, 39, 7), 262156),
+            (-12487, 0.5 + 213j, (20, 37, 149), 262244),
         )
         for D, s, plan, need in cases:
             assert plan_of(s, D) == plan
             count = arith._totient(abs(D))
-            if plan is None:
-                assert count * (kernel._em_shift_count(complex(s)) + 2) == need
-            else:
-                assert count * (plan[0] + 1) + plan[1] + 1 == need
+            assert count * (plan[0] + 1) + plan[1] + 1 == need
             what = "phi(|D|) * (rows + 1) + len(moments)"
             with pytest.raises(DomainError, match=re.escape(f"{what} = {need} exceeds MAX_TABLE_ENTRIES")):
                 dirichlet_l(s, KroneckerCharacter(D))
@@ -777,25 +828,46 @@ class TestShiftCount:
                 abs(w) * x ** (1 - 2 * k) for k, w in enumerate(weights(s)[1], start=1))
             assert abs(at_n - at_n8) <= em_bound(s, a + n) + 64 * eps * parts, (s, a)
 
+    STRIP = [complex(x, y) for x in (0.01, 0.1, 0.5, 0.9, 0.99) for y in (0.0, 3.0, -14.0, 50.0, 400.0, -3000.0)]
+
     def test_moment_jets_within_the_budget(self):
-        # each jet zeta_H(s + j, x) of the moment path, weighted by its
+        # each jet zeta_H(s + j, x) of a moment series, weighted by its
         # share |(s)_j / j!| 2^-j of the series, meets the budget at
-        # X = M + 1/2 + N wherever the bound decides N(s)
-        checked = 0
-        for D in (-2351, 997, -131, 1001, -3851):
+        # X = M + 1/2 + T wherever the bound decides N(s): the short head's
+        # T = N, and the long head's T from moments.long_head
+        checked = {"short": 0, "long": 0}
+        for D in (-2351, 997, -131, 1001, -3851, 37, -23, 17):
             count = arith._totient(abs(D))
-            for s in self.GRID:
+            for s in self.GRID + self.STRIP:
                 n = kernel._em_shift_count(s)
                 plan = kernel._moment_plan(s, count, n)
                 if plan is None or n == self.cap(s):
                     continue
-                head, order = plan
+                head, order, jet_shift = plan
                 weight = 1.0
                 for j in range(1, order + 1):
                     weight *= abs(s + (j - 1)) / (2 * j)
-                    assert weight * em_bound(s + j, head + 0.5 + n) <= self.BUDGET, (D, s, j)
-                checked += 1
-        assert checked >= 100
+                    assert weight * em_bound(s + j, head + 0.5 + jet_shift) <= self.BUDGET, (D, s, j)
+                checked[plan_kind(s, D)] += 1
+        assert checked["short"] >= 100 and checked["long"] >= 20, checked
+
+    def test_bound_decides_the_count_right_of_zero(self):
+        # moments.long_head takes em_bound(s, N) <= 2^-50 as given on
+        # Re s > 0: N(s) is below its cap there, up to |s| = MAX_ABS_S
+        rng = random.Random(5)
+        for _ in range(2000):
+            s = complex(rng.uniform(0.0, 60.0) ** 2 / 60.0 or 1e-9, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 4))
+            n = kernel._em_shift_count(s)
+            assert n < self.cap(s) and em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
+
+    def test_long_head_only_on_the_critical_strip(self):
+        # N(s) = 0 at s = -n says nothing about the jets s + j, and right of
+        # the strip the jets need a shift; the long head runs on 0 < Re s < 1
+        for D in (17, -23, 37, 53, -59):
+            for x in (-2.0, -0.5, 0.0, 1.0, 1.5, 2.5):
+                for y in (0.0, 7.0, -30.0):
+                    assert plan_kind(complex(x, y), D) != "long", (D, x, y)
+            assert plan_kind(0.5 + 7j, D) == ("short" if D in (53, -59) else "long")
 
     def test_negative_integers(self):
         # (s)_24 = 0 at s = -n, n <= 23: no shift, the sum is exact; at

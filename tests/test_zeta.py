@@ -46,6 +46,26 @@ ZETA_QI_2_ORACLE, ZETA_QI_2_BOUND = 1.50670300992302, 7.1e-14
 
 
 class TestZeta:
+    def test_function_field_abs_s_edge(self):
+        # the kernel's MAX_ABS_S holds for function fields too: at |s| =
+        # MAX_ABS_S the phase Im(s) log q of q^-s is still about 1e-12 off
+        from globalzeta import arith, kernel
+
+        assert kernel.MAX_ABS_S == arith.MAX_ABS_S == 1e4
+        top = arith.MAX_ABS_S
+        over = math.nextafter(top, math.inf)
+        cases = (
+            (zeta, 1j * top, 1j * over),
+            (lambda f, s: completed_zeta(f, s).completed_value, 1j * top, 1j * over),
+            (lambda f, s: truncated_euler_product(f, s, 25), complex(2.0, math.sqrt(top**2 - 4.0)),
+             complex(2.0, math.sqrt(over**2 - 4.0) * (1 + 2**-52))),
+        )
+        for evaluate, inside, outside in cases:
+            assert abs(inside) <= top < abs(outside)
+            assert cmath.isfinite(evaluate(F5, inside))
+            with pytest.raises(DomainError, match="MAX_ABS_S"):
+                evaluate(F5, outside)
+
     def test_rationals_basel(self):
         v, bound = oracles.zeta_series(2.0, 4000)
         assert abs(zeta(Q, 2) - v) <= bound + 1e-12
@@ -342,15 +362,18 @@ for _m in range(-1, -7, -1):
 # zeta and completed values moved, by up to 1.2e-6 relative at -6 - 0.004i;
 # no gamma_factor_value moved), and for number fields again when log Gamma
 # became Stirling's series (only gamma_factor and completed values moved,
-# by up to 3.2e-14 relative; tests/oracle_grid.json holds each log Gamma).
-# |D| <= 40 takes dirichlet_l's per-class path, |D| of about 130 and
-# 3,000 its moment path on the strip.
+# by up to 3.2e-14 relative; tests/oracle_grid.json holds each log Gamma),
+# and Q(sqrt 10) again when dirichlet_l took the long head on the strip
+# (its 13 strip points moved, zeta and completed values by up to 4.2e-15
+# relative, at 0.1; tests/oracle_grid.json holds L(s, chi_40) on the box).
+# |D| <= 15 takes dirichlet_l's per-class path, D = 40 its long head on
+# the strip, |D| of about 130 and 3,000 its short head.
 PIN_DIGESTS = {
     "Q": "1b48ca233180806ab5b4a828ba25376fafcff0bfdc9216af01dca80b85cf9d9a",
     "Q(sqrt=-1)": "a85c75110aadaf842c3b9442072bc45892e4690c6139753b6b2aed9ef6288e01",
     "Q(sqrt=-3)": "31547b68409c285ba7b1bf4370c6a3d7fb1a2ae314c0a0e1aacf3acdf980123e",
     "Q(sqrt=5)": "a5dd016bbfd154138d597f063f464f667b5cad42c3fc5514f2a2ad8111fc53c8",
-    "Q(sqrt=10)": "8f67ab59fbbc85538b9b6e84fac33f94034f9ca850cc40f92071720fa55b42f0",
+    "Q(sqrt=10)": "aee807502718c96c76e327d4444546a3b33b91d050f0e8e2d55d95f2be595deb",
     "Q(sqrt=-131)": "3d9d849d44ab9780a7665d6e997af0ec05341452a4b39e2cbb94070c48cb4a59",
     "Q(sqrt=129)": "a23d9ed730405e219960936af71d76845beac70fc9c94c0e13ccc87b1a0614ef",
     "Q(sqrt=-2999)": "f83d898bde4c737a3aa8f42ccb348e1be4f8a0a8d99a336e206b694af8993f3a",
