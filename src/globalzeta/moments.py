@@ -10,8 +10,8 @@ acb_dirichlet_hurwitz_precomp, arXiv:1309.2877).  The bounds that choose
 M, J and the jets' shift count are stated in kernel.dirichlet_l:
 head_and_order finds the short head, long_head the long one.  The head
 logs log(a_r + n) are those of the modulus's one table in kernel, which
-the per-class path reads too; exact_moments adds the moments mu_j to it, computed from the
-classes r and chi(r) the table lists.  moment_sum does once per call what
+the per-class path reads too; exact_moments adds the moments mu_j to it,
+computed from the classes r and chi(r) the table lists.  moment_sum does once per call what
 does not depend on j: the head exps, the shift's powers (x + n)^-s split
 into real and imaginary columns, and the Euler-Maclaurin tail's powers
 X^(1-2k); per jet it forms only the weights and sums that involve s + j.

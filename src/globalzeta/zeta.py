@@ -218,8 +218,8 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     the deflated factor pair and precision_cliff=True; elsewhere the
     factors are the literal gamma_factor and zeta values.  A factor or
     product that would leave binary64 raises DomainError naming
-    MAX_LOG_TERM instead of returning inf or nan; |s| > MAX_ABS_S raises
-    DomainError naming it before any work.
+    MAX_LOG_TERM instead of returning inf or nan, and |s| > MAX_ABS_S
+    raises DomainError naming it.
     """
     s = _as_complex(s)
     _require_abs_s(field, s)

@@ -853,10 +853,11 @@ class TestShiftCount:
 
     def test_bound_decides_the_count_right_of_zero(self):
         # moments.long_head takes em_bound(s, N) <= 2^-50 as given on
-        # Re s > 0: N(s) is below its cap there, up to |s| = MAX_ABS_S
+        # Re s > 0: N(s) is below its cap there, for |s| up to nearly MAX_ABS_S
         rng = random.Random(5)
         for _ in range(2000):
-            s = complex(rng.uniform(0.0, 60.0) ** 2 / 60.0 or 1e-9, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 4))
+            x = rng.choice((1e-9, 0.1, 0.5, 0.9, rng.uniform(0.0, 60.0)))
+            s = complex(x, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 3.99))
             n = kernel._em_shift_count(s)
             assert n < self.cap(s) and em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
 
