@@ -16,7 +16,9 @@ The oracle values do not use the package:
   L-value that the golden sweeps of tests/test_cli.py ask for (s and
   1 - s at each node), and for every fundamental D with |D| <= 40, the
   paper's own fields, at Re s in {0.1, 0.3, 0.5, 0.7, 0.9} with a seeded
-  spread of Im s in [0, 50].  Values at
+  spread of Im s in [0, 50], and at seeded (D, s) with 16 <= phi(|D|) <= 72,
+  the moduli that can take either moment head or the per-class sums on the
+  strip, at Re s in [0.01, 0.99] and 1 <= |Im s| <= 1000.  Values at
   Im s < 0 are the conjugates of those at conj(s): chi_D is real;
 * zeta: the Riemann zeta (stored with D = 1) by mpmath.zeta at 30
   digits, at the nodes of the golden number-field sweeps (s and 1 - s),
@@ -89,6 +91,11 @@ SMALL_STRIP_LIMIT = 40
 SMALL_STRIP_RE = (0.1, 0.3, 0.5, 0.7, 0.9)
 SMALL_STRIP_PER_RE = 4
 SMALL_STRIP_SEED = 22
+# MID_STRIP_COUNT seeded (D, s) on the rest of the strip for every
+# fundamental D with phi(|D|) in MID_STRIP_PHI, from random.Random(MID_STRIP_SEED)
+MID_STRIP_PHI = (16, 72)
+MID_STRIP_COUNT = 200
+MID_STRIP_SEED = 23
 
 # the golden sweeps whose L-values go through the moment path: the field's
 # D, the re axis and the im axis as (lo, hi, steps)
@@ -274,6 +281,13 @@ def grid_points() -> list[tuple[str, int, complex]]:
     for D in sorted((D for D in small if abs(D) <= SMALL_STRIP_LIMIT), key=lambda d: (abs(d), d)):
         for x in SMALL_STRIP_RE:
             seen.update((D, complex(x, round(rng.uniform(0.0, 50.0), 2))) for _ in range(SMALL_STRIP_PER_RE))
+    rng = random.Random(MID_STRIP_SEED)
+    # phi(n) > 72 for every n > 270
+    mid = [D for n in range(3, 1000) for D in (-n, n) if fundamental(D)
+           and MID_STRIP_PHI[0] <= sum(math.gcd(r, n) == 1 for r in range(n)) <= MID_STRIP_PHI[1]]
+    for _ in range(MID_STRIP_COUNT):
+        y = round(10 ** rng.uniform(0.0, 3.0), 2)
+        seen.add((rng.choice(mid), complex(round(rng.uniform(0.01, 0.99), 2), rng.choice((y, -y)))))
     points += [("strip", D, s) for D, s in sorted(seen, key=lambda p: (abs(p[0]), p[0], p[1].real, p[1].imag))]
     zeros = set()
     for _, re_axis, im_axis in ZETA_SWEEPS:
