@@ -18,13 +18,14 @@ below 2.2e-16; its rounding stays within 4.1e-14 for |s| <= 67 (log_gamma).
 
 Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
-dirichlet_l has three plans, chosen per call by one cost estimate from
+dirichlet_l has three plans, chosen per call by cost estimates from
 phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
 moduli, and a Taylor series in the class offsets whose coefficients are
 the character's moments (globalzeta.moments, imported on first use),
-either after a short head of about |s|/11 terms, for large moduli, or,
-on the critical strip for mid-size ones, after a long head of N terms,
-where the jets need no shift.  What does not depend on s is kept in a
+either after a short head of about |s|/11 terms, for large moduli, or
+after a long head of N terms, where the jets need no shift, in place of
+the per-class sums from phi(|D|) = 16 on within the critical strip up to
+the height of the paper's box.  What does not depend on s is kept in a
 cache of tables, one per modulus, which every plan reads: the class
 offsets, their logs and, for the moment series, the exact moments; the
 Riemann zeta's logs are the table of D = 1.  Their sizes, in doubles,
@@ -357,30 +358,47 @@ def _cached_table(D: int, need: int, *grow_args) -> _Table:
         return table
 
 
-# Measured costs in microseconds (CPython 3.11, one x86-64 core; see
-# dirichlet_l): one term (a + n)^-s of a head or of a class's sum; a
-# class's fixed work (its 12-term tail, two fsums and its pole term); one
-# scaled term of a jet's Euler-Maclaurin sum, with its share of the shift's
-# powers; a jet's fixed work with its share of the search for J; and a
-# moment series' fixed work.
-_COST_TERM = 0.24
-_COST_CLASS = 3.5
-_COST_JET_TERM = 0.16
-_COST_JET = 5.3
-_COST_SERIES = 14.0
+# Measured costs in microseconds (CPython 3.11, one x86-64 core): one
+# term (a + n)^-s of a sum (a class's Hurwitz sum has N + 12 of them), and
+# per jet one scaled term of its Euler-Maclaurin sum and its fixed work.
+_COST_TERM = 0.34
+_COST_JET_TERM = 0.38
+_COST_JET = 12.0
 
-# The order J of the short head's estimate: its tail bound asks for 38 once
-# |s| > 30, between 30 and 57 below, and never less than 1 - Re s.  The
-# long head's asks for 13 to 17 on the critical strip with |Im s| <= 1000,
-# and its jets need no shift there.
+# The order J the short head's tail bound asks for: 38 once |s| > 30,
+# between 30 and 57 below, and never less than 1 - Re s.
 _MOMENT_ORDER = 38
-_LONG_ORDER = 16
 
-# At s = -n, n <= 23, N = 0 and each class's sum is exact, while a moment
-# series loses up to five digits to cancellation (L(-22, chi_-87) is
-# 1.1e-10 off by moments, 1.8e-15 per class); there the per-class sums
-# are kept up to these phi(|D|), for a short head of one and two terms.
-_EXACT_CLASS_LIMIT = (95, 111)
+# The short head is taken where its estimate is below 1/_SWITCH_GAIN of
+# the per-class one.  The margin is not a measured crossover: it keeps
+# the short head to the calls it has always served.  Re-measured costs
+# would move mid-size moduli to it from the per-class sums, and it is
+# farther from the true value than they are at many such points
+# (L(-2.91 + 33.47i, chi_-104): 6.0e-14 per class, 7.4e-13 by moments;
+# L(0.27 + 37.88i, chi_-56): 2.2e-15 and 1.6e-14), while the long head,
+# which keeps their N terms per class, is as close as they are on the
+# oracle grid.
+_SWITCH_GAIN = 1.5
+
+# The long head in place of the per-class sums, costs re-measured by
+# least-squares fits of in-process timings on the same core: it keeps
+# their phi(|D|) N terms and saves each class's fixed work, its
+# (N + 1)th term, 12-term tail, pole term and share of two fsums, at the
+# price of the series' own work and _LONG_ORDER / 2 jets, which take no
+# shift (J is 13 to 17 on the critical strip).  That gains from
+# phi(|D|) = 16 on, whatever N.  It is taken on 0 < Re s < 1 with
+# |Im s| <= _LONG_HEIGHT, the height of the paper's box.  Higher up the
+# saving, a fixed 3.74 phi(|D|) - 56 us, is a few percent of a call
+# (4.5% for phi(|D|) = 36 at |Im s| = 262), while the rounding of the
+# sums' logs passes kappa of the oracle grid, so that a change in the
+# last bits can show as a value farther from the oracle:
+# L(0.49 - 262.56i, chi_-52) is 1.1704e-12 off per class and 1.1721e-12
+# by the long head.
+_COST_CLASS = 3.74
+_COST_SERIES = 14.0
+_COST_LONG_JET = 5.3
+_LONG_ORDER = 16
+_LONG_HEIGHT = 50.0
 
 
 def _moment_head(s: complex) -> int:
@@ -391,27 +409,25 @@ def _moment_head(s: complex) -> int:
 
 def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
     """The plan of dirichlet_l at s for count = phi(|D|) classes and shift
-    count N, the cheapest by an estimate of each plan's cost: None for the
-    per-class sums, else (M, J, T), the moment series with head M, order J
-    and its jets' shift count T.  None also where the search for the
-    plan's M, J and T fails, and at N = 0 for phi(|D|) up to
-    _EXACT_CLASS_LIMIT."""
-    head = _moment_head(s)
-    if shift == 0 and count <= _EXACT_CLASS_LIMIT[head - 1]:
-        return None
-    per_class = count * ((shift + 1) * _COST_TERM + _COST_CLASS)
-    short = (count * head * _COST_TERM + _COST_SERIES
-             + max(_MOMENT_ORDER, 1.0 - s.real) // 2 * (shift * _COST_JET_TERM + _COST_JET))
-    long = (count * shift * _COST_TERM + _COST_SERIES + _LONG_ORDER // 2 * _COST_JET
-            if 0.0 < s.real < 1.0 else math.inf)
-    if per_class <= min(short, long):
-        return None
-    from . import moments
+    count N: None for the per-class sums, else (M, J, T), the moment
+    series with head M, order J and its jets' shift count T.  The short
+    head where its estimate gains _SWITCH_GAIN over the per-class sums
+    and some M <= N + 12 meets the bounds, else the long head where it is
+    the cheaper on the strip up to _LONG_HEIGHT."""
+    class_cost = count * (shift + 12) * _COST_TERM
+    jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
+    short_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
+    if _SWITCH_GAIN * short_cost < class_cost:
+        from . import moments
 
-    if long < short:
+        plan = moments.head_and_order(s, shift + 12)
+        return None if plan is None else (*plan, shift)
+    if (0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT
+            and count * _COST_CLASS > _COST_SERIES + _LONG_ORDER // 2 * _COST_LONG_JET):
+        from . import moments
+
         return moments.long_head(s, shift)
-    plan = moments.head_and_order(s, shift + 12)
-    return None if plan is None else (*plan, shift)
+    return None
 
 
 def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
@@ -464,30 +480,34 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
       at most 2^8 (moments.GROWTH_BOUND).  There are two heads:
       - short: M the smallest head that meets the growth bound (about
         |s|/11, at most N + 12), and T = N;
-      - long, on the critical strip 0 < Re s < 1 only: M = N, J about 16
-        there, and T the least count at which every jet j <= J, weighted
-        by |(s)_j| / (j! 2^j), meets the remainder bound 2^-50 of
-        hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24 X^-(sigma+j+23) / (sigma+j+23)
-        (moments.long_head).  On Re s > 0 that bound decides N, so jet 0
-        meets it at X >= N, and each weighted bound is the one before
-        times at most (|s| + j + 24) / (2 (j + 1) X); T is 0 on the strip.
-        Left of it N can be 0 because (s)_24 = 0, which says nothing
-        about the jets s + j.
+      - long, on the critical strip 0 < Re s < 1 only: M = N, J 13 to
+        17 there, and T = 0: every jet j <= J, weighted by
+        |(s)_j| / (j! 2^j), meets the remainder bound 2^-50 of
+        hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24 X^-(sigma+j+23) / (sigma+j+23),
+        at X = N + 1/2 (moments.long_head).  On Re s > 0 that bound
+        decides N, so jet 0 meets it there with room (N/X)^(sigma+23),
+        and each weighted bound is the one before times at most
+        (|s| + j + 24) / (2 (j + 1) X); on the strip the room covers those
+        ratios.  Left of it N can be 0 because (s)_24 = 0,
+        which says nothing about the jets s + j.
 
-    The plan is the cheapest by an estimate in microseconds, measured on
-    CPython 3.11 (one x86-64 core): per class phi(q) ((N + 1) 0.24 + 3.5);
-    short phi(q) M 0.24 + 14 + max(38, 1 - sigma)/2 jets of (0.16 N + 5.3);
-    long phi(q) N 0.24 + 14 + 8 jets of 5.3 (kernel._COST_*).  Only the
-    plan chosen searches for its M, J and T, and a failed search falls
-    back to the per-class sums.  At N = 0 (s = -n, n <= 23) each class's
-    sum is exact while a moment series loses up to five digits, so the
-    per-class sums are kept there up to phi(q) = 95, or 111 where the
-    short head has two terms (kernel._EXACT_CLASS_LIMIT).  The long head
-    beats the per-class sums from phi(q) = 16 on, and the short head
-    beats the long one as N grows: on the paper's box, 0.1 <= Re s <= 0.9 and |Im s| <= 50,
-    phi(q) < 16 (every |D| <= 15, and 21, 24, 28) stays per class, and
-    the short head is taken from phi(q) = 22 to 24 at |Im s| = 50, 30 at
-    25, 40 at 10 and 56 to 64 at Im s = 0.  Values are a pure function of
+    The short head is taken where an estimate of its cost, phi(q) M
+    head terms plus max(38, 1 - sigma)/2 jets of N terms, is below 2/3
+    of the per-class phi(q) (N + 12) terms, and a head M <= N + 12 meets
+    the growth bound.  The margin of 3/2 is not a measured crossover: it
+    keeps the short head to the calls it has always served (every
+    phi(q) >= 78 on 0 < Re s < 1, |Im s| <= 50, none below 52, and no
+    |D| <= 40 anywhere), since it is farther from the true value than the
+    per-class sums at many of the mid-size moduli that re-measured costs
+    would move to it.  Elsewhere the long head is taken in place of the
+    per-class sums on 0 < Re s < 1 with |Im s| <= 50, the paper's box,
+    where it is the cheaper: measured on CPython 3.11 (one x86-64 core),
+    it saves each class's fixed work, about 3.74 us, and costs 14 us
+    plus 8 jets of 5.3 us, so it gains from phi(q) = 16 on whatever N
+    (kernel._COST_CLASS, _COST_SERIES, _COST_LONG_JET and _LONG_HEIGHT).
+    On the paper's box every |D| <= 15, and 21, 24 and 28, stay per
+    class, and every other |D| <= 40 takes the long head.  Only the plan
+    chosen searches for its M, J and T.  Values are a pure function of
     (s, D) whatever the cache holds.  Only work that depends on s is done
     per call: the offsets a_r, their logs log(a_r + n) and the exact
     moments are kept in one table per modulus, which every plan reads (see

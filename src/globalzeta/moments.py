@@ -11,10 +11,11 @@ M, J and the jets' shift count are stated in kernel.dirichlet_l:
 head_and_order finds the short head, long_head the long one.  The head
 logs log(a_r + n) are those of the modulus's one table in kernel, which
 the per-class path reads too; exact_moments adds the moments mu_j to it,
-computed from the classes r and chi(r) the table lists.  moment_sum does once per call what
-does not depend on j: the head exps, the shift's powers (x + n)^-s split
-into real and imaginary columns, and the Euler-Maclaurin tail's powers
-X^(1-2k); per jet it forms only the weights and sums that involve s + j.
+computed from the classes r and chi(r) the table lists.  moment_sum does
+once per call what does not depend on j: the head exps, the shift's
+powers (x + n)^-s split into real and imaginary columns, and the
+Euler-Maclaurin tail's powers X^(1-2k); per jet it forms only the
+weights and sums that involve s + j.
 kernel imports this module only when a call takes a moment series, so a
 process that evaluates no modulus with phi(|D|) >= 16 does not compile it.
 """
@@ -99,34 +100,21 @@ def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
 
 
 def long_head(s: complex, shift: int) -> tuple[int, int, int] | None:
-    """(M, J, T) for the head M = shift = N(s) on Re s > 0: J the order
-    the tail bound asks for at x = M + 1/2, and T the least shift count of
-    the jets at which each jet j <= J, weighted by its share
-    |(s)_j| / (j! 2^j), meets the Euler-Maclaurin budget 2^-50 at
-    X = x + T; None where the growth passes GROWTH_BOUND.
+    """(M, J, 0) for the head M = shift = N(s) on the critical strip: J
+    the order the tail bound asks for at x = M + 1/2, and jets that take
+    no shift; None where the growth passes GROWTH_BOUND.
 
-    On Re s > 0 the bound decides N(s), so the jet j = 0 meets the budget at
-    X >= N with room (N/X)^(sigma+23), and jet j + 1's weighted bound is
-    jet j's times |s + j + 24| (sigma + j + 23) / (2 (j + 1) X (sigma + j + 24)),
-    at most (|s| + j + 24) / (2 (j + 1) X), a ratio that falls with j.  T is
-    the least count at which the room covers the product of the ratios
-    above 1; it is 0 on the strip.
+    Each jet j <= J, weighted by its share |(s)_j| / (j! 2^j), meets the
+    Euler-Maclaurin budget 2^-50 at X = x.  On Re s > 0 the bound decides
+    N(s), so jet 0 meets it at X with room (N/X)^(sigma+23), and jet
+    j + 1's weighted bound is jet j's times |s + j + 24| (sigma + j + 23) /
+    (2 (j + 1) X (sigma + j + 24)), at most (|s| + j + 24) / (2 (j + 1) X),
+    a ratio that falls with j; on 0 < Re s < 1 the room covers the
+    product of the ratios above 1 (a seeded test checks each jet's bound
+    on the strip for |Im s| up to near MAX_ABS_S).
     """
-    x = shift + 0.5
-    order, growth = _order(s, x)
-    if growth > GROWTH_BOUND:
-        return None
-    size, rate = abs(s), s.real + 23.0
-    jet_shift = 0
-    while True:
-        big_x = x + jet_shift
-        level, j = (shift / big_x) ** rate, 0
-        while j < order and (ratio := (size + j + 24.0) / (2.0 * (j + 1) * big_x)) > 1.0:
-            level *= ratio
-            j += 1
-        if level <= 1.0:
-            return shift, order, jet_shift
-        jet_shift += 1
+    order, growth = _order(s, shift + 0.5)
+    return None if growth > GROWTH_BOUND else (shift, order, 0)
 
 
 def _real_power(p: float, z: complex) -> complex:

@@ -464,9 +464,8 @@ class TestDirichletL:
     def test_small_moduli_plans(self):
         # every field of the paper's own sweep (|D| <= 40), at the five
         # points where the 3/2 margin kept them all per class: per class
-        # below the crossover phi = 16; above it a moment series on the
-        # critical strip, by the long head where N is least (s = 0.1), and
-        # off the strip the per-class sums or the short head, never the long
+        # below the crossover phi = 16, above it the long head on the
+        # critical strip and per class off it
         small = [D for D in range(-40, 41) if D != 1 and is_fundamental_discriminant(D)]
         kinds = set()
         for D in small:
@@ -476,11 +475,29 @@ class TestDirichletL:
                 kinds.add(kind)
                 if count < 16:
                     assert kind == "class", (D, s)
-                elif 0.0 < s.real < 1.0:
-                    assert kind == "long" if s == 0.1 else kind != "class", (D, s)
                 else:
-                    assert kind != "long", (D, s)
-        assert kinds == {"class", "short", "long"}
+                    assert kind == ("long" if 0.0 < s.real < 1.0 else "class"), (D, s)
+        assert kinds == {"class", "long"}
+
+    def test_plans_move_only_to_the_long_head(self):
+        # every call keeps the plan margin_plan_of gives it, except that
+        # the long head replaces the per-class sums on 0 < Re s < 1 with
+        # |Im s| <= 50 from phi(|D|) = 16 on
+        rng = random.Random(24)
+        fields = [D for D in range(-500, 501) if D != 1 and is_fundamental_discriminant(D)]
+        for _ in range(3000):
+            x = rng.choice((rng.uniform(-12.0, 0.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 6.0),
+                            float(-rng.randrange(24)), 0.0, 1.0))
+            D, s = rng.choice(fields), complex(x, rng.choice((0.0, rng.uniform(-60.0, 60.0), rng.uniform(-500, 500))))
+            count, shift = arith._totient(abs(D)), kernel._em_shift_count(s)
+            margin = margin_plan_of(s, D)
+            if margin is not None:
+                expected = (*margin, shift)
+            elif 0.0 < s.real < 1.0 and abs(s.imag) <= 50.0 and count >= 16:
+                expected = moments.long_head(s, shift)
+            else:
+                expected = None
+            assert plan_of(s, D) == expected, (D, s)
 
     @staticmethod
     def long_head_points():
@@ -498,9 +515,10 @@ class TestDirichletL:
 
     # sha256 of the float.hex of the real and imaginary parts of
     # dirichlet_l at each of long_head_points, recorded once the strip
-    # points of the oracle grid for |D| <= 40 passed (the largest change
-    # from the per-class values was 3.1e-14 relative, D = 37 at 0.3 - 48i)
-    LONG_HEAD_DIGEST = "db81a20eb3b476992225a4a3530763113f2c298a17cf35c47f0554733f97ab92"
+    # points of the oracle grid for 16 <= phi(|D|) <= 72 passed (the
+    # largest change from the per-class values was 1.9e-14 relative, D = 37
+    # at 0.1)
+    LONG_HEAD_DIGEST = "cb6b0774413e2daeb9d5642f788fc8cf20ea3be80a64056e40502ea8a3377883"
 
     def test_long_head_values_pinned(self):
         parts = []
@@ -679,25 +697,29 @@ class TestCostLimits:
                 evaluate()
 
     def test_table_size_limit(self, monkeypatch):
-        # Just over MAX_TABLE_ENTRIES = 2**18 = 262144.  A table holds
-        # phi(|D|) * (rows + 1) + len(moments) entries.  The short head
-        # takes rows = M and J + 1 moments: 131058 * 2 + 39 + 1 = 262156
-        # for D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
-        # D = -12487 at s = 0.5 + 213i.  The per-class sums and the long
-        # head (rows N + 1 and N) are chosen only below phi(|D|) = 27 and
-        # 14 where N passes 9000, so they stay under the limit: D = 29 at
-        # -10 + 9360.9i, 28 * 9363 = 262164 per class, takes the short head.
+        # Just over MAX_TABLE_ENTRIES = 2**18 = 262144 on each path.  A
+        # table holds phi(|D|) * (rows + 1) + len(moments) entries.  The
+        # per-class path takes rows = N + 1 and no moments: 28 * 9363 =
+        # 262164 for D = 29 at |s| just under N = 9361, left of the strip,
+        # where the shift count is max(20, ceil|s|).  The short head takes
+        # rows = M and J + 1 moments: 131058 * 2 + 39 + 1 = 262156 for
+        # D = -131059 at s = 2, 12486 * 21 + 37 + 1 = 262244 for
+        # D = -12487 at s = 0.5 + 213i.  The long head (rows N) is chosen
+        # only below phi(|D|) = 14 where N passes 9000, so it stays under.
         assert kernel.MAX_TABLE_ENTRIES == 2**18
         monkeypatch.setattr(kernel, "_tables", {})
-        assert plan_of(-10 + 9360.9j, 29) == (857, 38, 9361)
         cases = (
+            (29, -10 + 9360.9j, None, 262164),
             (-131059, 2.0, (1, 39, 7), 262156),
             (-12487, 0.5 + 213j, (20, 37, 149), 262244),
         )
         for D, s, plan, need in cases:
             assert plan_of(s, D) == plan
             count = arith._totient(abs(D))
-            assert count * (plan[0] + 1) + plan[1] + 1 == need
+            if plan is None:
+                assert count * (kernel._em_shift_count(complex(s)) + 2) == need
+            else:
+                assert count * (plan[0] + 1) + plan[1] + 1 == need
             what = "phi(|D|) * (rows + 1) + len(moments)"
             with pytest.raises(DomainError, match=re.escape(f"{what} = {need} exceeds MAX_TABLE_ENTRIES")):
                 dirichlet_l(s, KroneckerCharacter(D))
@@ -861,14 +883,35 @@ class TestShiftCount:
             n = kernel._em_shift_count(s)
             assert n < self.cap(s) and em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
 
+    def test_long_head_jets_need_no_shift(self):
+        # moments.long_head gives its jets no shift on 0 < Re s < 1: each
+        # jet's weighted bound meets the budget at X = N + 1/2
+        rng = random.Random(23)
+        for _ in range(1000):
+            x = rng.choice((1e-9, rng.uniform(0.0, 1.0), 1.0 - 1e-9))
+            s = complex(x, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 3.99))
+            n = kernel._em_shift_count(s)
+            plan = moments.long_head(s, n)
+            if plan is None:
+                continue
+            head, order, jet_shift = plan
+            assert head == n and jet_shift == 0
+            weight = 1.0
+            for j in range(1, order + 1):
+                weight *= abs(s + (j - 1)) / (2 * j)
+                assert weight * em_bound(s + j, n + 0.5) <= self.BUDGET, (s, j)
+
     def test_long_head_only_on_the_critical_strip(self):
         # N(s) = 0 at s = -n says nothing about the jets s + j, and right of
-        # the strip the jets need a shift; the long head runs on 0 < Re s < 1
+        # the strip the jets need a shift; the long head runs on 0 < Re s < 1,
+        # up to the height of the paper's box
         for D in (17, -23, 37, 53, -59):
             for x in (-2.0, -0.5, 0.0, 1.0, 1.5, 2.5):
                 for y in (0.0, 7.0, -30.0):
                     assert plan_kind(complex(x, y), D) != "long", (D, x, y)
-            assert plan_kind(0.5 + 7j, D) == ("short" if D in (53, -59) else "long")
+            assert plan_kind(0.5 + 7j, D) == "long"
+        for D in (17, -23, 37):
+            assert plan_kind(0.5 - 50j, D) == "long" and plan_kind(0.5 + 50.01j, D) == "class"
 
     def test_negative_integers(self):
         # (s)_24 = 0 at s = -n, n <= 23: no shift, the sum is exact; at
