@@ -371,29 +371,16 @@ _MOMENT_ORDER = 38
 
 # The short head is taken where its estimate is below 1/_SWITCH_GAIN of
 # the per-class one.  The margin is not a measured crossover: it keeps
-# the short head to the calls it has always served.  Re-measured costs
-# would move mid-size moduli to it from the per-class sums, and it is
-# farther from the true value than they are at many such points
-# (L(-2.91 + 33.47i, chi_-104): 6.0e-14 per class, 7.4e-13 by moments;
-# L(0.27 + 37.88i, chi_-56): 2.2e-15 and 1.6e-14), while the long head,
-# which keeps their N terms per class, is as close as they are on the
-# oracle grid.
+# the short head from the mid-size moduli, where it can be farther from
+# the true value than the per-class sums (see dirichlet_l).
 _SWITCH_GAIN = 1.5
 
-# The long head in place of the per-class sums, costs re-measured by
-# least-squares fits of in-process timings on the same core: it keeps
-# their phi(|D|) N terms and saves each class's fixed work, its
-# (N + 1)th term, 12-term tail, pole term and share of two fsums, at the
-# price of the series' own work and _LONG_ORDER / 2 jets, which take no
-# shift (J is 13 to 17 on the critical strip).  That gains from
-# phi(|D|) = 16 on, whatever N.  It is taken on 0 < Re s < 1 with
-# |Im s| <= _LONG_HEIGHT, the height of the paper's box.  Higher up the
-# saving, a fixed 3.74 phi(|D|) - 56 us, is a few percent of a call
-# (4.5% for phi(|D|) = 36 at |Im s| = 262), while the rounding of the
-# sums' logs passes kappa of the oracle grid, so that a change in the
-# last bits can show as a value farther from the oracle:
-# L(0.49 - 262.56i, chi_-52) is 1.1704e-12 off per class and 1.1721e-12
-# by the long head.
+# The long head's costs in microseconds, fitted to in-process timings on
+# the same core: the fixed work of a class that it saves (the class's
+# (N + 1)th term, 12-term tail, pole term and share of two fsums), and
+# its own work, the series' and that of each of _LONG_ORDER / 2
+# unshifted jets (J is 13 to 17 on the strip).  It is taken up to
+# |Im s| = _LONG_HEIGHT (see dirichlet_l).
 _COST_CLASS = 3.74
 _COST_SERIES = 14.0
 _COST_LONG_JET = 5.3
@@ -494,20 +481,23 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     The short head is taken where an estimate of its cost, phi(q) M
     head terms plus max(38, 1 - sigma)/2 jets of N terms, is below 2/3
     of the per-class phi(q) (N + 12) terms, and a head M <= N + 12 meets
-    the growth bound.  The margin of 3/2 is not a measured crossover: it
-    keeps the short head to the calls it has always served (every
-    phi(q) >= 78 on 0 < Re s < 1, |Im s| <= 50, none below 52, and no
-    |D| <= 40 anywhere), since it is farther from the true value than the
-    per-class sums at many of the mid-size moduli that re-measured costs
-    would move to it.  Elsewhere the long head is taken in place of the
-    per-class sums on 0 < Re s < 1 with |Im s| <= 50, the paper's box,
-    where it is the cheaper: measured on CPython 3.11 (one x86-64 core),
-    it saves each class's fixed work, about 3.74 us, and costs 14 us
-    plus 8 jets of 5.3 us, so it gains from phi(q) = 16 on whatever N
-    (kernel._COST_CLASS, _COST_SERIES, _COST_LONG_JET and _LONG_HEIGHT).
-    On the paper's box every |D| <= 15, and 21, 24 and 28, stay per
-    class, and every other |D| <= 40 takes the long head.  Only the plan
-    chosen searches for its M, J and T.  Values are a pure function of
+    the growth bound: every phi(q) >= 78 on 0 < Re s < 1, |Im s| <= 50,
+    none below 52, and no |D| <= 40 anywhere.  The margin of 3/2 is not
+    a measured crossover.  Re-measured costs would move mid-size moduli
+    to the short head, which is farther from the true value than the
+    per-class sums at many of them (L(-2.91 + 33.47i, chi_-104): 6.0e-14
+    per class, 7.4e-13 by moments; L(0.27 + 37.88i, chi_-56): 2.2e-15
+    and 1.6e-14).  The long head keeps the per-class sums' N terms and
+    their accuracy, and replaces them on 0 < Re s < 1, |Im s| <= 50
+    where it is cheaper: measured on CPython 3.11 (one x86-64 core), it
+    saves about 3.74 us per class and costs 14 us plus 8 jets of 5.3 us,
+    so it gains from phi(q) = 16 on whatever N.  On the paper's box
+    every |D| <= 15, and 21, 24 and 28, stay per class, and every other
+    |D| <= 40 takes the long head.  Higher up its saving is a few
+    percent of a call, while the rounding of the sums' logs passes the
+    oracle grid's kappa: L(0.49 - 262.56i, chi_-52) is 1.1721e-12 off by
+    the long head and 1.1704e-12 per class.  Only the plan chosen
+    searches for its M, J and T.  Values are a pure function of
     (s, D) whatever the cache holds.  Only work that depends on s is done
     per call: the offsets a_r, their logs log(a_r + n) and the exact
     moments are kept in one table per modulus, which every plan reads (see

@@ -662,7 +662,7 @@ def plan_of(s, D):
 
 
 def plan_kind(s, D):
-    # the short head's jets take the shift count N, the long head's fewer
+    # the short head's jets take the shift count N, the long head's none
     plan = plan_of(s, D)
     if plan is None:
         return "class"
@@ -856,7 +856,7 @@ class TestShiftCount:
         # each jet zeta_H(s + j, x) of a moment series, weighted by its
         # share |(s)_j / j!| 2^-j of the series, meets the budget at
         # X = M + 1/2 + T wherever the bound decides N(s): the short head's
-        # T = N, and the long head's T from moments.long_head
+        # T = N, the long head's T = 0
         checked = {"short": 0, "long": 0}
         for D in (-2351, 997, -131, 1001, -3851, 37, -23, 17):
             count = arith._totient(abs(D))
