@@ -18,14 +18,10 @@ below 2.2e-16; its rounding stays within 4.1e-14 for |s| <= 67 (log_gamma).
 
 Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
-dirichlet_l has three plans, chosen per call by cost estimates from
-phi(|D|) and s: one Hurwitz sum per class r coprime to D for small
-moduli, and a Taylor series in the class offsets whose coefficients are
-the character's moments (globalzeta.moments, imported on first use),
-either after a short head of about |s|/11 terms, for large moduli, or
-after a long head of N terms, where the jets need no shift, in place of
-the per-class sums from phi(|D|) = 16 on within the critical strip up to
-the height of the paper's box.  What does not depend on s is kept in a
+dirichlet_l has three plans, which its docstring states: one Hurwitz sum
+per class r coprime to D, and a Taylor series in the class offsets whose
+coefficients are the character's moments (globalzeta.moments, imported
+on first use), after a short or a long head.  What does not depend on s is kept in a
 cache of tables, one per modulus, which every plan reads: the class
 offsets, their logs and, for the moment series, the exact moments; the
 Riemann zeta's logs are the table of D = 1.  Their sizes, in doubles,
@@ -195,16 +191,22 @@ def _require_finite(s: complex, value: complex) -> complex:
 _last_weights: tuple = (None, 0, ())
 
 
+def _tail_weights(s: complex) -> tuple[list[complex], complex]:
+    # B_2k/(2k)! (s)_{2k-1}, k = 1..K, the Euler-Maclaurin tail's weights, and (s)_2K
+    weights, poch = [], s
+    for k, coef in enumerate(_EM_COEF, start=1):
+        weights.append(coef * poch)
+        poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
+    return weights, even
+
+
 def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
     # (N, weights) of s (see hurwitz_zeta), once for zeta(s) and L(s, chi) of one evaluation
     global _last_weights
     key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
     last, shift, weights = _last_weights
     if key != last:
-        weights, poch = [], s  # B_2k/(2k)! (s)_{2k-1}, k = 1..K, the Euler-Maclaurin tail's weights
-        for k, coef in enumerate(_EM_COEF, start=1):
-            weights.append(coef * poch)
-            poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
+        weights, even = _tail_weights(s)
         weights = tuple(weights)
         shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
         if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
@@ -375,16 +377,13 @@ _MOMENT_ORDER = 38
 # the true value than the per-class sums (see dirichlet_l).
 _SWITCH_GAIN = 1.5
 
-# The long head's costs in microseconds, fitted to in-process timings on
-# the same core: the fixed work of a class that it saves (the class's
-# (N + 1)th term, 12-term tail, pole term and share of two fsums), and
-# its own work, the series' and that of each of _LONG_ORDER / 2
-# unshifted jets (J is 13 to 17 on the strip).  It is taken up to
-# |Im s| = _LONG_HEIGHT (see dirichlet_l).
-_COST_CLASS = 3.74
-_COST_SERIES = 14.0
-_COST_LONG_JET = 5.3
-_LONG_ORDER = 16
+# The long head's least phi(|D|) and greatest |Im s| (see dirichlet_l).
+# Fitted to in-process timings on the same core, it saves about 3.74 us
+# of each class's fixed work (the class's (N + 1)th term, 12-term tail,
+# pole term and share of two fsums) and costs 14 us plus 8 unshifted jets
+# of 5.3 us (J is 13 to 17 on the strip), whatever N: 15 classes save
+# 56.1 us of its 56.4 us, 16 save 59.8 us.
+_LONG_CLASSES = 16
 _LONG_HEIGHT = 50.0
 
 
@@ -397,10 +396,8 @@ def _moment_head(s: complex) -> int:
 def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
     """The plan of dirichlet_l at s for count = phi(|D|) classes and shift
     count N: None for the per-class sums, else (M, J, T), the moment
-    series with head M, order J and its jets' shift count T.  The short
-    head where its estimate gains _SWITCH_GAIN over the per-class sums
-    and some M <= N + 12 meets the bounds, else the long head where it is
-    the cheaper on the strip up to _LONG_HEIGHT."""
+    series with head M, order J and its jets' shift count T (see
+    dirichlet_l for which plan is taken where)."""
     class_cost = count * (shift + 12) * _COST_TERM
     jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
     short_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
@@ -409,8 +406,7 @@ def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | N
 
         plan = moments.head_and_order(s, shift + 12)
         return None if plan is None else (*plan, shift)
-    if (0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT
-            and count * _COST_CLASS > _COST_SERIES + _LONG_ORDER // 2 * _COST_LONG_JET):
+    if count >= _LONG_CLASSES and 0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT:
         from . import moments
 
         return moments.long_head(s, shift)
@@ -464,44 +460,45 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
       (2x (j + 2)) each.  J is the first j >= 1 - sigma at which that
       tail bound is below 2^-56 (moments.TAIL_BOUND), and the growth
       sum_{j<=J} t_j, which bounds the cancellation among the terms, is
-      at most 2^8 (moments.GROWTH_BOUND).  There are two heads:
+      at most 2^8 (moments.GROWTH_BOUND).  Each jet's tail weights are
+      those of a Hurwitz sum at s + j.  There are two heads:
       - short: M the smallest head that meets the growth bound (about
-        |s|/11, at most N + 12), and T = N;
-      - long, on the critical strip 0 < Re s < 1 only: M = N, J 13 to
-        17 there, and T = 0: every jet j <= J, weighted by
-        |(s)_j| / (j! 2^j), meets the remainder bound 2^-50 of
-        hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24 X^-(sigma+j+23) / (sigma+j+23),
-        at X = N + 1/2 (moments.long_head).  On Re s > 0 that bound
-        decides N, so jet 0 meets it there with room (N/X)^(sigma+23),
-        and each weighted bound is the one before times at most
-        (|s| + j + 24) / (2 (j + 1) X); on the strip the room covers those
-        ratios.  Left of it N can be 0 because (s)_24 = 0,
-        which says nothing about the jets s + j.
+        |s|/11, at most N + 12), and T = N.  It is taken where an
+        estimate of its cost, phi(q) M head terms plus max(38, 1 - sigma)/2
+        jets of N terms, is below 2/3 of the per-class phi(q) (N + 12)
+        terms, and such an M exists: every phi(q) >= 78 on 0 < Re s < 1,
+        |Im s| <= 50, none below 52, and no |D| <= 40 anywhere.  The
+        margin of 3/2 is not a measured crossover: re-measured costs
+        would move mid-size moduli to the short head, which is farther
+        from the true value than the per-class sums at many of them
+        (L(-2.91 + 33.47i, chi_-104): 6.0e-14 per class, 7.4e-13 by
+        moments; L(0.27 + 37.88i, chi_-56): 2.2e-15 and 1.6e-14).
+      - long: M = N, J 13 to 17, and T = 0, in place of the per-class
+        sums from phi(q) = 16 on (where it becomes the cheaper, see
+        _LONG_CLASSES) on the critical strip 0 < Re s < 1 up to
+        |Im s| = 50.  It keeps their N terms and their accuracy: every
+        jet j <= J, weighted by |(s)_j| / (j! 2^j), meets the remainder
+        bound 2^-50 of hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24
+        X^-(sigma+j+23) / (sigma+j+23), at X = N + 1/2 (moments.long_head).
+        On Re s > 0 that bound decides N, so jet 0 meets it there with
+        room (N/X)^(sigma+23), and jet j + 1's weighted bound is jet j's
+        times |s + j + 24| (sigma + j + 23) / (2 (j + 1) X (sigma + j + 24)),
+        at most (|s| + j + 24) / (2 (j + 1) X), a ratio that falls with j;
+        on the strip the room covers the product of the ratios above 1 (a
+        seeded test checks each jet's bound there for |Im s| up to near
+        MAX_ABS_S).  Left of it N can be 0 because (s)_24 = 0, which says
+        nothing about the jets s + j.  Above |Im s| = 50 its saving is a
+        few percent of a call, while the rounding of the sums' logs passes
+        the oracle grid's kappa: L(0.49 - 262.56i, chi_-52) is 1.1721e-12
+        off by the long head and 1.1704e-12 per class.  On the paper's
+        box every |D| <= 15, and 21, 24 and 28, stay per class, and every
+        other |D| <= 40 takes the long head.
 
-    The short head is taken where an estimate of its cost, phi(q) M
-    head terms plus max(38, 1 - sigma)/2 jets of N terms, is below 2/3
-    of the per-class phi(q) (N + 12) terms, and a head M <= N + 12 meets
-    the growth bound: every phi(q) >= 78 on 0 < Re s < 1, |Im s| <= 50,
-    none below 52, and no |D| <= 40 anywhere.  The margin of 3/2 is not
-    a measured crossover.  Re-measured costs would move mid-size moduli
-    to the short head, which is farther from the true value than the
-    per-class sums at many of them (L(-2.91 + 33.47i, chi_-104): 6.0e-14
-    per class, 7.4e-13 by moments; L(0.27 + 37.88i, chi_-56): 2.2e-15
-    and 1.6e-14).  The long head keeps the per-class sums' N terms and
-    their accuracy, and replaces them on 0 < Re s < 1, |Im s| <= 50
-    where it is cheaper: measured on CPython 3.11 (one x86-64 core), it
-    saves about 3.74 us per class and costs 14 us plus 8 jets of 5.3 us,
-    so it gains from phi(q) = 16 on whatever N.  On the paper's box
-    every |D| <= 15, and 21, 24 and 28, stay per class, and every other
-    |D| <= 40 takes the long head.  Higher up its saving is a few
-    percent of a call, while the rounding of the sums' logs passes the
-    oracle grid's kappa: L(0.49 - 262.56i, chi_-52) is 1.1721e-12 off by
-    the long head and 1.1704e-12 per class.  Only the plan chosen
-    searches for its M, J and T.  Values are a pure function of
-    (s, D) whatever the cache holds.  Only work that depends on s is done
-    per call: the offsets a_r, their logs log(a_r + n) and the exact
-    moments are kept in one table per modulus, which every plan reads (see
-    MAX_TABLE_ENTRIES).  Raises DomainError, before any work, when |s|
+    Only the plan chosen searches for its M, J and T.  Values are a pure
+    function of (s, D) whatever the cache holds.  Only work that depends
+    on s is done per call: the offsets a_r, their logs log(a_r + n) and
+    the exact moments are kept in one table per modulus, which every plan
+    reads (see MAX_TABLE_ENTRIES).  Raises DomainError, before any work, when |s|
     exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
     or a term, |D|^-s times the sum included, could pass exp(MAX_LOG_TERM).
     """
@@ -541,4 +538,4 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         table = _cached_table(D, need, rows, order)
         re_parts, im_parts = moments.moment_sum(s, table, rows, order, jet_shift)
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
-    return cmath.exp(-s * math.log(q)) * total
+    return cmath.exp(-s * log_q) * total

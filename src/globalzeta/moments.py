@@ -17,7 +17,7 @@ powers (x + n)^-s split into real and imaginary columns, and the
 Euler-Maclaurin tail's powers X^(1-2k); per jet it forms only the
 weights and sums that involve s + j.
 kernel imports this module only when a call takes a moment series, so a
-process that evaluates no modulus with phi(|D|) >= 16 does not compile it.
+process whose calls all take the per-class sums does not compile it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from itertools import chain
 from operator import mul, neg
 
-from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _moment_head
+from .kernel import _EM_COEF, _IMAG, _REAL, _Table, _moment_head, _tail_weights
 
 # The bounds, relative to phi(q) x^-sigma (see kernel.dirichlet_l).
 TAIL_BOUND = 2.0**-56
@@ -102,17 +102,8 @@ def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
 def long_head(s: complex, shift: int) -> tuple[int, int, int] | None:
     """(M, J, 0) for the head M = shift = N(s) on the critical strip: J
     the order the tail bound asks for at x = M + 1/2, and jets that take
-    no shift; None where the growth passes GROWTH_BOUND.
-
-    Each jet j <= J, weighted by its share |(s)_j| / (j! 2^j), meets the
-    Euler-Maclaurin budget 2^-50 at X = x.  On Re s > 0 the bound decides
-    N(s), so jet 0 meets it at X with room (N/X)^(sigma+23), and jet
-    j + 1's weighted bound is jet j's times |s + j + 24| (sigma + j + 23) /
-    (2 (j + 1) X (sigma + j + 24)), at most (|s| + j + 24) / (2 (j + 1) X),
-    a ratio that falls with j; on 0 < Re s < 1 the room covers the
-    product of the ratios above 1 (a seeded test checks each jet's bound
-    on the strip for |Im s| up to near MAX_ABS_S).
-    """
+    no shift (kernel.dirichlet_l shows they need none there); None where
+    the growth passes GROWTH_BOUND."""
     order, growth = _order(s, shift + 0.5)
     return None if growth > GROWTH_BOUND else (shift, order, 0)
 
@@ -135,8 +126,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     Per call: the head exps, the real and imaginary parts of
     (x + n)^-s for n < shift, and X^(1-2k) for k = 1..K.  Per jet: the
     regular sum of (x + n)^-(s+j) as two fsums of those parts times the
-    float column (x + n)^-j, and the tail weights B_2k/(2k)! (s + j)_(2k-1),
-    each formed in the loop that adds it.
+    float column (x + n)^-j, and the tail with kernel's weights at s + j.
     """
     neg_s = -s
     plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
@@ -155,7 +145,6 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     tail = [1.0 / big_x]  # X^(1-2k), k = 1..K
     for _ in _EM_COEF[1:]:
         tail.append(tail[-1] * inv_x2)
-    steps = list(zip(range(1, 2 * len(tail), 2), _EM_COEF[1:], tail[1:]))  # (2k-3, B_2k/(2k)!, X^(1-2k)), k >= 2
     odd = table.modulus < 0
     sign = -1.0 if odd else 1.0
     first = 1 if odd else 2
@@ -169,11 +158,9 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
         mu = sign * moments[j]
         regular = complex(math.fsum(map(mul, re, scaled)), math.fsum(map(mul, im, scaled)))
         x_sj = x_s * big_x**-j
-        t = poch = s + j
-        em = 0.5 + _EM_COEF[0] * t * tail[0]
-        for k, c, xp in steps:
-            poch = poch * (t + k) * (t + (k + 1))  # (s + j)_(k+2)
-            em += c * poch * xp
+        em = 0.5  # summed left to right, as sum() is compensated from CPython 3.12 on
+        for w, xp in zip(_tail_weights(s + j)[0], tail):
+            em += w * xp
         jets.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))
         scaled = list(map(mul, scaled, inv2))
         coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!
