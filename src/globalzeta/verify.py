@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .arith import POLE_EXCLUSION_RADIUS, _as_complex
 from .errors import DomainError
-from .fields import FieldDescriptor, FunctionFieldDescriptor, field_spec_string, log_covolume, truncated_euler_product
+from .fields import (FieldDescriptor, FunctionFieldDescriptor, enumerate_places, field_spec_string, log_covolume,
+                     truncated_euler_product)
 from .kernel import _require_finite, _require_log_term
 from .zeta import completed_zeta, pole_distance, zeta
 
@@ -218,7 +219,8 @@ def euler_consistency_check(
 
     The tail envelope is the crude Dirichlet-series bound
     4 * sum_{n > B} n^-sigma, estimated by the integral comparison
-    B^(1-sigma)/(sigma-1); passing means the gap sits inside it.
+    B^(1-sigma)/(sigma-1); passing means the gap sits inside it.  A bound
+    below every q_v, whose product is the empty 1, raises DomainError.
     """
     s = _as_complex(s)
     if s.real <= 1.0:
@@ -226,6 +228,10 @@ def euler_consistency_check(
     sigma = s.real
     closed = zeta(field, s)
     truncated = truncated_euler_product(field, s, norm_bound)
+    # the least q_v is at most 4 (a place above 2) in a number field and q in GF(q)(T)
+    least = field.q if isinstance(field, FunctionFieldDescriptor) else 4
+    if norm_bound < least and not enumerate_places(field, norm_bound):
+        raise DomainError(f"euler_consistency_check: no place has q_v <= bound = {norm_bound}; the product is empty")
     gap = abs(closed - truncated)
     tail_bound = 4.0 * norm_bound ** (1.0 - sigma) / (sigma - 1.0)
     return EulerConsistencyReport(

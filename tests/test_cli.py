@@ -424,11 +424,17 @@ class TestCommands:
         assert parse_and_dispatch(args + ["csv"]) == (0, "qv,kind,label\n# count=0")
         payload = json.loads(parse_and_dispatch(args + ["json"])[1])
         assert payload["places"] == [] and payload["count"] == 0
-        code, out = parse_and_dispatch(
-            ["euler-check", "--field", "Fq(T)?q=5", "--s", "2", "--bound", "4"]
-        )
-        payload = json.loads(out)
-        assert (payload["truncated_re"], payload["truncated_im"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "field, s, bound",
+        [("Fq(T)?q=5", "2", "4"), ("Q(sqrt=5)", "2", "3"), ("Q(sqrt=-3)", "3", "2")],
+    )
+    def test_euler_check_of_an_empty_product_is_two(self, capsys, field, s, bound):
+        # no place has q_v <= bound, so the truncated product is the empty 1
+        code, out = parse_and_dispatch(["euler-check", "--field", field, f"--s={s}", "--bound", bound])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"bound = {bound}" in err
 
     def test_euler_check_json(self):
         code, out = parse_and_dispatch(
