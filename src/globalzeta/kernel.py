@@ -21,13 +21,13 @@ terms, so |s| > MAX_ABS_S raises DomainError before any work.
 dirichlet_l has three plans, which its docstring states: one Hurwitz sum
 per class r coprime to D, and a Taylor series in the class offsets whose
 coefficients are the character's moments (globalzeta.moments, imported
-on first use), after a short or a long head.  What does not depend on s is kept in a
-cache of tables, one per modulus, which every plan reads: the class
-offsets, their logs and, for the moment series, the exact moments; the
-Riemann zeta's logs are the table of D = 1.  Their sizes, in doubles,
-sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently used tables
-are dropped to make room, and a call whose own table would pass the
-limit raises DomainError before any table is built or grown.
+on first use), after a short or a long head.  What does not depend on s
+is kept in a cache of tables, one per modulus, which every plan reads:
+the class offsets, their logs and, for the moment series, the exact
+moments; the Riemann zeta's logs are the table of D = 1.  Their sizes,
+in doubles, sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently
+used tables are dropped to make room, and a call whose own table would
+pass the limit raises DomainError before any table is built or grown.
 zeta(s) and L(s, chi) at one s share its Euler-Maclaurin shift count and
 weights.  Each evaluator also bounds the size of its terms before any
 work: past exp(MAX_LOG_TERM) they would overflow binary64, so it raises
@@ -498,9 +498,10 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     function of (s, D) whatever the cache holds.  Only work that depends
     on s is done per call: the offsets a_r, their logs log(a_r + n) and
     the exact moments are kept in one table per modulus, which every plan
-    reads (see MAX_TABLE_ENTRIES).  Raises DomainError, before any work, when |s|
-    exceeds MAX_ABS_S, the call's table would exceed MAX_TABLE_ENTRIES,
-    or a term, |D|^-s times the sum included, could pass exp(MAX_LOG_TERM).
+    reads (see MAX_TABLE_ENTRIES).  Raises DomainError, before any work,
+    when |s| exceeds MAX_ABS_S, the call's table would exceed
+    MAX_TABLE_ENTRIES, or a term, |D|^-s times the sum included, could
+    pass exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     D = chi.modulus
