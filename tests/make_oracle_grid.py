@@ -52,8 +52,15 @@ to a multiple of reference_error or kappa, by a rule per kind (see its
 docstring).  A point already in
 ``--out`` keeps its value and reference_error, so a grid extended later
 records only its new points against ``--src``; ``--fresh`` recomputes
-every point.  Needs mpmath; the strip points take 0.5-8 s each, so use
---jobs 2 or more.
+every point, and ``--rerecord KIND`` records reference_error again at the
+points of KIND already in ``--out``, their values kept.  Needs mpmath;
+the strip points take 0.5-8 s each, so use --jobs 2 or more.
+
+The negint points were re-recorded so, ``--rerecord negint``, once the
+shift count came from the remainder bound: the kernel before it left
+L(-n, chi_D) up to nine digits farther off (L(-3, chi_376) 3.2e-9, exact
+since), and a reference error that large lets a regression of as many
+digits pass.
 """
 
 from __future__ import annotations
@@ -310,6 +317,8 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--out", default=os.path.join(HERE, "oracle_grid.json"))
     parser.add_argument("--fresh", action="store_true", help="recompute the points already in --out")
+    parser.add_argument("--rerecord", action="append", default=[], metavar="KIND",
+                        help="record reference_error again at the points of KIND already in --out")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from globalzeta import (KroneckerCharacter, completed_zeta, dirichlet_l, make_quadratic, make_rationals,
@@ -331,10 +340,13 @@ def main() -> int:
         cliff_values = iter(pool.map(cliff_value, jobs("cliff"), chunksize=4))
     rows = []
     for kind, D, s in points:
-        if (kind, D, s.real, s.imag) in kept:
-            rows.append(kept[kind, D, s.real, s.imag])
+        row = kept.get((kind, D, s.real, s.imag))
+        if row is not None and kind not in args.rerecord:
+            rows.append(row)
             continue
-        if kind == "l1":
+        if row is not None:
+            value = complex(*row["value"])
+        elif kind == "l1":
             value = l1_value(D)
         elif kind == "negint":
             value = complex(float(oracles.l_at_negative(int(-s.real), D)))
