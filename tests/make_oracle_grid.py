@@ -56,11 +56,10 @@ every point, and ``--rerecord KIND`` records reference_error again at the
 points of KIND already in ``--out``, their values kept.  Needs mpmath;
 the strip points take 0.5-8 s each, so use --jobs 2 or more.
 
-The negint points were re-recorded so, ``--rerecord negint``, once the
-shift count came from the remainder bound: the kernel before it left
-L(-n, chi_D) up to nine digits farther off (L(-3, chi_376) 3.2e-9, exact
-since), and a reference error that large lets a regression of as many
-digits pass.
+``--rerecord negint`` was run once the shift count came from the
+remainder bound: the kernel before it left L(-n, chi_D) up to nine
+digits farther off (L(-3, chi_376) 3.2e-9, exact since), and a reference
+error that large lets a regression of as many digits pass.
 """
 
 from __future__ import annotations
@@ -329,6 +328,8 @@ def main() -> int:
     if not args.fresh and os.path.exists(args.out):
         with open(args.out) as fh:
             kept = {(row["kind"], row["D"], *row["s"]): row for row in json.load(fh)["points"]}
+    if args.rerecord and not kept:
+        parser.error(f"--rerecord needs the points of {args.out}, which --fresh or a missing file drops")
     points = grid_points() + [("gamma", 0, z) for z in gamma_arguments()]
     for D in {D for kind, D, _ in points if kind != "gamma"}:
         KroneckerCharacter(D)  # every D is fundamental, before any long work
