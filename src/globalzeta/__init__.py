@@ -18,8 +18,8 @@ L-polynomial.
 The public names below are re-exported lazily (PEP 562): each is looked
 up in its defining module on first access and then kept here, so
 ``import globalzeta.cli`` compiles only what a command runs; ``places``
-and ``covolume`` never load kernel, zeta, verify or moments.  The
-function ``zeta`` shares its name with the submodule globalzeta.zeta.
+and ``covolume`` never load kernel, zeta or verify.  The function
+``zeta`` shares its name with the submodule globalzeta.zeta.
 Importing that submodule would bind the module here in its place, so
 the package's class keeps a public name from being rebound to a module.
 """

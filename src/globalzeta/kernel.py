@@ -20,14 +20,14 @@ Cost is bounded up front.  An Euler-Maclaurin sum takes N <= max(20, ceil|s|)
 terms, so |s| > MAX_ABS_S raises DomainError before any work.
 dirichlet_l has three plans, which its docstring states: one Hurwitz sum
 per class r coprime to D, and a Taylor series in the class offsets whose
-coefficients are the character's moments (globalzeta.moments, imported
-on first use), after a short or a long head.  What does not depend on s
-is kept in a cache of tables, one per modulus, which every plan reads:
-the class offsets, their logs and, for the moment series, the exact
-moments; the Riemann zeta's logs are the table of D = 1.  Their sizes,
-in doubles, sum to at most MAX_TABLE_ENTRIES (2 MiB); the least recently
-used tables are dropped to make room, and a call whose own table would
-pass the limit raises DomainError before any table is built or grown.
+coefficients are the character's moments, after a short or a long head.
+What does not depend on s is kept in a cache of tables, one per modulus,
+which every plan reads: the class offsets, their logs and, for the
+moment series, the exact moments; the Riemann zeta's logs are the table
+of D = 1.  Their sizes, in doubles, sum to at most MAX_TABLE_ENTRIES
+(2 MiB); the least recently used tables are dropped to make room, and a
+call whose own table would pass the limit raises DomainError before any
+table is built or grown.
 zeta(s) and L(s, chi) at one s share its Euler-Maclaurin shift count and
 weights.  Each evaluator also bounds the size of its terms before any
 work: past exp(MAX_LOG_TERM) they would overflow binary64, so it raises
@@ -42,7 +42,7 @@ import sys
 import threading
 from array import array
 from itertools import chain
-from operator import attrgetter, neg
+from operator import attrgetter, mul, neg
 
 from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _totient, kronecker_chi
 from .errors import DomainError, PoleError
@@ -80,6 +80,7 @@ _BERNOULLI_EVEN = (
     (-236364091, 2730),
 )
 _EM_COEF = tuple(n / (d * math.factorial(2 * k)) for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1))
+_EM_STEPS = tuple(zip(_EM_COEF, range(1, 24, 2)))  # (B_2k/(2k)!, 2k - 1)
 _STIRLING_COEF = tuple(n / (d * 2 * k * (2 * k - 1)) for k, (n, d) in enumerate(_BERNOULLI_EVEN, start=1))[::-1]
 _STIRLING_MIN_ABS = 8.0
 
@@ -194,9 +195,9 @@ _last_weights: tuple = (None, 0, ())
 def _tail_weights(s: complex) -> tuple[list[complex], complex]:
     # B_2k/(2k)! (s)_{2k-1}, k = 1..K, the Euler-Maclaurin tail's weights, and (s)_2K
     weights, poch = [], s
-    for k, coef in enumerate(_EM_COEF, start=1):
+    for coef, odd in _EM_STEPS:
         weights.append(coef * poch)
-        poch = (even := poch * (s + (2 * k - 1))) * (s + 2 * k)  # even = (s)_2k
+        poch = (even := poch * (s + odd)) * (s + (odd + 1))  # even = (s)_2k
     return weights, even
 
 
@@ -294,8 +295,8 @@ class _Table:
     and heads[0], heads[1] the logs log(r/q + n) of each, for n < rows,
     one block of classes per n.  moments[j] = mu_j = sum_r chi(r)
     (r/q - 1/2)^j for j < len(moments), filled for the moment path only
-    by moments.exact_moments, which reads the classes and chi(r) from
-    plus and minus.
+    by exact_moments, which reads the classes and chi(r) from plus and
+    minus.
     """
 
     __slots__ = ("modulus", "plus", "minus", "heads", "rows", "moments")
@@ -324,8 +325,6 @@ class _Table:
                 logs.extend([math.log(a + n) for a in tops])
         self.rows = max(self.rows, rows)
         if len(self.moments) <= order:
-            from .moments import exact_moments
-
             self.moments = exact_moments(self, order)
 
 
@@ -360,6 +359,27 @@ def _cached_table(D: int, need: int, *grow_args) -> _Table:
         return table
 
 
+def exact_moments(table: _Table, order: int) -> list[float]:
+    """mu_j = sum_r chi(r) (r/q - 1/2)^j for j = 0..order, q = |D|.
+
+    The classes r and chi(r) come from table.plus and table.minus:
+    r = round(a q) exactly, and a < 1/2 exactly when r < q/2 (q >= 3).
+    Each mu_j is the exact integer sum 2 sum_{r<q/2} chi(r) (2r - q)^j
+    divided by (2q)^j, rounded once; chi(q - r) = chi(-1) chi(r) pairs r
+    with q - r, so it is 0 for j of the other parity than chi(-1) = (-1)^j.
+    """
+    q = abs(table.modulus)
+    half = [(2 * round(a * q) - q, c) for tops, c in ((table.plus, 1), (table.minus, -1)) for a in tops if a < 0.5]
+    first = 1 if table.modulus < 0 else 0
+    powers = [c * d**first for d, c in half]
+    squares = [d * d for d, _ in half]
+    moments = [0.0] * (order + 1)
+    for j in range(first, order + 1, 2):
+        moments[j] = 2 * sum(powers) / (2 * q) ** j
+        powers = list(map(mul, powers, squares))
+    return moments
+
+
 # Measured costs in microseconds (CPython 3.11, one x86-64 core): one
 # term (a + n)^-s of a sum (a class's Hurwitz sum has N + 12 of them), and
 # per jet one scaled term of its Euler-Maclaurin sum and its fixed work.
@@ -386,11 +406,67 @@ _SWITCH_GAIN = 1.5
 _LONG_CLASSES = 16
 _LONG_HEIGHT = 50.0
 
+# The moment series' bounds, relative to phi(q) x^-sigma (see dirichlet_l).
+TAIL_BOUND = 2.0**-56
+GROWTH_BOUND = 2.0**8
+
 
 def _moment_head(s: complex) -> int:
     # The head M at which the growth of the moment series, about
-    # exp(|s| / (2M + 1)), is within 2^8 (moments.GROWTH_BOUND).
+    # exp(|s| / (2M + 1)), is within GROWTH_BOUND.
     return max(1, round(abs(s) / 11.0))
+
+
+def _order(s: complex, x: float) -> tuple[int, float]:
+    # The order J and growth G of the Taylor series at x = M + 1/2: the
+    # smallest J >= 1 - sigma after which the tail bound falls below
+    # TAIL_BOUND, and G = sum_{j<=J} t_j, where
+    # t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j).  G is inf where the
+    # terms leave binary64 first: a sum overflows, or 1/(j! (2x)^j) drops
+    # below the normal range, which at x >= 3/2 it does by j = 140.
+    size = abs(s)
+    lowest = max(1, math.ceil(1.0 - s.real))
+    poch_prev, poch = 1.0, size  # |(s)_{j-1}|, |(s)_j| at j = 1
+    scale = 1.0 / (2.0 * x)  # 1 / (j! (2x)^j) at j = 1
+    growth = 0.0
+    j = 1
+    while True:
+        growth += (poch + x * poch_prev) * scale
+        poch_prev, poch = poch, poch * abs(s + j)
+        scale /= 2.0 * x * (j + 1)
+        if not growth < math.inf or scale < sys.float_info.min:
+            return j, math.inf
+        if j >= lowest:
+            # the terms after j fall at least by ratio each
+            ratio = max(size + j + 1, j + 2) / (2.0 * x * (j + 2))
+            if ratio < 1.0 and (poch + x * poch_prev) * scale <= TAIL_BOUND * (1.0 - ratio):
+                return j, growth
+        j += 1
+
+
+def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
+    """(M, J): the smallest head M whose growth is within GROWTH_BOUND,
+    and the order J that the tail bound asks for at x = M + 1/2; None
+    where no M <= limit meets the bound."""
+    head = _moment_head(s)
+    while head > 1 and _order(s, head - 0.5)[1] <= GROWTH_BOUND:
+        head -= 1
+    order, growth = _order(s, head + 0.5)
+    while growth > GROWTH_BOUND:
+        head += 1
+        if head > limit:
+            return None
+        order, growth = _order(s, head + 0.5)
+    return head, order
+
+
+def long_head(s: complex, shift: int) -> tuple[int, int, int] | None:
+    """(M, J, 0) for the head M = shift = N(s) on the critical strip: J
+    the order the tail bound asks for at x = M + 1/2, and jets that take
+    no shift (dirichlet_l shows they need none there); None where the
+    growth passes GROWTH_BOUND."""
+    order, growth = _order(s, shift + 0.5)
+    return None if growth > GROWTH_BOUND else (shift, order, 0)
 
 
 def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
@@ -402,20 +478,16 @@ def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | N
     jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
     short_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
     if _SWITCH_GAIN * short_cost < class_cost:
-        from . import moments
-
-        plan = moments.head_and_order(s, shift + 12)
+        plan = head_and_order(s, shift + 12)
         return None if plan is None else (*plan, shift)
     if count >= _LONG_CLASSES and 0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT:
-        from . import moments
-
-        return moments.long_head(s, shift)
+        return long_head(s, shift)
     return None
 
 
-def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
-    # Iterators over the real and imaginary parts of q^s L(s, chi), for
-    # fsum: one Hurwitz sum per class, each sign block's powers
+def _class_sum(s: complex, table: _Table, shift: int) -> tuple[list, list]:
+    # The parts of q^s L(s, chi) of the classes with chi(r) = +1 and of
+    # those with -1: one Hurwitz sum per class, each sign block's powers
     # (a + n)^-s for n <= N taken in one pass, class i's in column i.
     neg_s = -s
     one_minus_s = 1.0 - s
@@ -429,8 +501,67 @@ def _class_sum(s: complex, table: _Table, shift: int) -> tuple:
             reg = _hurwitz_regular(weights, powers[i::count], a + shift)
             pole = -lx * _phi_expm1_ratio(one_minus_s * lx)
             sums.append(reg + pole)
-    return (chain(map(_REAL, plus), map(neg, map(_REAL, minus))),
-            chain(map(_IMAG, plus), map(neg, map(_IMAG, minus))))
+    return plus, minus
+
+
+def _real_power(p: float, z: complex) -> complex:
+    # p^z for p > 0 with the modulus p^Re(z) from pow, whose error does not
+    # grow with |Re z| log p as that of exp(z log p) does
+    return p ** z.real * cmath.exp(complex(0.0, z.imag * math.log(p)))
+
+
+def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> tuple[list, list]:
+    """The parts of q^s L(s, chi) by moments, those with chi(r) = +1 and -1.
+
+    The first list holds the head terms (a_c + n)^-s, n < head, of the
+    classes with chi = +1 and, since the jets carry their sign in mu_j,
+    for each j <= order of the parity of chi(-1) = (-1)^j the Taylor term
+      (-1)^j mu_j [(s)_j/j! R_j + (s)_{j-1}/j! X^(1-s-j)],
+    where R_j is zeta_H(s + j, x), x = head + 1/2, less its pole term
+    X^(1-s-j)/(s+j-1), by Euler-Maclaurin with X = x + shift; the second
+    the head terms of the classes with chi = -1.
+
+    Per call: the head exps, the real and imaginary parts of
+    (x + n)^-s for n < shift, and X^(1-2k) for k = 1..K.  Per jet: the
+    regular sum of (x + n)^-(s+j) as two fsums of those parts times the
+    float column (x + n)^-j, and the tail with _tail_weights at s + j.
+    """
+    neg_s = -s
+    plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
+                   for logs, tops in zip(table.heads, (table.plus, table.minus)))
+    if s == -2 * len(_EM_COEF):  # each jet that counts is at -m, m < 2K: exact with no shift
+        shift = 0
+    x = head + 0.5
+    big_x = x + shift
+    points = [x + n for n in range(shift)]
+    powers_s = [_real_power(p, neg_s) for p in points]
+    inv = [1.0 / p for p in points]
+    inv2 = list(map(mul, inv, inv))
+    re, im = list(map(_REAL, powers_s)), list(map(_IMAG, powers_s))
+    x_s = _real_power(big_x, neg_s)
+    inv_x2 = 1.0 / (big_x * big_x)
+    tail = [1.0 / big_x]  # X^(1-2k), k = 1..K
+    for _ in _EM_COEF[1:]:
+        tail.append(tail[-1] * inv_x2)
+    odd = table.modulus < 0
+    sign = -1.0 if odd else 1.0
+    first = 1 if odd else 2
+    scaled = inv if odd else inv2
+    coef = complex(1.0) if odd else s  # (s)_{j-1} / (j-1)! at j = first
+    moments = table.moments
+    for j in range(first, order + 1, 2):
+        pole_coef = coef / j  # (s)_{j-1} / j!
+        coef *= (s + (j - 1)) / j  # (s)_j / j!
+        mu = sign * moments[j]
+        regular = complex(math.fsum(map(mul, re, scaled)), math.fsum(map(mul, im, scaled)))
+        x_sj = x_s * big_x**-j
+        em = 0.5  # summed left to right, as sum() is compensated from CPython 3.12 on
+        for w, xp in zip(_tail_weights(s + j)[0], tail):
+            em += w * xp
+        plus.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))
+        scaled = list(map(mul, scaled, inv2))
+        coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!
+    return plus, minus
 
 
 def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
@@ -458,9 +589,9 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
       t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j), and for j >= 1 - sigma
       the terms after j fall at least by max(|s| + j + 1, j + 2) /
       (2x (j + 2)) each.  J is the first j >= 1 - sigma at which that
-      tail bound is below 2^-56 (moments.TAIL_BOUND), and the growth
+      tail bound is below 2^-56 (TAIL_BOUND), and the growth
       sum_{j<=J} t_j, which bounds the cancellation among the terms, is
-      at most 2^8 (moments.GROWTH_BOUND).  Each jet's tail weights are
+      at most 2^8 (GROWTH_BOUND).  Each jet's tail weights are
       those of a Hurwitz sum at s + j.  There are two heads:
       - short: M the smallest head that meets the growth bound (about
         |s|/11, at most N + 12), and T = N.  It is taken where an
@@ -479,7 +610,7 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         |Im s| = 50.  It keeps their N terms and their accuracy: every
         jet j <= J, weighted by |(s)_j| / (j! 2^j), meets the remainder
         bound 2^-50 of hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24
-        X^-(sigma+j+23) / (sigma+j+23), at X = N + 1/2 (moments.long_head).
+        X^-(sigma+j+23) / (sigma+j+23), at X = N + 1/2 (long_head).
         On Re s > 0 that bound decides N, so jet 0 meets it there with
         room (N/X)^(sigma+23), and jet j + 1's weighted bound is jet j's
         times |s + j + 24| (sigma + j + 23) / (2 (j + 1) X (sigma + j + 24)),
@@ -528,15 +659,14 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
             f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift}, plan = {plan})"
         )
     if plan is None:
-        re_parts, im_parts = _class_sum(s, _cached_table(D, need, rows), shift)
+        plus, minus = _class_sum(s, _cached_table(D, need, rows), shift)
     else:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
         # (the head) and X^(1-s) (the jets, X = M + 1/2 + T).
-        from . import moments
-
         largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + jet_shift))
-        _require_log_term(s, largest + math.log(moments.GROWTH_BOUND) + spread)
-        table = _cached_table(D, need, rows, order)
-        re_parts, im_parts = moments.moment_sum(s, table, rows, order, jet_shift)
-    total = complex(math.fsum(re_parts), math.fsum(im_parts))
+        _require_log_term(s, largest + math.log(GROWTH_BOUND) + spread)
+        plus, minus = moment_sum(s, _cached_table(D, need, rows, order), rows, order, jet_shift)
+    # fsum is correctly rounded, so the order of the parts is immaterial
+    total = complex(math.fsum(chain(map(_REAL, plus), map(neg, map(_REAL, minus)))),
+                    math.fsum(chain(map(_IMAG, plus), map(neg, map(_IMAG, minus)))))
     return cmath.exp(-s * log_q) * total

@@ -259,7 +259,7 @@ class TestImport:
         assert done.stdout.strip() == "[]"
 
     # The evaluator modules, which a command compiles only when it evaluates.
-    EVALUATORS = ("globalzeta.kernel", "globalzeta.zeta", "globalzeta.verify", "globalzeta.moments")
+    EVALUATORS = ("globalzeta.kernel", "globalzeta.zeta", "globalzeta.verify")
 
     def _loaded_after(self, steps: str) -> list[list[str]]:
         # Runs steps in a fresh python -S; each loaded() call records which
@@ -306,7 +306,7 @@ class TestImport:
             "assert parse_and_dispatch(['euler-check', '--field', 'Q', '--s', '2', '--bound', '50'])[0] == 0\n"
             "loaded()"
         )
-        kernel, zeta, verify, _ = self.EVALUATORS
+        kernel, zeta, verify = self.EVALUATORS
         assert self._loaded_after(steps) == [[kernel, zeta], [kernel, zeta, verify]]
 
     def test_public_names_are_their_modules_objects(self):
@@ -323,7 +323,7 @@ class TestImport:
             "assert all(namespace[name] is getattr(globalzeta, name) for name in globalzeta.__all__)\n"
             "loaded()"
         )
-        assert self._loaded_after(steps) == [list(self.EVALUATORS[:3])]
+        assert self._loaded_after(steps) == [list(self.EVALUATORS)]
 
     def test_zeta_stays_the_function_after_its_module_loads(self):
         steps = (
@@ -335,7 +335,7 @@ class TestImport:
             "assert zeta is sys.modules['globalzeta.zeta'].zeta\n"
             "loaded()"
         )
-        assert self._loaded_after(steps) == [list(self.EVALUATORS[:3])]
+        assert self._loaded_after(steps) == [list(self.EVALUATORS)]
 
     def test_zeta_stays_the_function_after_a_cli_eval(self):
         # the submodule is first loaded by the CLI, before the package name is read

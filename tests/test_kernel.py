@@ -28,7 +28,7 @@ from globalzeta import (
     log_gamma,
     riemann_zeta,
 )
-from globalzeta import arith, kernel, moments
+from globalzeta import arith, kernel
 
 import oracles
 
@@ -186,7 +186,7 @@ class TestHurwitzZeta:
 
 
 def test_em_weights_interleaved_with_another_thread(monkeypatch):
-    # _em_weights keeps the weights of the last s.  A patched _EM_COEF
+    # _em_weights keeps the weights of the last s.  A patched _EM_STEPS
     # runs _em_weights at another point t in a second thread partway
     # through the loop at s.  Both calls, and the calls after them, must
     # return the weights computed alone.
@@ -194,7 +194,7 @@ def test_em_weights_interleaved_with_another_thread(monkeypatch):
 
     s, t, u = 0.5 + 14j, 0.3 + 7j, 2.5 + 0j
     alone = {z: kernel._em_weights(z) for z in (s, t, u)}  # u's are kept last
-    coef, seen = kernel._EM_COEF, []
+    coef, seen = kernel._EM_STEPS, []
 
     class Interleaved:
         done = False
@@ -208,7 +208,7 @@ def test_em_weights_interleaved_with_another_thread(monkeypatch):
                     other.join(timeout=60)
                 yield c
 
-    monkeypatch.setattr(kernel, "_EM_COEF", Interleaved())
+    monkeypatch.setattr(kernel, "_EM_STEPS", Interleaved())
     assert kernel._em_weights(s) == alone[s]
     assert seen == [alone[t]]
     assert kernel._em_weights(t) == alone[t]
@@ -494,7 +494,7 @@ class TestDirichletL:
             if margin is not None:
                 expected = (*margin, shift)
             elif 0.0 < s.real < 1.0 and abs(s.imag) <= 50.0 and count >= 16:
-                expected = moments.long_head(s, shift)
+                expected = kernel.long_head(s, shift)
             else:
                 expected = None
             assert plan_of(s, D) == expected, (D, s)
@@ -532,7 +532,7 @@ class TestDirichletL:
         for D in range(-600, 601):
             if D != 1 and is_fundamental_discriminant(D):
                 expected = [float(mu) for mu in oracles.character_moments(D, 45)]
-                assert moments.exact_moments(kernel._Table(D), 45) == expected, D
+                assert kernel.exact_moments(kernel._Table(D), 45) == expected, D
 
     def test_large_modulus_takes_moment_path(self):
         head, order, jet_shift = plan_of(0.5 + 30j, -2351)
@@ -679,7 +679,7 @@ def margin_plan_of(s, D):
     jets = max(38, 1.0 - s.real) // 2
     if 1.5 * (count * kernel._moment_head(s) * 0.34 + jets * (shift * 0.38 + 12.0)) >= count * (shift + 12) * 0.34:
         return None
-    return moments.head_and_order(s, shift + 12)
+    return kernel.head_and_order(s, shift + 12)
 
 
 class TestCostLimits:
@@ -730,8 +730,8 @@ class TestCostLimits:
         # leaves binary64, whatever the head: the search for M and J gives
         # up instead of looping, and dirichlet_l refuses such points by
         # MAX_LOG_TERM before it plans at all.
-        assert moments._order(complex(-300.0), 1.5)[1] == math.inf
-        assert moments.head_and_order(complex(-300.0), 312) is None
+        assert kernel._order(complex(-300.0), 1.5)[1] == math.inf
+        assert kernel.head_and_order(complex(-300.0), 312) is None
         chi = KroneckerCharacter(-2351)
         for s in (-300.0, complex(-75.5, 9990.0)):
             with pytest.raises(DomainError, match="MAX_LOG_TERM"):
@@ -749,7 +749,7 @@ class TestCostLimits:
         top = kernel.MAX_LOG_TERM
         assert 707 < top < math.log(1.8e308)
         chi4, chi3, chi2351 = KroneckerCharacter(-4), KroneckerCharacter(-3), KroneckerCharacter(-2351)
-        moment_edge = (top - math.log(2350.0 * moments.GROWTH_BOUND)) / math.log(2351.0)
+        moment_edge = (top - math.log(2350.0 * kernel.GROWTH_BOUND)) / math.log(2351.0)
         assert plan_of(moment_edge, -2351) is not None
         class_edge = (top - math.log(2.0)) / math.log(3.0)
         assert plan_of(class_edge, -3) is None and kernel._em_shift_count(complex(class_edge)) == 2
@@ -794,6 +794,30 @@ class TestCostLimits:
         assert MAX_GRID_NODES == 10**5
         with pytest.raises(DomainError, match="MAX_GRID_NODES"):
             sweep(make_rationals(), GridSpec(0.1, 0.9, 317, 0.0, 10.0, 316), 1e-9)
+
+
+def test_tail_weights_against_exact_values():
+    # _EM_COEF[k - 1] is B_2k/(2k)! correctly rounded, and _tail_weights(s)
+    # gives B_2k/(2k)! (s)_{2k-1}, k <= 12, and (s)_24 within the 2k and
+    # 23 roundings of their products, at dyadic real s with Im s = +0.0 or
+    # -0.0; so (s)_24, which decides N(s), is exactly 0 at s = -n, n <= 23
+    bernoulli = oracles.bernoulli_number
+    coefs = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, 13)]
+    assert kernel._EM_COEF == tuple(map(float, coefs))
+    unit = Fraction(2) ** -53
+    points = [Fraction(-n) for n in range(25)] + [Fraction(1, 2), Fraction(-37, 4), Fraction(105, 8), Fraction(-3, 1024)]
+    for x in points:
+        rising = [Fraction(1)]  # (x)_m, m <= 24
+        for m in range(24):
+            rising.append(rising[-1] * (x + m))
+        expected = [(coef * rising[2 * k - 1], 2 * k) for k, coef in enumerate(coefs, start=1)] + [(rising[24], 23)]
+        for zero in (0.0, -0.0):
+            weights, even = kernel._tail_weights(complex(float(x), zero))
+            for value, (exact, roundings) in zip([*weights, even], expected, strict=True):
+                assert value.imag == 0.0, (x, zero)
+                assert abs(Fraction(value.real) - exact) <= 1.01 * roundings * unit * abs(exact), (x, zero)
+            if x.denominator == 1 and x > -24:
+                assert even == 0, (x, zero)
 
 
 def em_bound(s: complex, x: float) -> float:
@@ -874,7 +898,7 @@ class TestShiftCount:
         assert checked["short"] >= 100 and checked["long"] >= 20, checked
 
     def test_bound_decides_the_count_right_of_zero(self):
-        # moments.long_head takes em_bound(s, N) <= 2^-50 as given on
+        # kernel.long_head takes em_bound(s, N) <= 2^-50 as given on
         # Re s > 0: N(s) is below its cap there, for |s| up to nearly MAX_ABS_S
         rng = random.Random(5)
         for _ in range(2000):
@@ -884,14 +908,14 @@ class TestShiftCount:
             assert n < self.cap(s) and em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
 
     def test_long_head_jets_need_no_shift(self):
-        # moments.long_head gives its jets no shift on 0 < Re s < 1: each
+        # kernel.long_head gives its jets no shift on 0 < Re s < 1: each
         # jet's weighted bound meets the budget at X = N + 1/2
         rng = random.Random(23)
         for _ in range(1000):
             x = rng.choice((1e-9, rng.uniform(0.0, 1.0), 1.0 - 1e-9))
             s = complex(x, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 3.99))
             n = kernel._em_shift_count(s)
-            plan = moments.long_head(s, n)
+            plan = kernel.long_head(s, n)
             if plan is None:
                 continue
             head, order, jet_shift = plan
