@@ -398,11 +398,11 @@ _MOMENT_ORDER = 38
 _SWITCH_GAIN = 1.5
 
 # The long head's least phi(|D|) and greatest |Im s| (see dirichlet_l).
-# Fitted to in-process timings on the same core, it saves about 3.74 us
-# of each class's fixed work (the class's (N + 1)th term, 12-term tail,
-# pole term and share of two fsums) and costs 14 us plus 8 unshifted jets
-# of 5.3 us (J is 13 to 17 on the strip), whatever N: 15 classes save
-# 56.1 us of its 56.4 us, 16 save 59.8 us.
+# Fitted to in-process timings on one core (medians of 5 runs), it saves
+# about 3.1 us of each class's fixed work (its (N + 1)th term, 12-term tail,
+# pole term and share of two fsums) and costs about 40 us, its plan 4.7 us
+# and 8 unshifted jets of 4.6 us among them (J is 13 to 17), whatever N:
+# the fit crosses at phi = 13, and at phi = 12 it was the slower in 11 of 15.
 _LONG_CLASSES = 16
 _LONG_HEIGHT = 50.0
 
@@ -421,25 +421,26 @@ def _order(s: complex, x: float) -> tuple[int, float]:
     # The order J and growth G of the Taylor series at x = M + 1/2: the
     # smallest J >= 1 - sigma after which the tail bound falls below
     # TAIL_BOUND, and G = sum_{j<=J} t_j, where
-    # t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j).  G is inf where the
-    # terms leave binary64 first: a sum overflows, or 1/(j! (2x)^j) drops
-    # below the normal range, which at x >= 3/2 it does by j = 140.
+    # t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j).  G is inf once a partial
+    # sum passes GROWTH_BOUND (every caller refuses it), or where 1/(j! (2x)^j)
+    # first drops below the normal range, by j = 140 at x >= 3/2.
     size = abs(s)
     lowest = max(1, math.ceil(1.0 - s.real))
-    poch_prev, poch = 1.0, size  # |(s)_{j-1}|, |(s)_j| at j = 1
-    scale = 1.0 / (2.0 * x)  # 1 / (j! (2x)^j) at j = 1
+    poch, scale = size, 1.0 / (2.0 * x)  # |(s)_j| and 1 / (j! (2x)^j) at j = 1
+    term = (poch + x) * scale  # t_j at j = 1
     growth = 0.0
     j = 1
     while True:
-        growth += (poch + x * poch_prev) * scale
+        growth += term
         poch_prev, poch = poch, poch * abs(s + j)
         scale /= 2.0 * x * (j + 1)
-        if not growth < math.inf or scale < sys.float_info.min:
+        if not growth <= GROWTH_BOUND or scale < sys.float_info.min:
             return j, math.inf
-        if j >= lowest:
+        term = (poch + x * poch_prev) * scale  # t_{j+1}, which the tail bound below needs
+        if j >= lowest and term <= TAIL_BOUND:
             # the terms after j fall at least by ratio each
             ratio = max(size + j + 1, j + 2) / (2.0 * x * (j + 2))
-            if ratio < 1.0 and (poch + x * poch_prev) * scale <= TAIL_BOUND * (1.0 - ratio):
+            if ratio < 1.0 and term <= TAIL_BOUND * (1.0 - ratio):
                 return j, growth
         j += 1
 
@@ -524,7 +525,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     Per call: the head exps, the real and imaginary parts of
     (x + n)^-s for n < shift, and X^(1-2k) for k = 1..K.  Per jet: the
     regular sum of (x + n)^-(s+j) as two fsums of those parts times the
-    float column (x + n)^-j, and the tail with _tail_weights at s + j.
+    float column (x + n)^-j, and the tail, each weight added as it is formed.
     """
     neg_s = -s
     plus, minus = (list(map(cmath.exp, map(neg_s.__mul__, logs[: len(tops) * head])))
@@ -534,15 +535,19 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     x = head + 0.5
     big_x = x + shift
     points = [x + n for n in range(shift)]
-    powers_s = [_real_power(p, neg_s) for p in points]
+    # (x + n)^-s as _real_power forms it, (p^-sigma, 0) (cos theta, sin theta)
+    angles = list(map(neg_s.imag.__mul__, map(math.log, points)))
+    powers_s = list(map(mul, map(neg_s.real.__rpow__, points),
+                        map(complex, map(math.cos, angles), map(math.sin, angles))))
     inv = [1.0 / p for p in points]
     inv2 = list(map(mul, inv, inv))
     re, im = list(map(_REAL, powers_s)), list(map(_IMAG, powers_s))
     x_s = _real_power(big_x, neg_s)
     inv_x2 = 1.0 / (big_x * big_x)
-    tail = [1.0 / big_x]  # X^(1-2k), k = 1..K
-    for _ in _EM_COEF[1:]:
-        tail.append(tail[-1] * inv_x2)
+    steps, xp = [], 1.0 / big_x  # (B_2k/(2k)!, 2k - 1, X^(1-2k)), k = 1..K
+    for bern, k_odd in _EM_STEPS:
+        steps.append((bern, k_odd, xp))
+        xp *= inv_x2
     odd = table.modulus < 0
     sign = -1.0 if odd else 1.0
     first = 1 if odd else 2
@@ -555,9 +560,13 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
         mu = sign * moments[j]
         regular = complex(math.fsum(map(mul, re, scaled)), math.fsum(map(mul, im, scaled)))
         x_sj = x_s * big_x**-j
-        em = 0.5  # summed left to right, as sum() is compensated from CPython 3.12 on
-        for w, xp in zip(_tail_weights(s + j)[0], tail):
-            em += w * xp
+        # _tail_weights' operations at s + j, left to right: sum() is
+        # compensated from CPython 3.12 on
+        sj = s + j
+        em, poch = 0.5, sj
+        for bern, k_odd, xp in steps:
+            em += bern * poch * xp
+            poch = poch * (sj + k_odd) * (sj + (k_odd + 1))
         plus.append(mu * (coef * (regular + x_sj * em) + pole_coef * big_x * x_sj))
         scaled = list(map(mul, scaled, inv2))
         coef *= (s + j) / (j + 1)  # (s)_{j+1} / (j+1)!

@@ -527,6 +527,67 @@ class TestDirichletL:
             parts += [value.real.hex(), value.imag.hex()]
         assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.LONG_HEAD_DIGEST
 
+    @staticmethod
+    def plan_points():
+        # 1,031 seeded (D, s), each D a fundamental discriminant with
+        # |D| <= 4000: 500 s on the critical strip with |Im s| up to 10, 60
+        # or 300, 500 with Re s in [-40, 10] and |Im s| up to 10 or 60, and
+        # s = -n for n <= 30
+        rng = random.Random(25)
+        fields = [D for D in range(-4000, 4001) if D != 1 and is_fundamental_discriminant(D)]
+        strip = [complex(rng.uniform(0.0, 1.0), rng.uniform(-h, h)) for h in rng.choices((10.0, 60.0, 300.0), k=500)]
+        wide = [complex(rng.uniform(-40.0, 10.0), rng.uniform(-h, h)) for h in rng.choices((10.0, 60.0), k=500)]
+        return [(rng.choice(fields), s) for s in strip + wide + [complex(-n) for n in range(31)]]
+
+    # sha256 of, at each of plan_points, _moment_plan(s, phi(|D|), N) and, for
+    # x in {M - 1/2 (M > 1), M + 1/2, N + 1/2} with M = _moment_head(s),
+    # _order(s, x)'s J and growth.hex() where the growth is within
+    # GROWTH_BOUND, else "over"; recorded before _order stopped at the bound
+    PLAN_DIGEST = "c2a8fa8491fd2785a7732f2577c49c142e87db68d33594dfc833f0af544f8ca3"
+
+    def test_plans_pinned(self):
+        parts = []
+        for D, s in self.plan_points():
+            shift, head = kernel._em_shift_count(s), kernel._moment_head(s)
+            parts.append(repr(kernel._moment_plan(s, arith._totient(abs(D)), shift)))
+            for x in (head + 0.5, shift + 0.5) if head == 1 else (head - 0.5, head + 0.5, shift + 0.5):
+                order, growth = kernel._order(s, x)
+                parts.append(f"{order} {growth.hex()}" if growth <= kernel.GROWTH_BOUND else "over")
+        assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.PLAN_DIGEST
+
+    @staticmethod
+    def short_head_real_points():
+        # seeded (D, s) on the short head at real s, each at Im s = +0.0 and
+        # -0.0: four fundamental discriminants of each sign with 500 <= |D|
+        # <= 4000, at s = -n for n <= 24 and at 12 seeded x in [-12, 6]
+        rng = random.Random(26)
+        fields = [D for D in range(-4000, 4001) if abs(D) >= 500 and is_fundamental_discriminant(D)]
+        chosen = sorted(rng.sample([D for D in fields if D < 0], 4) + rng.sample([D for D in fields if D > 0], 4))
+        points = []
+        for D in chosen:
+            xs = sorted([float(-n) for n in range(25)] + [rng.uniform(-12.0, 6.0) for _ in range(12)], key=abs)
+            points += [(D, complex(x, y)) for x in xs for y in (0.0, -0.0) if plan_kind(x, D) == "short"]
+        return points
+
+    # sha256 of the float.hex of the real and imaginary parts of
+    # dirichlet_l and of each jet's part of moment_sum (the value rounds
+    # their fsum once, which can hide a moved part) at each of
+    # short_head_real_points, recorded before the moment series formed its
+    # shift powers by map
+    SHORT_HEAD_REAL_DIGEST = "0af0bc9f15f31820e2a1fa4448fe995b316cc7241f4ac168d508348699a1941d"
+
+    def test_short_head_real_values_pinned(self):
+        points = self.short_head_real_points()
+        assert len(points) >= 250
+        parts = []
+        for D, s in points:
+            value = dirichlet_l(s, KroneckerCharacter(D))
+            head, order, shift = plan_of(s, D)
+            table = kernel._tables[D]
+            jets = kernel.moment_sum(s, table, head, order, shift)[0][len(table.plus) * head:]
+            parts += [value.real.hex(), value.imag.hex()] + [f"{z.real.hex()} {z.imag.hex()}" for z in jets]
+        assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == self.SHORT_HEAD_REAL_DIGEST
+
     def test_exact_moments_match_the_fraction_oracle(self):
         # mu_j from the table's classes, rounded once, bit for bit
         for D in range(-600, 601):
@@ -726,9 +787,10 @@ class TestCostLimits:
         assert kernel._tables == {}
 
     def test_far_left_refused_before_planning(self):
-        # At Re s = -300 every term of the moment series past 1 - Re s
-        # leaves binary64, whatever the head: the search for M and J gives
-        # up instead of looping, and dirichlet_l refuses such points by
+        # At Re s = -300 the growth of the moment series passes
+        # GROWTH_BOUND within its first terms, whatever the head: the walk
+        # for J stops there with G = inf and the search for M gives up
+        # instead of looping, and dirichlet_l refuses such points by
         # MAX_LOG_TERM before it plans at all.
         assert kernel._order(complex(-300.0), 1.5)[1] == math.inf
         assert kernel.head_and_order(complex(-300.0), 312) is None
