@@ -535,10 +535,7 @@ def moment_sum(s: complex, table: _Table, head: int, order: int, shift: int) -> 
     x = head + 0.5
     big_x = x + shift
     points = [x + n for n in range(shift)]
-    # (x + n)^-s as _real_power forms it, (p^-sigma, 0) (cos theta, sin theta)
-    angles = list(map(neg_s.imag.__mul__, map(math.log, points)))
-    powers_s = list(map(mul, map(neg_s.real.__rpow__, points),
-                        map(complex, map(math.cos, angles), map(math.sin, angles))))
+    powers_s = [_real_power(p, neg_s) for p in points]
     inv = [1.0 / p for p in points]
     inv2 = list(map(mul, inv, inv))
     re, im = list(map(_REAL, powers_s)), list(map(_IMAG, powers_s))

@@ -572,8 +572,8 @@ class TestDirichletL:
     # sha256 of the float.hex of the real and imaginary parts of
     # dirichlet_l and of each jet's part of moment_sum (the value rounds
     # their fsum once, which can hide a moved part) at each of
-    # short_head_real_points, recorded before the moment series formed its
-    # shift powers by map
+    # short_head_real_points, recorded before each jet summed its tail in
+    # its own loop
     SHORT_HEAD_REAL_DIGEST = "0af0bc9f15f31820e2a1fa4448fe995b316cc7241f4ac168d508348699a1941d"
 
     def test_short_head_real_values_pinned(self):

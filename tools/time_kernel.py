@@ -1,14 +1,14 @@
 """In-process per-call times of dirichlet_l's moment series, for two source trees.
 
-    python3 tools/time_kernel.py --parent PARENT/src --change src --runs 5
+    python3 tools/time_kernel.py --parent PARENT/src --change src
 
-Each run starts one fresh process per tree, the parent first on even runs
-and the change first on odd ones.  A process takes 60 seeded s on the
-critical strip (Re s in [0.1, 0.9], |Im s| <= 50) and times, with warm
-tables, for each D of --short at the points where dirichlet_l takes the
-short head: head_and_order, moment_sum and dirichlet_l; and for --long at
+Each of RUNS runs starts one fresh process per tree, the parent first on
+even runs and the change first on odd ones.  A process takes 60 seeded s
+on the critical strip (Re s in [0.1, 0.9], |Im s| <= 50) and times, with
+warm tables, for each D of SHORT at the points where dirichlet_l takes the
+short head: head_and_order, moment_sum and dirichlet_l; and for LONG at
 the points where it takes the long head: long_head and dirichlet_l.  Each
-time is the least of --repeats passes over the points, in microseconds per
+time is the least of REPEATS passes over the points, in microseconds per
 call.  The output, one JSON document, keeps every run's times per side,
 their medians, the ratio of the medians (change over parent) and whether
 the two trees returned the same bits (sha256 of the float.hex of every
@@ -26,8 +26,13 @@ import subprocess
 import sys
 import time
 
+SHORT = [129, 524, 1605, -3832]  # moduli on the short head
+LONG = [37]  # moduli on the long head
+RUNS = 5
+REPEATS = 15
 
-def measure(src: str, short: list[int], long: list[int], repeats: int) -> dict:
+
+def measure(src: str) -> dict:
     """{name: microseconds per call} and the digest of every result, in one process."""
     sys.path.insert(0, src)
     from globalzeta import KroneckerCharacter, arith, dirichlet_l, kernel
@@ -38,7 +43,7 @@ def measure(src: str, short: list[int], long: list[int], repeats: int) -> dict:
 
     def timed(name, call, args):
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             results = [call(*a) for a in args]
             best = min(best, time.perf_counter() - start)
@@ -47,7 +52,7 @@ def measure(src: str, short: list[int], long: list[int], repeats: int) -> dict:
             digest.update((f"{value.real.hex()} {value.imag.hex()}" if isinstance(value, complex)
                            else repr(value)).encode())
 
-    for D, kind in [(D, "short") for D in short] + [(D, "long") for D in long]:
+    for D, kind in [(D, "short") for D in SHORT] + [(D, "long") for D in LONG]:
         chi, count = KroneckerCharacter(D), arith._totient(abs(D))
         plans = [(s, kernel._em_shift_count(s)) for s in points]
         plans = [(s, n, kernel._moment_plan(s, count, n)) for s, n in plans]
@@ -70,29 +75,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="src directory of the parent")
     parser.add_argument("--change", help="src directory of the change")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--short", default="129,524,1605,-3832")
-    parser.add_argument("--long", default="37")
     parser.add_argument("--one", help=argparse.SUPPRESS)  # measure one tree and print its JSON
     args = parser.parse_args()
-    short = [int(d) for d in args.short.split(",") if d]
-    long = [int(d) for d in args.long.split(",") if d]
     if args.one:
-        print(json.dumps(measure(args.one, short, long, args.repeats)))
+        print(json.dumps(measure(args.one)))
         return
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
-    for run in range(args.runs):
+    for run in range(RUNS):
         for side in ("parent", "change") if run % 2 == 0 else ("change", "parent"):
-            proc = subprocess.run(
-                [sys.executable, __file__, "--one", sides[side], "--repeats", str(args.repeats),
-                 "--short", args.short, "--long", args.long],
-                check=True, capture_output=True, text=True,
-            )
+            proc = subprocess.run([sys.executable, __file__, "--one", sides[side]],
+                                  check=True, capture_output=True, text=True)
             runs[side].append(json.loads(proc.stdout))
     names = [k for k in runs["parent"][0]["us_per_call"] if not k.startswith("points")]
-    report = {"runs": args.runs, "repeats": args.repeats,
+    report = {"runs": RUNS, "repeats": REPEATS,
               "points": {k.split(" ", 1)[1]: v for k, v in runs["parent"][0]["us_per_call"].items()
                          if k.startswith("points")},
               "same_bits": len({r["digest"] for side in runs.values() for r in side}) == 1,
