@@ -159,15 +159,6 @@ def log_gamma(s) -> complex:
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-def _em_shift_count(s: complex) -> int:
-    if abs(s) > MAX_ABS_S:
-        raise DomainError(
-            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
-            "the Euler-Maclaurin shift count grows with |s|"
-        )
-    return _em_weights(s)[0]
-
-
 def _require_log_term(s: complex, log_term: float) -> None:
     # log_term bounds the natural log of every part of an evaluation at s
     if log_term > MAX_LOG_TERM:
@@ -202,11 +193,17 @@ def _tail_weights(s: complex) -> tuple[list[complex], complex]:
 
 
 def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
-    # (N, weights) of s (see hurwitz_zeta), once for zeta(s) and L(s, chi) of one evaluation
+    # (N, weights) of s (see hurwitz_zeta), once for zeta(s) and L(s, chi) of one evaluation;
+    # DomainError, before any work, past MAX_ABS_S
     global _last_weights
     key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
     last, shift, weights = _last_weights
     if key != last:
+        if abs(s) > MAX_ABS_S:
+            raise DomainError(
+                f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
+                "the Euler-Maclaurin shift count grows with |s|"
+            )
         weights, even = _tail_weights(s)
         weights = tuple(weights)
         shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
@@ -257,15 +254,15 @@ def hurwitz_zeta(s, a: float) -> complex:
         raise DomainError(f"hurwitz_zeta: a must lie in (0, 1], got {a!r}")
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError(f"hurwitz_zeta: {s!r} is within {POLE_EXCLUSION_RADIUS} of the pole s=1")
-    shift = _em_shift_count(s)
+    shift, weights = _em_weights(s)
     x = a + shift
     log_x = math.log(x)
     # the largest parts are a^-s and the pole term x^(1-s)
     _require_log_term(s, max(-s.real * math.log(a), (1.0 - s.real) * log_x))
     # log(a + n) for n <= N; for a = 1, the Riemann zeta, the table of D = 1 keeps them
-    logs = (_cached_table(1, shift + 2, shift + 1).heads[0][: shift + 1] if a == 1.0
+    logs = (_cached_table(1, shift + 1).heads[0][: shift + 1] if a == 1.0
             else [math.log(a + n) for n in range(shift + 1)])
-    regular = _hurwitz_regular(_em_weights(s)[1], list(map(cmath.exp, map((-s).__mul__, logs))), x)
+    regular = _hurwitz_regular(weights, list(map(cmath.exp, map((-s).__mul__, logs))), x)
     pole = cmath.exp((1.0 - s) * log_x) / (s - 1.0)
     return regular + pole
 
@@ -334,27 +331,20 @@ _tables: dict = {}
 _table_lock = threading.Lock()
 
 
-def _cached_table(D: int, need: int, *grow_args) -> _Table:
-    # The table of D, grown by grow_args, need <= MAX_TABLE_ENTRIES being
-    # the size of a fresh one; older tables are dropped, least recently
-    # used first, until everything fits.
+def _cached_table(D: int, rows: int, order: int = -1) -> _Table:
+    # The table of D, grown to rows and order, now the most recently used;
+    # older tables are dropped, least recently used first, until everything fits.
     with _table_lock:
-        table = _tables.get(D)
-        if table is not None and table.covers(*grow_args):
-            if next(reversed(_tables)) != D:
-                _tables[D] = _tables.pop(D)  # now the most recently used
-            return table
         table = _tables.pop(D, None)
-        if table is not None and table.size(*grow_args) > MAX_TABLE_ENTRIES:
-            table = None  # what it holds beyond this call does not fit too
-        room = MAX_TABLE_ENTRIES - (need if table is None else table.size(*grow_args))
-        for oldest in list(_tables):
-            if sum(t.size() for t in _tables.values()) <= room:
-                break
-            del _tables[oldest]
-        if table is None:
-            table = _Table(D)
-        table.grow(*grow_args)
+        if table is None or not table.covers(rows, order):
+            if table is None or table.size(rows, order) > MAX_TABLE_ENTRIES:
+                table = _Table(D)  # fresh also where an old table, grown, would not fit
+            room = MAX_TABLE_ENTRIES - table.size(rows, order)
+            for oldest in list(_tables):
+                if sum(t.size() for t in _tables.values()) <= room:
+                    break
+                del _tables[oldest]
+            table.grow(rows, order)
         _tables[D] = table
         return table
 
@@ -461,15 +451,6 @@ def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
     return head, order
 
 
-def long_head(s: complex, shift: int) -> tuple[int, int, int] | None:
-    """(M, J, 0) for the head M = shift = N(s) on the critical strip: J
-    the order the tail bound asks for at x = M + 1/2, and jets that take
-    no shift (dirichlet_l shows they need none there); None where the
-    growth passes GROWTH_BOUND."""
-    order, growth = _order(s, shift + 0.5)
-    return None if growth > GROWTH_BOUND else (shift, order, 0)
-
-
 def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
     """The plan of dirichlet_l at s for count = phi(|D|) classes and shift
     count N: None for the per-class sums, else (M, J, T), the moment
@@ -482,17 +463,17 @@ def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | N
         plan = head_and_order(s, shift + 12)
         return None if plan is None else (*plan, shift)
     if count >= _LONG_CLASSES and 0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT:
-        return long_head(s, shift)
+        order, growth = _order(s, shift + 0.5)
+        return None if growth > GROWTH_BOUND else (shift, order, 0)
     return None
 
 
-def _class_sum(s: complex, table: _Table, shift: int) -> tuple[list, list]:
+def _class_sum(s: complex, table: _Table, shift: int, weights: tuple[complex, ...]) -> tuple[list, list]:
     # The parts of q^s L(s, chi) of the classes with chi(r) = +1 and of
     # those with -1: one Hurwitz sum per class, each sign block's powers
     # (a + n)^-s for n <= N taken in one pass, class i's in column i.
     neg_s = -s
     one_minus_s = 1.0 - s
-    weights = _em_weights(s)[1]
     plus, minus = [], []
     for sums, tops, logs in zip((plus, minus), (table.plus, table.minus), table.heads):
         count = len(tops)
@@ -616,7 +597,7 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         |Im s| = 50.  It keeps their N terms and their accuracy: every
         jet j <= J, weighted by |(s)_j| / (j! 2^j), meets the remainder
         bound 2^-50 of hurwitz_zeta, 4 |(s+j)_24| / (2 pi)^24
-        X^-(sigma+j+23) / (sigma+j+23), at X = N + 1/2 (long_head).
+        X^-(sigma+j+23) / (sigma+j+23), at X = N + 1/2 (_moment_plan).
         On Re s > 0 that bound decides N, so jet 0 meets it there with
         room (N/X)^(sigma+23), and jet j + 1's weighted bound is jet j's
         times |s + j + 24| (sigma + j + 23) / (2 (j + 1) X (sigma + j + 24)),
@@ -645,7 +626,7 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
     if D == 1:
         return riemann_zeta(s)
     q = abs(D)
-    shift = _em_shift_count(s)
+    shift, weights = _em_weights(s)
     table = _tables.get(D)
     count = _totient(q) if table is None else len(table.plus) + len(table.minus)
     # Both paths meet the part (1/q)^-s and a pole term x^(1-s) with
@@ -665,13 +646,13 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
             f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift}, plan = {plan})"
         )
     if plan is None:
-        plus, minus = _class_sum(s, _cached_table(D, need, rows), shift)
+        plus, minus = _class_sum(s, _cached_table(D, rows), shift, weights)
     else:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
         # (the head) and X^(1-s) (the jets, X = M + 1/2 + T).
         largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + jet_shift))
         _require_log_term(s, largest + math.log(GROWTH_BOUND) + spread)
-        plus, minus = moment_sum(s, _cached_table(D, need, rows, order), rows, order, jet_shift)
+        plus, minus = moment_sum(s, _cached_table(D, rows, order), rows, order, jet_shift)
     # fsum is correctly rounded, so the order of the parts is immaterial
     total = complex(math.fsum(chain(map(_REAL, plus), map(neg, map(_REAL, minus)))),
                     math.fsum(chain(map(_IMAG, plus), map(neg, map(_IMAG, minus)))))

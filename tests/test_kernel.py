@@ -215,6 +215,30 @@ def test_em_weights_interleaved_with_another_thread(monkeypatch):
     assert kernel._em_weights(s) == alone[s]
 
 
+def test_one_em_weights_lookup_per_call(monkeypatch):
+    # each evaluation takes its shift count N and its weights from one
+    # _em_weights call: the Hurwitz and Riemann zeta, and dirichlet_l per
+    # class, by the long head and by the short head
+    assert [plan_kind(0.5 + 3j, -7), plan_kind(0.5 + 30j, 37), plan_kind(0.5 + 30j, -2351)] == ["class", "long", "short"]
+    em_weights, calls = kernel._em_weights, []
+
+    def counting(z):
+        calls.append(z)
+        return em_weights(z)
+
+    monkeypatch.setattr(kernel, "_em_weights", counting)
+    for name, evaluate in (
+        ("hurwitz", lambda: hurwitz_zeta(0.5 + 3j, 0.3)),
+        ("riemann", lambda: riemann_zeta(0.5 + 3j)),
+        ("class", lambda: dirichlet_l(0.5 + 3j, KroneckerCharacter(-7))),
+        ("long", lambda: dirichlet_l(0.5 + 30j, KroneckerCharacter(37))),
+        ("short", lambda: dirichlet_l(0.5 + 30j, KroneckerCharacter(-2351))),
+    ):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1, (name, calls)
+
+
 class TestRiemannZeta:
     def test_examples(self):
         v, bound = oracles.zeta_series(2.0, 4000)
@@ -452,7 +476,7 @@ class TestDirichletL:
         # margin_plan_of gave it, so its bits stay
         parts = []
         for D, s in self.moment_path_points():
-            assert plan_of(s, D) == (*margin_plan_of(s, D), kernel._em_shift_count(s)), (D, s)
+            assert plan_of(s, D) == (*margin_plan_of(s, D), kernel._em_weights(s)[0]), (D, s)
             try:
                 value = dirichlet_l(s, KroneckerCharacter(D))
             except DomainError as exc:
@@ -489,12 +513,12 @@ class TestDirichletL:
             x = rng.choice((rng.uniform(-12.0, 0.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 6.0),
                             float(-rng.randrange(24)), 0.0, 1.0))
             D, s = rng.choice(fields), complex(x, rng.choice((0.0, rng.uniform(-60.0, 60.0), rng.uniform(-500, 500))))
-            count, shift = arith._totient(abs(D)), kernel._em_shift_count(s)
+            count, shift = arith._totient(abs(D)), kernel._em_weights(s)[0]
             margin = margin_plan_of(s, D)
             if margin is not None:
                 expected = (*margin, shift)
             elif 0.0 < s.real < 1.0 and abs(s.imag) <= 50.0 and count >= 16:
-                expected = kernel.long_head(s, shift)
+                expected = long_head_plan(s, shift)
             else:
                 expected = None
             assert plan_of(s, D) == expected, (D, s)
@@ -548,7 +572,7 @@ class TestDirichletL:
     def test_plans_pinned(self):
         parts = []
         for D, s in self.plan_points():
-            shift, head = kernel._em_shift_count(s), kernel._moment_head(s)
+            shift, head = kernel._em_weights(s)[0], kernel._moment_head(s)
             parts.append(repr(kernel._moment_plan(s, arith._totient(abs(D)), shift)))
             for x in (head + 0.5, shift + 0.5) if head == 1 else (head - 0.5, head + 0.5, shift + 0.5):
                 order, growth = kernel._order(s, x)
@@ -597,7 +621,7 @@ class TestDirichletL:
 
     def test_large_modulus_takes_moment_path(self):
         head, order, jet_shift = plan_of(0.5 + 30j, -2351)
-        assert 1 <= head <= 5 and order < 80 and jet_shift == kernel._em_shift_count(0.5 + 30j)
+        assert 1 <= head <= 5 and order < 80 and jet_shift == kernel._em_weights(0.5 + 30j)[0]
 
     def test_cache_state_does_not_change_values(self, monkeypatch):
         # a rotation of three moduli (moment, moment, per-class), twice,
@@ -661,29 +685,26 @@ class TestDirichletL:
         assert sum(t.size() for t in kernel._tables.values()) <= 4000
 
     def test_table_grown_and_evicted_under_a_paused_call(self, monkeypatch):
-        # Thread A holds the table of D = -7 and waits in its second
-        # _em_weights call (the first gives the shift count), which the
-        # per-class path makes after _cached_table returns and before it
-        # reads the table.  Meanwhile the main thread grows that table
-        # and then evicts it under a limit that holds one table.  A's value
-        # must equal the one computed alone.
+        # Thread A holds the table of D = -7 and waits as it enters
+        # _class_sum, after _cached_table returns and before the table is
+        # read.  Meanwhile the main thread grows that table and then
+        # evicts it under a limit that holds one table.  A's value must
+        # equal the one computed alone.
         import threading
 
         chi, s = KroneckerCharacter(-7), 0.5 + 3j
         monkeypatch.setattr(kernel, "_tables", {})
         alone = dirichlet_l(s, chi)
         kernel._tables.clear()
-        em_weights, paused, resume, calls = kernel._em_weights, threading.Event(), threading.Event(), []
+        class_sum, paused, resume = kernel._class_sum, threading.Event(), threading.Event()
 
-        def pausing(z):
+        def pausing(*args):
             if threading.current_thread() is thread_a:
-                calls.append(z)
-                if len(calls) == 2:
-                    paused.set()
-                    resume.wait(timeout=60)
-            return em_weights(z)
+                paused.set()
+                resume.wait(timeout=60)
+            return class_sum(*args)
 
-        monkeypatch.setattr(kernel, "_em_weights", pausing)
+        monkeypatch.setattr(kernel, "_class_sum", pausing)
         result = []
         thread_a = threading.Thread(target=lambda: result.append(dirichlet_l(s, chi)))
         thread_a.start()
@@ -719,7 +740,14 @@ class TestDirichletL:
 
 def plan_of(s, D):
     s = complex(s)
-    return kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_shift_count(s))
+    return kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_weights(s)[0])
+
+
+def long_head_plan(s, shift):
+    # the long head's plan (M, J, T) = (N, J, 0) in kernel._moment_plan,
+    # None where the growth passes GROWTH_BOUND
+    order, growth = kernel._order(s, shift + 0.5)
+    return None if growth > kernel.GROWTH_BOUND else (shift, order, 0)
 
 
 def plan_kind(s, D):
@@ -727,7 +755,7 @@ def plan_kind(s, D):
     plan = plan_of(s, D)
     if plan is None:
         return "class"
-    return "short" if plan[2] == kernel._em_shift_count(complex(s)) else "long"
+    return "short" if plan[2] == kernel._em_weights(complex(s))[0] else "long"
 
 
 def margin_plan_of(s, D):
@@ -736,7 +764,7 @@ def margin_plan_of(s, D):
     # jet 0.38 us a shift term and 12 us), was below 2/3 of phi(|D|) (N + 12)
     # terms, else None
     s = complex(s)
-    count, shift = arith._totient(abs(D)), kernel._em_shift_count(s)
+    count, shift = arith._totient(abs(D)), kernel._em_weights(s)[0]
     jets = max(38, 1.0 - s.real) // 2
     if 1.5 * (count * kernel._moment_head(s) * 0.34 + jets * (shift * 0.38 + 12.0)) >= count * (shift + 12) * 0.34:
         return None
@@ -778,7 +806,7 @@ class TestCostLimits:
             assert plan_of(s, D) == plan
             count = arith._totient(abs(D))
             if plan is None:
-                assert count * (kernel._em_shift_count(complex(s)) + 2) == need
+                assert count * (kernel._em_weights(complex(s))[0] + 2) == need
             else:
                 assert count * (plan[0] + 1) + plan[1] + 1 == need
             what = "phi(|D|) * (rows + 1) + len(moments)"
@@ -814,7 +842,7 @@ class TestCostLimits:
         moment_edge = (top - math.log(2350.0 * kernel.GROWTH_BOUND)) / math.log(2351.0)
         assert plan_of(moment_edge, -2351) is not None
         class_edge = (top - math.log(2.0)) / math.log(3.0)
-        assert plan_of(class_edge, -3) is None and kernel._em_shift_count(complex(class_edge)) == 2
+        assert plan_of(class_edge, -3) is None and kernel._em_weights(complex(class_edge))[0] == 2
         edges = (
             (riemann_zeta, 1.0 - top / math.log(143.0), -1),
             (lambda s: hurwitz_zeta(s, 1e-6), top / math.log(1e6), 1),
@@ -904,7 +932,7 @@ class TestShiftCount:
 
     def test_least_count_meeting_the_bound(self):
         for s in self.GRID:
-            n = kernel._em_shift_count(s)
+            n = kernel._em_weights(s)[0]
             assert 0 <= n <= self.cap(s), s
             if n < self.cap(s):
                 assert em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
@@ -912,7 +940,7 @@ class TestShiftCount:
                 assert em_bound(s, n - 1) > self.BUDGET * (1 - 1e-9), s
 
     def test_strip_counts(self):
-        counts = [kernel._em_shift_count(s) for s in (0.5, 0.5 + 10j, 0.1 + 20j, 0.9 + 30j, 0.5 + 50j)]
+        counts = [kernel._em_weights(s)[0] for s in (0.5, 0.5 + 10j, 0.1 + 20j, 0.9 + 30j, 0.5 + 50j)]
         assert counts == [6, 11, 17, 21, 35]
 
     @pytest.mark.parametrize("a", [1.0, 1.0 / 3.0, 1.0 / 40.0])
@@ -922,10 +950,10 @@ class TestShiftCount:
         # N(s) (at the cap the rounding of terms of size x^-Re(s) rules)
         weights = kernel._em_weights
         eps = 2.0**-52
-        decided = [s for s in self.GRID if kernel._em_shift_count(s) < self.cap(s)]
+        decided = [s for s in self.GRID if kernel._em_weights(s)[0] < self.cap(s)]
         assert len(decided) >= 60
         for s in decided:
-            n = kernel._em_shift_count(s)
+            n = kernel._em_weights(s)[0]
             at_n = hurwitz_zeta(s, a)
             monkeypatch.setattr(kernel, "_em_weights", lambda z: (n + 8, weights(z)[1]))
             at_n8 = hurwitz_zeta(s, a)
@@ -947,7 +975,7 @@ class TestShiftCount:
         for D in (-2351, 997, -131, 1001, -3851, 37, -23, 17):
             count = arith._totient(abs(D))
             for s in self.GRID + self.STRIP:
-                n = kernel._em_shift_count(s)
+                n = kernel._em_weights(s)[0]
                 plan = kernel._moment_plan(s, count, n)
                 if plan is None or n == self.cap(s):
                     continue
@@ -960,24 +988,25 @@ class TestShiftCount:
         assert checked["short"] >= 100 and checked["long"] >= 20, checked
 
     def test_bound_decides_the_count_right_of_zero(self):
-        # kernel.long_head takes em_bound(s, N) <= 2^-50 as given on
-        # Re s > 0: N(s) is below its cap there, for |s| up to nearly MAX_ABS_S
+        # the long head of kernel._moment_plan takes em_bound(s, N) <= 2^-50
+        # as given on Re s > 0: N(s) is below its cap there, for |s| up to
+        # nearly MAX_ABS_S
         rng = random.Random(5)
         for _ in range(2000):
             x = rng.choice((1e-9, 0.1, 0.5, 0.9, rng.uniform(0.0, 60.0)))
             s = complex(x, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 3.99))
-            n = kernel._em_shift_count(s)
+            n = kernel._em_weights(s)[0]
             assert n < self.cap(s) and em_bound(s, n) <= self.BUDGET * (1 + 1e-9), s
 
     def test_long_head_jets_need_no_shift(self):
-        # kernel.long_head gives its jets no shift on 0 < Re s < 1: each
-        # jet's weighted bound meets the budget at X = N + 1/2
+        # the long head of kernel._moment_plan gives its jets no shift on
+        # 0 < Re s < 1: each jet's weighted bound meets the budget at X = N + 1/2
         rng = random.Random(23)
         for _ in range(1000):
             x = rng.choice((1e-9, rng.uniform(0.0, 1.0), 1.0 - 1e-9))
             s = complex(x, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(0, 3.99))
-            n = kernel._em_shift_count(s)
-            plan = kernel.long_head(s, n)
+            n = kernel._em_weights(s)[0]
+            plan = long_head_plan(s, n)
             if plan is None:
                 continue
             head, order, jet_shift = plan
@@ -1003,8 +1032,8 @@ class TestShiftCount:
         # (s)_24 = 0 at s = -n, n <= 23: no shift, the sum is exact; at
         # s = -24 the count is the cap, and the moment path alone still
         # takes no shift, where each of its jets s + j is exact
-        assert [kernel._em_shift_count(complex(-n)) for n in range(24)] == [0] * 24
-        assert kernel._em_shift_count(complex(-24)) == 24
+        assert [kernel._em_weights(complex(-n))[0] for n in range(24)] == [0] * 24
+        assert kernel._em_weights(complex(-24))[0] == 24
         assert plan_of(-24, -2351) is not None
         exact = float(oracles.l_at_negative(24, -2351))
         assert abs(dirichlet_l(-24, KroneckerCharacter(-2351)) - exact) <= 1e-8 * abs(exact)

@@ -69,7 +69,7 @@ def evaluated(kind: str) -> list:
             s, D = complex(*point["s"]), point["D"]
             value = complex(*point["value"])
             error = abs(dirichlet_l(s, KroneckerCharacter(D)) - value) / abs(value)
-            plan = kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_shift_count(s))
+            plan = kernel._moment_plan(s, arith._totient(abs(D)), kernel._em_weights(s)[0])
             out.append((point, s, D, error, plan is not None))
     return out
 

@@ -7,7 +7,9 @@
 
 Each side is exported into a fresh directory under --scratch: a git ref
 through ``git archive``, or WORKTREE for the files of the working tree
-that git tracks or would track (``git ls-files -co --exclude-standard``).
+that git tracks or would track (``git ls-files -co --exclude-standard``);
+the BENCH file's ``command`` names each side's commit (``git rev-parse
+--short``), HEAD's plus "working tree" for WORKTREE.
 For each workload and seed 1..--pairs, ``bench/run.py`` runs once in each
 directory, the parent first on odd seeds and the change first on even
 ones, so that a drift of the host does not favour one side.  The output
@@ -59,6 +61,15 @@ def export(ref: str, dest: Path) -> Path:
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(dest)
     return dest
+
+
+def commit_of(ref: str) -> str:
+    """The short commit of ``ref``; for WORKTREE, HEAD's commit plus "working tree"."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD" if ref == "WORKTREE" else ref],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    return f"{commit} working tree" if ref == "WORKTREE" else commit
 
 
 def src_lines(checkout: Path) -> int:
@@ -118,7 +129,8 @@ def main() -> int:
         "change": args.note,
         "hardware": args.hardware,
         "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0|1, "
-                   f"run from clean exports of {args.parent} (parent) and {args.change} (change)",
+                   f"run from clean exports of {commit_of(args.parent)} (parent) and "
+                   f"{commit_of(args.change)} (change)",
         "method": f"pairs of {args.seconds:g} s runs on seeds 1..N, the parent first on odd seeds and the "
                   "change first on even ones; timings are scaled to the reference speed by bench/speed.py; "
                   "runs are listed in seed order; medians and quartiles (inclusive method) over the runs "
