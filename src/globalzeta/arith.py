@@ -33,10 +33,10 @@ MAX_FACTOR_INPUT = 10**12
 _CHI_TWO = (0, 1, 0, -1, 0, -1, 0, 1)
 
 
-def _as_complex(s, name: str = "s") -> complex:
+def _as_complex(s) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"{name} must be finite, got {s!r}")
+        raise DomainError(f"s must be finite, got {s!r}")
     return s
 
 

@@ -140,8 +140,6 @@ def _poly_labels(polys, q: int, degree: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):

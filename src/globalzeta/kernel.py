@@ -8,11 +8,12 @@ they need live in globalzeta.arith, which builds fields without this
 module.
 
 All functions work on binary64 complex numbers.  The algorithmic error
-budget is 1e-12 relative on |s| <= 50 with Re s >= 0; summation is done
-with fsum and exact-rational Bernoulli coefficients so that budget is
-actually met (the continuation to Re s < 0 pays a documented
-cancellation cost, see hurwitz_zeta).  Out-of-domain inputs raise
-DomainError / PoleError rather than letting NaNs or infinities escape.
+budget is 1e-12 max(1, |value|) on |s| <= 50 with Re s >= 0, absolute
+near a zero; summation is done with fsum and exact-rational Bernoulli
+coefficients so that budget is actually met (the continuation to
+Re s < 0 pays a documented cancellation cost, see hurwitz_zeta).
+Out-of-domain inputs raise DomainError / PoleError rather than letting
+NaNs or infinities escape.
 log Gamma is Stirling's series over the same Bernoulli numbers, truncated
 below 2.2e-16; its rounding stays within 4.1e-14 for |s| <= 67 (log_gamma).
 
@@ -242,11 +243,11 @@ def hurwitz_zeta(s, a: float) -> complex:
     whose remainder bound 4 |(s)_24| / (2 pi)^24 * N^-(sigma+23) / (sigma+23)
     (arXiv:1309.2877, Thm. 1) is at most 2^-50, capped at max(20, ceil|s|),
     also for Re s <= -23; N = 0 at s = -n, n <= 23, where the sum is exact.
-    Relative accuracy is 1e-12 or better for Re s >= 0, |s| <= 50; for
-    Re s < 0 the absolute error is about (a+N)^|Re s| |s| log(a+N) 2^-53,
-    the rounding of the parts that the sum cancels against.  Raises
-    DomainError, before any work, for |s| > MAX_ABS_S or when a^-s or
-    the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
+    The error is at most 1e-12 max(1, |value|) for Re s >= 0, |s| <= 50,
+    absolute near a zero; for Re s < 0 it is about (a+N)^|Re s| |s|
+    log(a+N) 2^-53, the rounding of the parts that the sum cancels
+    against.  Raises DomainError, before any work, for |s| > MAX_ABS_S or
+    when a^-s or the pole term (a+N)^(1-s) would pass exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     a = float(a)
@@ -401,18 +402,12 @@ TAIL_BOUND = 2.0**-56
 GROWTH_BOUND = 2.0**8
 
 
-def _moment_head(s: complex) -> int:
-    # The head M at which the growth of the moment series, about
-    # exp(|s| / (2M + 1)), is within GROWTH_BOUND.
-    return max(1, round(abs(s) / 11.0))
-
-
 def _order(s: complex, x: float) -> tuple[int, float]:
     # The order J and growth G of the Taylor series at x = M + 1/2: the
     # smallest J >= 1 - sigma after which the tail bound falls below
     # TAIL_BOUND, and G = sum_{j<=J} t_j, where
     # t_j = (|(s)_j| + x |(s)_{j-1}|) / (j! (2x)^j).  G is inf once a partial
-    # sum passes GROWTH_BOUND (every caller refuses it), or where 1/(j! (2x)^j)
+    # sum passes GROWTH_BOUND (_moment_plan refuses it), or where 1/(j! (2x)^j)
     # first drops below the normal range, by j = 140 at x >= 3/2.
     size = abs(s)
     lowest = max(1, math.ceil(1.0 - s.real))
@@ -435,22 +430,6 @@ def _order(s: complex, x: float) -> tuple[int, float]:
         j += 1
 
 
-def head_and_order(s: complex, limit: int) -> tuple[int, int] | None:
-    """(M, J): the smallest head M whose growth is within GROWTH_BOUND,
-    and the order J that the tail bound asks for at x = M + 1/2; None
-    where no M <= limit meets the bound."""
-    head = _moment_head(s)
-    while head > 1 and _order(s, head - 0.5)[1] <= GROWTH_BOUND:
-        head -= 1
-    order, growth = _order(s, head + 0.5)
-    while growth > GROWTH_BOUND:
-        head += 1
-        if head > limit:
-            return None
-        order, growth = _order(s, head + 0.5)
-    return head, order
-
-
 def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | None:
     """The plan of dirichlet_l at s for count = phi(|D|) classes and shift
     count N: None for the per-class sums, else (M, J, T), the moment
@@ -458,10 +437,21 @@ def _moment_plan(s: complex, count: int, shift: int) -> tuple[int, int, int] | N
     dirichlet_l for which plan is taken where)."""
     class_cost = count * (shift + 12) * _COST_TERM
     jets = max(_MOMENT_ORDER, 1.0 - s.real) // 2
-    short_cost = count * _moment_head(s) * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
+    # The head M at which the growth of the moment series, about
+    # exp(|s| / (2M + 1)), is within GROWTH_BOUND.
+    head = max(1, round(abs(s) / 11.0))
+    short_cost = count * head * _COST_TERM + jets * (shift * _COST_JET_TERM + _COST_JET)
     if _SWITCH_GAIN * short_cost < class_cost:
-        plan = head_and_order(s, shift + 12)
-        return None if plan is None else (*plan, shift)
+        # the least such M and its J at x = M + 1/2; None if it passes N + 12
+        while head > 1 and _order(s, head - 0.5)[1] <= GROWTH_BOUND:
+            head -= 1
+        order, growth = _order(s, head + 0.5)
+        while growth > GROWTH_BOUND:
+            head += 1
+            if head > shift + 12:
+                return None
+            order, growth = _order(s, head + 0.5)
+        return head, order, shift
     if count >= _LONG_CLASSES and 0.0 < s.real < 1.0 and abs(s.imag) <= _LONG_HEIGHT:
         order, growth = _order(s, shift + 0.5)
         return None if growth > GROWTH_BOUND else (shift, order, 0)

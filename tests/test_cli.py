@@ -14,9 +14,10 @@ from pathlib import Path
 import oracles
 import pytest
 
+from globalzeta import lpoly_from_point_counts, make_curve_function_field
 from globalzeta.cli import COMMANDS, _parse, main, parse_and_dispatch, render_report
 from globalzeta.errors import DomainError
-from globalzeta.ffield import galois_field
+from globalzeta.ffield import galois_field, monic_irreducibles
 from globalzeta.verify import FunctionalEquationReport, SweepSummary
 
 SWEEP_ARGS = [
@@ -26,6 +27,33 @@ SWEEP_ARGS = [
     "--tol", "1e-9",
     "--format", "json",
 ]
+
+# Refusals of malformed input: a CLI argv and its exit code, or a library
+# call and its exception, with the whole message.
+REFUSALS = [
+    (["sweep", "--field", "Q", "--grid", "0.1:0.9:3,0:1"], 2, "bad --grid axis '0:1'; expected min:max:steps"),
+    (["sweep", "--field", "Q", "--grid", "0.1:0.9:x,0:1:2"], 2, "bad --grid axis '0.1:0.9:x'; non-numeric token"),
+    (["covolume", "--field", "curve?q&L=1"], 2, "field spec 'curve?q&L=1': bad parameter 'q'"),
+    (["covolume", "--field", "curve?=5&L=1"], 2, "field spec 'curve?=5&L=1': bad parameter '=5'"),
+    (["covolume", "--field", "curve?q=5&q=5&L=1"], 2, "field spec 'curve?q=5&q=5&L=1': duplicate parameter 'q'"),
+    (["covolume", "--field", "curve?L=1,3,5"], 2, "field spec 'curve?L=1,3,5': missing parameter q"),
+    (lambda: make_curve_function_field(6, (1,)), DomainError, "make_curve_function_field: 6 is not a prime power"),
+    (lambda: lpoly_from_point_counts(6, 0, ()), DomainError, "lpoly_from_point_counts: 6 is not a prime power"),
+    (lambda: lpoly_from_point_counts(5, -1, ()), DomainError, "lpoly_from_point_counts: genus must be >= 0"),
+    (lambda: galois_field(6), DomainError, "6 is not a prime power"),
+    (lambda: monic_irreducibles(5, 0), DomainError, "degree must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, outcome, message", REFUSALS)
+def test_refusals(capsys, call, outcome, message):
+    if isinstance(call, list):
+        assert parse_and_dispatch(call) == (outcome, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(outcome) as caught:
+            call()
+        assert type(caught.value) is outcome and str(caught.value) == message
 
 
 class TestExitCodes:

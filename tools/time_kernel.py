@@ -6,8 +6,8 @@ Each of RUNS runs starts one fresh process per tree, the parent first on
 even runs and the change first on odd ones.  A process takes 60 seeded s
 on the critical strip (Re s in [0.1, 0.9], |Im s| <= 50) and times, with
 warm tables, for each D of SHORT at the points where dirichlet_l takes the
-short head: head_and_order, moment_sum and dirichlet_l; and for LONG at
-the points where it takes the long head: _moment_plan and dirichlet_l.  Each
+short head: _moment_plan, moment_sum and dirichlet_l; and for LONG at the
+points where it takes the long head: _moment_plan and dirichlet_l.  Each
 time is the least of REPEATS passes over the points, in microseconds per
 call.  The output, one JSON document, keeps every run's times per side,
 their medians, the ratio of the medians (change over parent) and whether
@@ -59,13 +59,11 @@ def measure(src: str) -> dict:
         plans = [(s, n, p) for s, n, p in plans if p is not None and (p[2] == n) == (kind == "short")]
         for s, _, _ in plans:
             dirichlet_l(s, chi)  # grows the table
+        timed(f"_moment_plan D={D}", kernel._moment_plan, [(s, count, n) for s, n, _ in plans])
         if kind == "short":
-            timed(f"head_and_order D={D}", kernel.head_and_order, [(s, n + 12) for s, n, _ in plans])
             table = kernel._tables[D]
             timed(f"moment_sum D={D}", lambda s, p: kernel.moment_sum(s, table, *p)[0][-1],
                   [(s, p) for s, _, p in plans])
-        else:
-            timed(f"_moment_plan D={D}", kernel._moment_plan, [(s, count, n) for s, n, _ in plans])
         timed(f"dirichlet_l D={D}", dirichlet_l, [(s, chi) for s, _, _ in plans])
         times[f"points D={D}"] = len(plans)
     return {"us_per_call": times, "digest": digest.hexdigest()}
