@@ -2,9 +2,9 @@
 
 Trial-division factorization (bounded by MAX_FACTOR_INPUT), the
 squarefree and fundamental-discriminant tests, Euler's totient, the
-Kronecker symbol and KroneckerCharacter, plus the argument check
-_as_complex, POLE_EXCLUSION_RADIUS and MAX_ABS_S that every evaluator
-shares.
+Kronecker symbol and KroneckerCharacter, plus what every evaluator
+shares: the argument check _as_complex, POLE_EXCLUSION_RADIUS, MAX_ABS_S
+and the term bound MAX_LOG_TERM with its check _require_log_term.
 fields and ffield import only this module, so building a field or
 listing its places never compiles the special-function kernel.
 """
@@ -12,6 +12,7 @@ listing its places never compiles the special-function kernel.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -24,6 +25,10 @@ POLE_EXCLUSION_RADIUS = 1e-3
 #: about 5 ms at the cap; a function field's q^-s carries a phase error of
 #: about |Im s| 2^-53 from rounding Im(s) log q, no correct digit past 2^53.
 MAX_ABS_S = 1e4
+
+#: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
+#: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
+MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 
 #: Largest |n| factored by trial division (squarefree tests, prime
 #: powers, totients): at most 10^6 divisions, about 0.1 s on one x86 core.
@@ -38,6 +43,15 @@ def _as_complex(s) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"s must be finite, got {s!r}")
     return s
+
+
+def _require_log_term(s: complex, log_term: float) -> None:
+    # log_term bounds the natural log of every part of an evaluation at s
+    if log_term > MAX_LOG_TERM:
+        raise DomainError(
+            f"at s = {s!r} the terms reach exp({log_term:.1f}), "
+            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
+        )
 
 
 def _factorization(n: int) -> list[tuple[int, int]]:

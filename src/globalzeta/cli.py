@@ -51,13 +51,12 @@ def _plain(text: str) -> bool:
 
 
 def _json_str(text: str) -> str:
-    # A JSON string in ASCII: plain text as is, any other UTF-16 code
-    # unit as \uXXXX.  The program's own strings are all plain.
+    # A JSON string in ASCII: plain text as is, any other through json,
+    # imported only then.  The program's own strings are all plain.
     if _plain(text):
         return f'"{text}"'
-    data = text.encode("utf-16-be", "surrogatepass")
-    units = [int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2)]
-    return '"' + "".join(chr(u) if 32 <= u < 127 and u not in (34, 92) else f"\\u{u:04x}" for u in units) + '"'
+    import json
+    return json.dumps(text)
 
 
 #: The cell formatter: text of a value by output format and by the

@@ -60,15 +60,6 @@ def _require_prime_power(q: int) -> tuple[int, int]:
     return pk
 
 
-def _coefficients(code: int, q: int, n: int) -> tuple[int, ...]:
-    # the n base-q digits of code, least significant first
-    out = []
-    for _ in range(n):
-        code, c = divmod(code, q)
-        out.append(c)
-    return tuple(out)
-
-
 class SmallGaloisField(NamedTuple):
     """GF(q) = GF(p)[x]/(modulus), q = p^k, coded as in the module docstring."""
 
@@ -94,7 +85,7 @@ def _mark_products(field: SmallGaloisField, n: int, candidates: bytearray) -> No
     R = sum(p ** (N - 1 - j) << W * j for j in range(N))
     top, low = W * (N - 1), (1 << W) - 1
     slot = W * k  # one coefficient: k fields
-    elements = [_coefficients(a, p, k) for a in range(q)]
+    elements = [u[::-1] for u in product(range(p), repeat=k)]  # base-p digits, lowest first
     digits = [sum(c << W * t for t, c in enumerate(u)) for u in elements]
     # x*a: a's digits one place up, and x^k = -(m_0 + ... + m_(k-1) x^(k-1))
     times_x = [sum((b - u[-1] * mj) % p * p ** t for t, (b, mj) in enumerate(zip((0,) + u[:-1], m)))

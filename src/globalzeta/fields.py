@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import ffield
 from .errors import DomainError, SymmetryError, WeilBoundWarning
-from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, kronecker_chi
+from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, _require_log_term, kronecker_chi
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
@@ -377,10 +377,9 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
     return _number_field_places(field, _primes_up_to(norm_bound), norm_bound)
 
 
-def _require_abs_s(field: FieldDescriptor, s: complex) -> None:
-    # A function field's q^-s is exp(-s log q), whose phase Im(s) log q is
-    # rounded; the kernel refuses such s for number fields.
-    if isinstance(field, FunctionFieldDescriptor) and abs(s) > MAX_ABS_S:
+def _require_abs_s(s: complex) -> None:
+    # q^-s is exp(-s log q), whose phase Im(s) log q is rounded
+    if abs(s) > MAX_ABS_S:
         raise DomainError(
             f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
             "the phase of q^-s carries a rounding error of about |Im s| 2^-53"
@@ -391,6 +390,8 @@ def _inverse_factors(s: complex, qvs: list[int]) -> list[complex]:
     # (1 - q_v^-s)^-1 for each q_v, with q_v^-s = exp(-s log q_v), in
     # C-level loops; complex.__rsub__ and __rtruediv__ with 1.0 are the
     # operations 1.0 - z and 1.0 / z themselves.
+    _require_abs_s(s)
+    _require_log_term(s, -s.real * math.log(max(qvs, default=1)))
     neg_s = -s
     denoms = list(map(complex.__rsub__, map(cmath.exp, map(neg_s.__mul__, map(math.log, qvs))), repeat(1.0)))
     if min(map(abs, denoms), default=1.0) < POLE_EXCLUSION_RADIUS:
@@ -404,6 +405,8 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     A number field's place must be in places_above(field, p), q_v = p or
     p^2.  A function field's place must be one that enumerate_places lists
     up to its q_v, which refuses q_v > MAX_NORM_BOUND and positive genus.
+    Raises DomainError where |s| > MAX_ABS_S or q_v^-s would pass
+    exp(MAX_LOG_TERM).
     """
     s = _as_complex(s)
     if isinstance(field, FunctionFieldDescriptor):
@@ -421,12 +424,11 @@ def truncated_euler_product(field: FieldDescriptor, s, norm_bound: int) -> compl
     """Product of local factors over all places with q_v <= norm_bound (Re s > 1).
 
     The factors are multiplied in place order, starting from 1.  Raises
-    DomainError for a function field where |s| > MAX_ABS_S.
+    DomainError where |s| > MAX_ABS_S.
     """
     s = _as_complex(s)
     if s.real <= 1.0:
         raise DomainError("truncated_euler_product: requires Re s > 1")
-    _require_abs_s(field, s)
     qvs = list(map(itemgetter(0), enumerate_places(field, norm_bound)))
     return reduce(mul, _inverse_factors(s, qvs), complex(1.0))
 

@@ -42,15 +42,13 @@ import math
 import sys
 import threading
 from array import array
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, mul, neg
 
-from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex, _totient, kronecker_chi
+from .arith import (MAX_ABS_S, MAX_LOG_TERM, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex,
+                    _require_log_term, _totient, kronecker_chi)
 from .errors import DomainError, PoleError
-
-#: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
-#: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
-MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
 
 #: Largest number of doubles in the tables, summed over the moduli kept
 #: (2 MiB here).  A table holds phi(|D|) * (rows + 1) + len(moments): the
@@ -117,13 +115,6 @@ def _log_sin_pi_upper(z: complex) -> complex:
     return -1j * math.pi * z + cmath.log(1.0 - w) + (0.5j * math.pi - math.log(2.0))
 
 
-def gamma_pole_distance(s: complex) -> float:
-    """Distance from s to the pole set {0, -1, -2, ...} of Gamma."""
-    s = complex(s)
-    n = min(0, round(s.real))
-    return math.hypot(s.real - n, s.imag)
-
-
 def _log_gamma_impl(s: complex) -> complex:
     # No pole-radius guard; callers are responsible for staying off the poles.
     if math.copysign(1.0, s.imag) < 0.0:  # -0.0 too, so that conj s gives the conjugate
@@ -151,7 +142,8 @@ def log_gamma(s) -> complex:
     Raises PoleError within POLE_EXCLUSION_RADIUS of a nonpositive integer.
     """
     s = _as_complex(s)
-    if gamma_pole_distance(s) < POLE_EXCLUSION_RADIUS:
+    n = min(0, round(s.real))  # the nearest pole of Gamma
+    if math.hypot(s.real - n, s.imag) < POLE_EXCLUSION_RADIUS:
         raise PoleError(f"log_gamma: {s!r} is within {POLE_EXCLUSION_RADIUS} of a Gamma pole")
     return _log_gamma_impl(s)
 
@@ -159,15 +151,6 @@ def log_gamma(s) -> complex:
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
-
-def _require_log_term(s: complex, log_term: float) -> None:
-    # log_term bounds the natural log of every part of an evaluation at s
-    if log_term > MAX_LOG_TERM:
-        raise DomainError(
-            f"at s = {s!r} the terms reach exp({log_term:.1f}), "
-            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
-        )
-
 
 def _require_finite(s: complex, value: complex) -> complex:
     # A product of parts that each passed _require_log_term can still
@@ -178,10 +161,6 @@ def _require_finite(s: complex, value: complex) -> complex:
             f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
         )
     return value
-
-
-# The shift count and weights of the last s, keyed by the signs of its parts too (0.0 == -0.0)
-_last_weights: tuple = (None, 0, ())
 
 
 def _tail_weights(s: complex) -> tuple[list[complex], complex]:
@@ -196,23 +175,23 @@ def _tail_weights(s: complex) -> tuple[list[complex], complex]:
 def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
     # (N, weights) of s (see hurwitz_zeta), once for zeta(s) and L(s, chi) of one evaluation;
     # DomainError, before any work, past MAX_ABS_S
-    global _last_weights
-    key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
-    last, shift, weights = _last_weights
-    if key != last:
-        if abs(s) > MAX_ABS_S:
-            raise DomainError(
-                f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
-                "the Euler-Maclaurin shift count grows with |s|"
-            )
-        weights, even = _tail_weights(s)
-        weights = tuple(weights)
-        shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
-        if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
-            log_n = (math.log(2.0**52 * abs(even) / rate) - 24.0 * _LOG_2PI) / rate if even else -math.inf
-            shift = min(shift, math.ceil(math.exp(min(log_n, 30.0))))
-        _last_weights = (key, shift, weights)
-    return shift, weights
+    return _signed_em_weights(s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+
+
+@lru_cache(maxsize=1)
+def _signed_em_weights(s: complex, *signs: float) -> tuple[int, tuple[complex, ...]]:
+    # The last s's, keyed by the signs of its parts too (0.0 == -0.0)
+    if abs(s) > MAX_ABS_S:
+        raise DomainError(
+            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
+            "the Euler-Maclaurin shift count grows with |s|"
+        )
+    weights, even = _tail_weights(s)
+    shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
+    if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0
+        log_n = (math.log(2.0**52 * abs(even) / rate) - 24.0 * _LOG_2PI) / rate if even else -math.inf
+        shift = min(shift, math.ceil(math.exp(min(log_n, 30.0))))
+    return shift, tuple(weights)
 
 
 def _hurwitz_regular(weights: tuple[complex, ...], powers: list, x: float) -> complex:
@@ -599,8 +578,8 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
         few percent of a call, while the rounding of the sums' logs passes
         the oracle grid's kappa: L(0.49 - 262.56i, chi_-52) is 1.1721e-12
         off by the long head and 1.1704e-12 per class.  On the paper's
-        box every |D| <= 15, and 21, 24 and 28, stay per class, and every
-        other |D| <= 40 takes the long head.
+        box every |D| <= 15, and 20, 21, 24 and 28, stay per class, and
+        every other |D| <= 40 takes the long head.
 
     Only the plan chosen searches for its M, J and T.  Values are a pure
     function of (s, D) whatever the cache holds.  Only work that depends

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex
@@ -89,6 +88,7 @@ def _require_off_poles(field: FieldDescriptor, s: complex) -> float:
 
 
 def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
+    _require_abs_s(s)
     log_t = -s * math.log(field.q)
     _require_log_term(s, log_t.real)
     # P(t) is summed in binary64, so each coefficient must fit there too
@@ -97,14 +97,10 @@ def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
     return field.lpoly(t) / ((1.0 - t) * (1.0 - field.q * t))
 
 
-def _l_factors(field: NumberFieldDescriptor) -> list:
-    chi = _character(field.discriminant) if field.discriminant != 1 else None
-    return [riemann_zeta] if chi is None else [riemann_zeta, lambda t: dirichlet_l(t, chi)]
-
-
 def _number_field_zeta(field: NumberFieldDescriptor, s: complex) -> complex:
-    # The L-factors at s, multiplied from the first (not from 1.0, which can flip a zero's sign)
-    return reduce(mul, [f(s) for f in _l_factors(field)])
+    # zeta(s), times L(s, chi_D) unless D = 1 (a product from 1.0 can flip a zero's sign)
+    value, D = riemann_zeta(s), field.discriminant
+    return value if D == 1 else value * dirichlet_l(s, _character(D))
 
 
 def zeta(field: FieldDescriptor, s) -> complex:
@@ -114,7 +110,6 @@ def zeta(field: FieldDescriptor, s) -> complex:
     itself would leave binary64, and naming MAX_ABS_S where |s| exceeds it.
     """
     s = _as_complex(s)
-    _require_abs_s(field, s)
     _require_off_poles(field, s)
     if isinstance(field, FunctionFieldDescriptor):
         return _require_finite(s, _function_field_zeta(field, s))
@@ -222,7 +217,6 @@ def completed_zeta(field: FieldDescriptor, s) -> EvaluationRecord:
     raises DomainError naming it.
     """
     s = _as_complex(s)
-    _require_abs_s(field, s)
     if not s.imag and math.copysign(1.0, s.imag) < 0.0:  # Z(x - 0i) = conj Z(x + 0i) bit for bit
         rec = completed_zeta(field, s.conjugate())  # its three values are fields 1..3
         return rec._replace(s=s, **{name: getattr(rec, name).conjugate() for name in rec._fields[1:4]})

@@ -14,7 +14,8 @@ from pathlib import Path
 import oracles
 import pytest
 
-from globalzeta import lpoly_from_point_counts, make_curve_function_field
+from globalzeta import (Place, local_euler_factor, lpoly_from_point_counts, make_curve_function_field, make_rationals,
+                        parse_field_spec, truncated_euler_product)
 from globalzeta.cli import COMMANDS, _parse, main, parse_and_dispatch, render_report
 from globalzeta.errors import DomainError
 from globalzeta.ffield import galois_field, monic_irreducibles
@@ -42,6 +43,16 @@ REFUSALS = [
     (lambda: lpoly_from_point_counts(5, -1, ()), DomainError, "lpoly_from_point_counts: genus must be >= 0"),
     (lambda: galois_field(6), DomainError, "6 is not a prime power"),
     (lambda: monic_irreducibles(5, 0), DomainError, "degree must be >= 1"),
+    # q_v^-s past binary64 and |s| past MAX_ABS_S, in a local factor of each field kind and in Q's product
+    (lambda: local_euler_factor(make_rationals(), Place(2, "rational_prime", "2"), -2000), DomainError,
+     "at s = (-2000+0j) the terms reach exp(1386.3), past MAX_LOG_TERM = 707.7 (binary64 overflow)"),
+    (lambda: local_euler_factor(make_rationals(), Place(2, "rational_prime", "2"), 0.5 + 1e6j), DomainError,
+     "|s| = 1000000.000000125 exceeds MAX_ABS_S = 10000; the phase of q^-s carries a rounding error of about |Im s| 2^-53"),
+    (lambda: local_euler_factor(parse_field_spec("Fq(T)?q=5"), Place(5, "monic_irreducible", "T"), 0.5 + 1e6j),
+     DomainError,
+     "|s| = 1000000.000000125 exceeds MAX_ABS_S = 10000; the phase of q^-s carries a rounding error of about |Im s| 2^-53"),
+    (lambda: truncated_euler_product(make_rationals(), 2 + 1e6j, 10), DomainError,
+     "|s| = 1000000.000002 exceeds MAX_ABS_S = 10000; the phase of q^-s carries a rounding error of about |Im s| 2^-53"),
 ]
 
 

@@ -519,6 +519,13 @@ class TestDirichletL:
                 else:
                     assert kind == ("long" if 0.0 < s.real < 1.0 else "class"), (D, s)
         assert kinds == {"class", "long"}
+        # on the 25-node box of the acceptance sweeps (--grid 0.1:0.9:5,0:10:5)
+        # these |D| stay per class at every node, and every other one takes the long head
+        box = [complex(0.1 + k * 0.2, j * 2.5) for k in range(5) for j in range(5)]
+        box_kinds = {D: {plan_kind(s, D) for s in box} for D in small}
+        per_class = {3, 4, 5, 7, 8, 11, 12, 13, 15, 20, 21, 24, 28}
+        assert {abs(D) for D in small if box_kinds[D] == {"class"}} == per_class
+        assert all(box_kinds[D] == {"long"} for D in small if abs(D) not in per_class)
 
     def test_plans_move_only_to_the_long_head(self):
         # every call keeps the plan margin_plan_of gives it, except that
