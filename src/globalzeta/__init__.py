@@ -30,8 +30,8 @@ import types
 
 #: Each public name, listed under the module that defines it.
 _EXPORTS = {
-    "errors": ("DomainError", "PoleError", "SymmetryError", "WeilBoundWarning"),
-    "arith": ("POLE_EXCLUSION_RADIUS", "KroneckerCharacter", "is_fundamental_discriminant", "kronecker_chi"),
+    "arith": ("DomainError", "PoleError", "SymmetryError", "WeilBoundWarning", "POLE_EXCLUSION_RADIUS",
+              "KroneckerCharacter", "is_fundamental_discriminant", "kronecker_chi"),
     "kernel": ("dirichlet_l", "hurwitz_zeta", "log_gamma", "riemann_zeta"),
     "fields": (
         "FunctionFieldDescriptor", "LPolynomial", "NumberFieldDescriptor", "Place", "covolume",

@@ -1,21 +1,35 @@
-"""Integer arithmetic and the real characters chi_D.
+"""Integer arithmetic, the real characters chi_D, and what every layer shares.
 
-Trial-division factorization (bounded by MAX_FACTOR_INPUT), the
-squarefree and fundamental-discriminant tests, Euler's totient, the
-Kronecker symbol and KroneckerCharacter, plus what every evaluator
-shares: the argument check _as_complex, POLE_EXCLUSION_RADIUS, MAX_ABS_S
-and the term bound MAX_LOG_TERM with its check _require_log_term.
-fields and ffield import only this module, so building a field or
-listing its places never compiles the special-function kernel.
+Trial-division factorization (bounded by MAX_FACTOR_INPUT), the squarefree,
+fundamental-discriminant and prime-power tests, Euler's totient, the Kronecker
+symbol and KroneckerCharacter; the exception types, the limits, and each check
+that two or more modules make: _as_complex, _require_abs_s, _require_log_term,
+_require_finite and _require_prime_power.  fields and ffield import only this
+module, so building a field or listing its places never compiles the kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError
+
+class DomainError(ValueError):
+    """An input falls outside an operation's declared domain."""
+
+
+class PoleError(ValueError):
+    """An evaluation point lies within the pole-exclusion radius of a pole."""
+
+
+class SymmetryError(ValueError):
+    """L-polynomial coefficients violate the symmetry a[2g-i] = q^(g-i) * a[i]."""
+
+
+class WeilBoundWarning(UserWarning):
+    """Point counts imply coefficients outside the Weil bound; diagnostic only."""
 
 #: Radius around a pole inside which evaluation raises PoleError.
 POLE_EXCLUSION_RADIUS = 1e-3
@@ -26,9 +40,13 @@ POLE_EXCLUSION_RADIUS = 1e-3
 #: about |Im s| 2^-53 from rounding Im(s) log q, no correct digit past 2^53.
 MAX_ABS_S = 1e4
 
+#: Why q^-s (a function field's zeta, any local Euler factor) refuses |s| > MAX_ABS_S.
+_PHASE_OF_Q_S = "the phase of q^-s carries a rounding error of about |Im s| 2^-53"
+
 #: Largest natural log of a term an evaluator may reach: log(DBL_MAX/8),
 #: about 707.7, leaving room for the sums, the |D|^-s factor and abs().
 MAX_LOG_TERM = math.log(sys.float_info.max / 8.0)
+_PAST_MAX_LOG_TERM = f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
 
 #: Largest |n| factored by trial division (squarefree tests, prime
 #: powers, totients): at most 10^6 divisions, about 0.1 s on one x86 core.
@@ -45,13 +63,24 @@ def _as_complex(s) -> complex:
     return s
 
 
+def _require_abs_s(s: complex, why: str) -> None:
+    # why: the clause after the limit, saying what |s| costs the caller
+    if abs(s) > MAX_ABS_S:
+        raise DomainError(f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; {why}")
+
+
 def _require_log_term(s: complex, log_term: float) -> None:
     # log_term bounds the natural log of every part of an evaluation at s
     if log_term > MAX_LOG_TERM:
-        raise DomainError(
-            f"at s = {s!r} the terms reach exp({log_term:.1f}), "
-            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
-        )
+        raise DomainError(f"at s = {s!r} the terms reach exp({log_term:.1f}), {_PAST_MAX_LOG_TERM}")
+
+
+def _require_finite(s: complex, value: complex) -> complex:
+    # A product of parts that each passed _require_log_term can still
+    # leave binary64; refuse it rather than print inf or nan.
+    if not cmath.isfinite(value):
+        raise DomainError(f"at s = {s!r} a product of terms leaves binary64, {_PAST_MAX_LOG_TERM}")
+    return value
 
 
 def _factorization(n: int) -> list[tuple[int, int]]:
@@ -76,6 +105,20 @@ def _factorization(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def factor_prime_power(q: int) -> tuple[int, int] | None:
+    """Return (p, k) with q = p**k, or None if q is not a prime power."""
+    factors = _factorization(q) if q > 1 else []
+    return factors[0] if len(factors) == 1 else None
+
+
+def _require_prime_power(q: int, where: str) -> tuple[int, int]:
+    # where: the message's prefix, e.g. "make_curve_function_field: " ("" in ffield)
+    pk = factor_prime_power(q)
+    if pk is None:
+        raise DomainError(f"{where}{q!r} is not a prime power")
+    return pk
 
 
 def _is_squarefree(n: int) -> bool:

@@ -17,7 +17,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, PoleError, SymmetryError
+from .arith import DomainError, PoleError, SymmetryError
 from .fields import covolume, enumerate_places, field_spec_string, parse_field_spec
 
 if TYPE_CHECKING:  # the commands that evaluate import verify and zeta themselves

@@ -43,21 +43,7 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import NamedTuple
 
-from .errors import DomainError
-from .arith import _factorization
-
-
-def factor_prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p**k, or None if q is not a prime power."""
-    factors = _factorization(q) if q > 1 else []
-    return factors[0] if len(factors) == 1 else None
-
-
-def _require_prime_power(q: int) -> tuple[int, int]:
-    pk = factor_prime_power(q)
-    if pk is None:
-        raise DomainError(f"{q!r} is not a prime power")
-    return pk
+from .arith import DomainError, _require_prime_power
 
 
 class SmallGaloisField(NamedTuple):
@@ -71,7 +57,7 @@ class SmallGaloisField(NamedTuple):
 
 @lru_cache(maxsize=None)
 def galois_field(q: int) -> SmallGaloisField:
-    p, k = _require_prime_power(q)
+    p, k = _require_prime_power(q, "")
     return SmallGaloisField(q, p, k, monic_irreducibles(p, k)[0])
 
 
@@ -116,7 +102,7 @@ def _mark_products(field: SmallGaloisField, n: int, candidates: bytearray) -> No
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducibles of the given degree over GF(q), in canonical order."""
-    _require_prime_power(q)
+    _require_prime_power(q, "")
     if degree < 1:
         raise DomainError("degree must be >= 1")
     candidates = bytearray(b"\x01") * q ** degree

@@ -22,13 +22,19 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import ffield
-from .errors import DomainError, SymmetryError, WeilBoundWarning
-from .arith import MAX_ABS_S, POLE_EXCLUSION_RADIUS, _as_complex, _is_squarefree, _require_log_term, kronecker_chi
+from .arith import (_PHASE_OF_Q_S, POLE_EXCLUSION_RADIUS, DomainError, SymmetryError, WeilBoundWarning, _as_complex,
+                    _is_squarefree, _require_abs_s, _require_log_term, _require_prime_power, factor_prime_power,
+                    kronecker_chi)
 
 #: Largest norm bound enumerate_places accepts.  A number field sieves
 #: the primes up to it, GF(q)(T) the q^d codes of the largest degree d
 #: with q^d <= bound: about 15 ms and 0.3 s (q = 2) on one x86 core.
 MAX_NORM_BOUND = 2**17
+
+#: Largest genus lpoly_from_point_counts accepts: Newton's identities take
+#: g^2 products of up to g log2(q) bits, about 9 ms at q = 2^39 on one x86
+#: core, and q^(g-1) stays within the 4,300 digits CPython prints.
+MAX_COUNT_GENUS = 100
 
 # ---------------------------------------------------------------------------
 # Descriptors
@@ -174,8 +180,7 @@ def make_quadratic(d: int) -> NumberFieldDescriptor:
 
 def make_rational_function_field(q: int) -> FunctionFieldDescriptor:
     """GF(q)(T): genus 0, trivial L-polynomial."""
-    if ffield.factor_prime_power(q) is None:
-        raise DomainError(f"make_rational_function_field: {q!r} is not a prime power")
+    _require_prime_power(q, "make_rational_function_field: ")
     return FunctionFieldDescriptor(q=q, genus=0, lpoly=LPolynomial((1,)))
 
 
@@ -187,8 +192,7 @@ def make_curve_function_field(q: int, lpoly) -> FunctionFieldDescriptor:
     positive-characteristic functional equation and is an invariant of
     every constructible descriptor.
     """
-    if ffield.factor_prime_power(q) is None:
-        raise DomainError(f"make_curve_function_field: {q!r} is not a prime power")
+    _require_prime_power(q, "make_curve_function_field: ")
     if not isinstance(lpoly, LPolynomial):
         lpoly = LPolynomial(tuple(lpoly))
     witness = lpoly.symmetry_violation(q)
@@ -211,10 +215,11 @@ def lpoly_from_point_counts(q: int, genus: int, counts) -> LPolynomial:
     m a_m = -sum_{j<m} a_j p_(m-j), and the upper half is filled in by
     the symmetry a[2g-i] = q^(g-i) a[i].  Counts violating the Weil
     bound |a_i| <= C(2g,i) q^(i/2) trigger a WeilBoundWarning but are
-    not rejected.
+    not rejected.  A genus above MAX_COUNT_GENUS is refused before any work.
     """
-    if ffield.factor_prime_power(q) is None:
-        raise DomainError(f"lpoly_from_point_counts: {q!r} is not a prime power")
+    if genus > MAX_COUNT_GENUS:
+        raise DomainError(f"lpoly_from_point_counts: genus = {genus} exceeds MAX_COUNT_GENUS = {MAX_COUNT_GENUS}")
+    _require_prime_power(q, "lpoly_from_point_counts: ")
     counts = list(counts)
     if genus < 0:
         raise DomainError("lpoly_from_point_counts: genus must be >= 0")
@@ -236,7 +241,8 @@ def lpoly_from_point_counts(q: int, genus: int, counts) -> LPolynomial:
         coeffs.append(-acc // m)
     for i in range(genus - 1, -1, -1):
         coeffs.append(q ** (genus - i) * coeffs[i])
-    for i, c in enumerate(coeffs):
+    # a[2g-i] = q^(g-i) a[i] meets its bound exactly when a[i] does
+    for i, c in enumerate(coeffs[: genus + 1]):
         bound_sq = math.comb(2 * genus, i) ** 2 * q ** i
         if c * c > bound_sq:
             warnings.warn(
@@ -284,7 +290,7 @@ def log_covolume(field: FieldDescriptor) -> float:
 # ---------------------------------------------------------------------------
 
 def _require_prime(p: int, caller: str) -> None:
-    if ffield.factor_prime_power(p) != (p, 1):
+    if factor_prime_power(p) != (p, 1):
         raise DomainError(f"{caller}: {p!r} is not prime")
 
 
@@ -377,20 +383,11 @@ def enumerate_places(field: FieldDescriptor, norm_bound: int) -> list[Place]:
     return _number_field_places(field, _primes_up_to(norm_bound), norm_bound)
 
 
-def _require_abs_s(s: complex) -> None:
-    # q^-s is exp(-s log q), whose phase Im(s) log q is rounded
-    if abs(s) > MAX_ABS_S:
-        raise DomainError(
-            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
-            "the phase of q^-s carries a rounding error of about |Im s| 2^-53"
-        )
-
-
 def _inverse_factors(s: complex, qvs: list[int]) -> list[complex]:
     # (1 - q_v^-s)^-1 for each q_v, with q_v^-s = exp(-s log q_v), in
     # C-level loops; complex.__rsub__ and __rtruediv__ with 1.0 are the
     # operations 1.0 - z and 1.0 / z themselves.
-    _require_abs_s(s)
+    _require_abs_s(s, _PHASE_OF_Q_S)
     _require_log_term(s, -s.real * math.log(max(qvs, default=1)))
     neg_s = -s
     denoms = list(map(complex.__rsub__, map(cmath.exp, map(neg_s.__mul__, map(math.log, qvs))), repeat(1.0)))
@@ -414,7 +411,7 @@ def local_euler_factor(field: FieldDescriptor, place: Place, s) -> complex:
     else:
         root = math.isqrt(max(place.qv, 0))
         p = root if root * root == place.qv else place.qv
-        belongs = ffield.factor_prime_power(p) == (p, 1) and place in places_above(field, p)
+        belongs = factor_prime_power(p) == (p, 1) and place in places_above(field, p)
     if not belongs:
         raise DomainError("local_euler_factor: place does not belong to the field")
     return _inverse_factors(s, [place.qv])[0]

@@ -46,9 +46,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, mul, neg
 
-from .arith import (MAX_ABS_S, MAX_LOG_TERM, POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex,
+from .arith import (POLE_EXCLUSION_RADIUS, DomainError, KroneckerCharacter, PoleError, _as_complex, _require_abs_s,
                     _require_log_term, _totient, kronecker_chi)
-from .errors import DomainError, PoleError
 
 #: Largest number of doubles in the tables, summed over the moduli kept
 #: (2 MiB here).  A table holds phi(|D|) * (rows + 1) + len(moments): the
@@ -152,17 +151,6 @@ def log_gamma(s) -> complex:
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-def _require_finite(s: complex, value: complex) -> complex:
-    # A product of parts that each passed _require_log_term can still
-    # leave binary64; refuse it rather than print inf or nan.
-    if not cmath.isfinite(value):
-        raise DomainError(
-            f"at s = {s!r} a product of terms leaves binary64, "
-            f"past MAX_LOG_TERM = {MAX_LOG_TERM:.4g} (binary64 overflow)"
-        )
-    return value
-
-
 def _tail_weights(s: complex) -> tuple[list[complex], complex]:
     # B_2k/(2k)! (s)_{2k-1}, k = 1..K, the Euler-Maclaurin tail's weights, and (s)_2K
     weights, poch = [], s
@@ -181,11 +169,7 @@ def _em_weights(s: complex) -> tuple[int, tuple[complex, ...]]:
 @lru_cache(maxsize=1)
 def _signed_em_weights(s: complex, *signs: float) -> tuple[int, tuple[complex, ...]]:
     # The last s's, keyed by the signs of its parts too (0.0 == -0.0)
-    if abs(s) > MAX_ABS_S:
-        raise DomainError(
-            f"|s| = {abs(s):.17g} exceeds MAX_ABS_S = {MAX_ABS_S:g}; "
-            "the Euler-Maclaurin shift count grows with |s|"
-        )
+    _require_abs_s(s, "the Euler-Maclaurin shift count grows with |s|")
     weights, even = _tail_weights(s)
     shift, rate = max(20, math.ceil(abs(s))), s.real + 23.0
     if rate > 0.0 or not even:  # least N: N^rate >= 4 |(s)_24| 2^50 / ((2 pi)^24 rate), 0 if (s)_24 = 0

@@ -13,11 +13,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .arith import POLE_EXCLUSION_RADIUS, _as_complex
-from .errors import DomainError
+from .arith import POLE_EXCLUSION_RADIUS, DomainError, _as_complex, _require_finite, _require_log_term
 from .fields import (FieldDescriptor, FunctionFieldDescriptor, enumerate_places, field_spec_string, log_covolume,
                      truncated_euler_product)
-from .kernel import _require_finite, _require_log_term
 from .zeta import completed_zeta, pole_distance, zeta
 
 STATUS_OK = "ok"

@@ -27,10 +27,10 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import POLE_EXCLUSION_RADIUS, KroneckerCharacter, _as_complex
-from .errors import DomainError, PoleError
-from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor, _require_abs_s
-from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, _require_finite, _require_log_term, dirichlet_l, riemann_zeta
+from .arith import (_PHASE_OF_Q_S, POLE_EXCLUSION_RADIUS, DomainError, KroneckerCharacter, PoleError, _as_complex,
+                    _require_abs_s, _require_finite, _require_log_term)
+from .fields import FieldDescriptor, FunctionFieldDescriptor, NumberFieldDescriptor
+from .kernel import _LOG_2PI, _LOG_PI, _log_gamma_impl, dirichlet_l, riemann_zeta
 
 #: Inside this radius of a cancelled Gamma pole the record is flagged and
 #: its factors deflated; s stays 0.115 from every contour node.
@@ -88,7 +88,7 @@ def _require_off_poles(field: FieldDescriptor, s: complex) -> float:
 
 
 def _function_field_zeta(field: FunctionFieldDescriptor, s: complex) -> complex:
-    _require_abs_s(s)
+    _require_abs_s(s, _PHASE_OF_Q_S)
     log_t = -s * math.log(field.q)
     _require_log_term(s, log_t.real)
     # P(t) is summed in binary64, so each coefficient must fit there too

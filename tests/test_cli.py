@@ -16,8 +16,8 @@ import pytest
 
 from globalzeta import (Place, local_euler_factor, lpoly_from_point_counts, make_curve_function_field, make_rationals,
                         parse_field_spec, truncated_euler_product)
+from globalzeta.arith import DomainError
 from globalzeta.cli import COMMANDS, _parse, main, parse_and_dispatch, render_report
-from globalzeta.errors import DomainError
 from globalzeta.ffield import galois_field, monic_irreducibles
 from globalzeta.verify import FunctionalEquationReport, SweepSummary
 
@@ -38,6 +38,9 @@ REFUSALS = [
     (["covolume", "--field", "curve?=5&L=1"], 2, "field spec 'curve?=5&L=1': bad parameter '=5'"),
     (["covolume", "--field", "curve?q=5&q=5&L=1"], 2, "field spec 'curve?q=5&q=5&L=1': duplicate parameter 'q'"),
     (["covolume", "--field", "curve?L=1,3,5"], 2, "field spec 'curve?L=1,3,5': missing parameter q"),
+    # one point count past MAX_COUNT_GENUS = 100, refused before Newton's identities run
+    (["covolume", "--field", "curve?q=5&N=" + ",".join(["6"] * 101)], 2,
+     "lpoly_from_point_counts: genus = 101 exceeds MAX_COUNT_GENUS = 100"),
     (lambda: make_curve_function_field(6, (1,)), DomainError, "make_curve_function_field: 6 is not a prime power"),
     (lambda: lpoly_from_point_counts(6, 0, ()), DomainError, "lpoly_from_point_counts: 6 is not a prime power"),
     (lambda: lpoly_from_point_counts(5, -1, ()), DomainError, "lpoly_from_point_counts: genus must be >= 0"),
@@ -297,6 +300,21 @@ class TestImport:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_cold_places_loads_exactly_the_base_modules(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "from globalzeta.cli import parse_and_dispatch\n"
+            "assert parse_and_dispatch(['places', '--field', 'Q(sqrt=5)', '--bound', '30'])[0] == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'globalzeta'))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.splitlines()[-1]
+        assert loaded == str(["globalzeta", "globalzeta.arith", "globalzeta.cli",
+                              "globalzeta.ffield", "globalzeta.fields"])
+
     # The evaluator modules, which a command compiles only when it evaluates.
     EVALUATORS = ("globalzeta.kernel", "globalzeta.zeta", "globalzeta.verify")
 
@@ -336,6 +354,15 @@ class TestImport:
             "loaded()"
         )
         assert self._loaded_after(steps) == [[], [], []]
+
+    def test_dir_lists_the_public_names_before_any_is_read(self):
+        steps = (
+            "import globalzeta\n"
+            "assert set(globalzeta.__all__) <= set(dir(globalzeta))\n"
+            "assert not {'globalzeta.arith', 'globalzeta.fields'} & set(sys.modules)\n"
+            "loaded()"
+        )
+        assert self._loaded_after(steps) == [[]]
 
     def test_evaluating_commands_load_their_modules(self):
         steps = (

@@ -798,10 +798,10 @@ def margin_plan_of(s, D):
 
 class TestCostLimits:
     # Inputs just over each limit; the checks run before any loop or table.
-    OVER_S = complex(0.5, kernel.MAX_ABS_S)
+    OVER_S = complex(0.5, arith.MAX_ABS_S)
 
     def test_abs_s_limit(self):
-        assert abs(self.OVER_S) > kernel.MAX_ABS_S
+        assert abs(self.OVER_S) > arith.MAX_ABS_S
         for evaluate in (
             lambda: riemann_zeta(self.OVER_S),
             lambda: hurwitz_zeta(self.OVER_S, 0.5),
@@ -861,7 +861,7 @@ class TestCostLimits:
         # class's pole ratio (1 + N)^((s-1)/2) stays far below: N = 2
         # there); for D = -2351, on the moment path, 2351^s * phi(2351)
         # * GROWTH_BOUND.
-        top = kernel.MAX_LOG_TERM
+        top = arith.MAX_LOG_TERM
         assert 707 < top < math.log(1.8e308)
         chi4, chi3, chi2351 = KroneckerCharacter(-4), KroneckerCharacter(-3), KroneckerCharacter(-2351)
         moment_edge = (top - math.log(2350.0 * kernel.GROWTH_BOUND)) / math.log(2351.0)
@@ -882,7 +882,7 @@ class TestCostLimits:
                 evaluate(edge + outward * 1e-9)
 
     def test_factorization_limit(self):
-        from globalzeta.ffield import factor_prime_power
+        from globalzeta.arith import factor_prime_power
 
         over = arith.MAX_FACTOR_INPUT + 1
         for n in (over, -over):

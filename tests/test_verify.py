@@ -28,7 +28,7 @@ from globalzeta import (
 )
 from globalzeta import verify as verify_mod
 from globalzeta.cli import parse_and_dispatch
-from globalzeta.kernel import _require_finite, _require_log_term
+from globalzeta.arith import _require_finite, _require_log_term
 
 Q = make_rationals()
 QI = make_quadratic(-1)

@@ -76,6 +76,10 @@ def src_lines(checkout: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
+def src_modules(checkout: Path) -> int:
+    return sum(1 for _ in (checkout / "src").rglob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """(report, result) from the last two stdout lines of one bench/run.py run."""
     proc = subprocess.run(
@@ -138,6 +142,7 @@ def main() -> int:
         "workloads": {},
         "traced": {},
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
+        "src_modules": {side: src_modules(path) for side, path in sides.items()},
     }
 
     def play(workload: str, seeds: int, trace: int, keep, store: dict) -> None:
