@@ -16,7 +16,6 @@ import cmath
 import math
 import warnings
 from bisect import bisect_right
-from functools import reduce
 from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -427,7 +426,7 @@ def truncated_euler_product(field: FieldDescriptor, s, norm_bound: int) -> compl
     if s.real <= 1.0:
         raise DomainError("truncated_euler_product: requires Re s > 1")
     qvs = list(map(itemgetter(0), enumerate_places(field, norm_bound)))
-    return reduce(mul, _inverse_factors(s, qvs), complex(1.0))
+    return math.prod(_inverse_factors(s, qvs), start=complex(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,6 @@ class _Table:
         count = len(self.plus) + len(self.minus)
         return count * (max(self.rows, rows) + 1) + max(len(self.moments), order + 1)
 
-    def covers(self, rows: int, order: int = -1) -> bool:
-        return rows <= self.rows and order < len(self.moments)
-
     def grow(self, rows: int, order: int = -1) -> None:
         for logs, tops in zip(self.heads, (self.plus, self.minus)):
             for n in range(self.rows, rows):
@@ -300,7 +297,7 @@ def _cached_table(D: int, rows: int, order: int = -1) -> _Table:
     # older tables are dropped, least recently used first, until everything fits.
     with _table_lock:
         table = _tables.pop(D, None)
-        if table is None or not table.covers(rows, order):
+        if table is None or rows > table.rows or order >= len(table.moments):
             if table is None or table.size(rows, order) > MAX_TABLE_ENTRIES:
                 table = _Table(D)  # fresh also where an old table, grown, would not fit
             room = MAX_TABLE_ENTRIES - table.size(rows, order)
@@ -598,14 +595,13 @@ def dirichlet_l(s, chi: KroneckerCharacter) -> complex:
             f"dirichlet_l: phi(|D|) * (rows + 1) + len(moments) = {need} exceeds "
             f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES} (D = {D}, N = {shift}, plan = {plan})"
         )
-    if plan is None:
-        plus, minus = _class_sum(s, _cached_table(D, rows), shift, weights)
-    else:
+    if plan:
         # Each part is at most GROWTH_BOUND times the larger of (1/q)^-s
         # (the head) and X^(1-s) (the jets, X = M + 1/2 + T).
         largest = max(sigma * log_q, (1.0 - sigma) * math.log(rows + 0.5 + jet_shift))
         _require_log_term(s, largest + math.log(GROWTH_BOUND) + spread)
-        plus, minus = moment_sum(s, _cached_table(D, rows, order), rows, order, jet_shift)
+    table = _cached_table(D, rows, order)
+    plus, minus = moment_sum(s, table, rows, order, jet_shift) if plan else _class_sum(s, table, shift, weights)
     # fsum is correctly rounded, so the order of the parts is immaterial
     total = complex(math.fsum(chain(map(_REAL, plus), map(neg, map(_REAL, minus)))),
                     math.fsum(chain(map(_IMAG, plus), map(neg, map(_IMAG, minus)))))

@@ -160,10 +160,7 @@ def _gamma_linear_deflated(z: complex, z0: int) -> complex:
     # the vanishing factor (z - z0) cancelled symbolically.
     k_up = -z0 + 1
     num = cmath.exp(_log_gamma_impl(z + k_up))
-    den = complex(1.0)
-    for j in range(k_up):
-        if j != -z0:
-            den *= z + j
+    den = math.prod([z + j for j in range(k_up) if j != -z0], start=complex(1.0))
     return num / den
 
 
